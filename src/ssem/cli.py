@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -53,19 +54,6 @@ VERIFY_TARGETS = ("thm1", "thm2", "thm3-1", "thm3-2", "thm3-3",
                   "lemma3", "rescue", "all")
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssem-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _jsonify(obj):
     """Map numpy scalars/arrays to plain types and non-finite floats to
     null so the emitted files stay strict JSON."""
@@ -82,12 +70,9 @@ def _jsonify(obj):
     return obj
 
 
-def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(_jsonify(payload), indent=2) + "\n")
-
-
 def _write_via(path: str, writer) -> None:
-    """Atomic variant for writers that take a destination path."""
+    """Whole-file atomic write: ``writer(tmp)`` fills a temporary file in
+    the destination directory, which is then renamed over ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssem-tmp-")
     os.close(fd)
@@ -100,12 +85,37 @@ def _write_via(path: str, writer) -> None:
         raise
 
 
+def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(_jsonify(payload), indent=2) + "\n"
+    _write_via(path, lambda tmp: Path(tmp).write_text(
+        text, encoding="utf-8", newline="\n"))
+
+
 def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
     dataset = sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())
     _write_via(os.path.join(out_dir, "dataset.csv"),
                lambda p: save_dataset_csv(dataset, p))
     summary = summary_header(cfg)
     summary.update({"m": dataset.m, "n": dataset.n, "gamma": dataset.gamma})
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    return EXIT_OK
+
+
+def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float) -> int:
+    """Write ``trajectory.csv`` and ``summary.json`` for an EM run begun at
+    ``start`` (a ``perf_counter`` reading)."""
+    _write_via(os.path.join(out_dir, "trajectory.csv"), traj.write_csv)
+    try:
+        rate = empirical_rate(traj, cfg.theta_star)
+    except TrajectoryTooShort:
+        rate = None
+    summary = summary_header(cfg)
+    summary.update({
+        "final_theta": traj.final.theta.tolist(),
+        "iterations": traj.n_steps,
+        "empirical_rate": rate,
+        "wall_time_s": time.perf_counter() - start,
+    })
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return EXIT_OK
 
@@ -117,41 +127,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
                lambda p: save_dataset_csv(dataset, p))
     traj = run_em(cfg.kind, dataset, cfg.theta0, cfg.em,
                   theta_star=cfg.theta_star)
-    _write_via(os.path.join(out_dir, "trajectory.csv"), traj.write_csv)
-    try:
-        rate = empirical_rate(traj, cfg.theta_star)
-    except TrajectoryTooShort:
-        rate = None
-    summary = summary_header(cfg)
-    summary.update({
-        "final_theta": traj.final.theta.tolist(),
-        "iterations": traj.n_steps,
-        "empirical_rate": rate,
-        "wall_time_s": time.perf_counter() - start,
-    })
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK
+    return _finish_run(cfg, out_dir, traj, start)
 
 
 def cmd_population(cfg: RunConfig, out_dir: str) -> int:
     start = time.perf_counter()
-    pm = cfg.population_model()
-    traj = run_population_em(pm, cfg.theta0, max_iters=cfg.em.max_iters,
-                             tol=cfg.em.tol)
-    _write_via(os.path.join(out_dir, "trajectory.csv"), traj.write_csv)
-    try:
-        rate = empirical_rate(traj, cfg.theta_star)
-    except TrajectoryTooShort:
-        rate = None
-    summary = summary_header(cfg)
-    summary.update({
-        "final_theta": traj.final.theta.tolist(),
-        "iterations": traj.n_steps,
-        "empirical_rate": rate,
-        "wall_time_s": time.perf_counter() - start,
-    })
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
-    return EXIT_OK
+    traj = run_population_em(cfg.population_model(), cfg.theta0,
+                             max_iters=cfg.em.max_iters, tol=cfg.em.tol)
+    return _finish_run(cfg, out_dir, traj, start)
 
 
 def _verify_checks(cfg: RunConfig, which: str) -> list[dict]:

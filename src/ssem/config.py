@@ -91,6 +91,34 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     return out
 
 
+def _integer(value) -> int:
+    """``value`` as an int, refusing any value an int cannot hold exactly."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _section(raw: dict, prefix: str, factory, converters: dict):
+    """Build ``factory(**kwargs)`` from the ``<prefix>.<name>`` keys present
+    in ``raw``, the rest left at the factory's defaults.
+
+    The factory is re-validated after each key is added, so a value that
+    fails its converter or the factory's own checks is reported under its
+    own key.  This relies on the factory checking each field on its own.
+    """
+    kwargs = {}
+    for name, convert in converters.items():
+        key = f"{prefix}.{name}"
+        if key not in raw:
+            continue
+        try:
+            kwargs[name] = convert(raw[key])
+            factory(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc), field=key) from exc
+    return factory(**kwargs)
+
+
 def _as_float_list(value) -> list[float]:
     if isinstance(value, (list, tuple)):
         return [float(v) for v in value]
@@ -216,20 +244,10 @@ def build_run_config(raw: dict) -> RunConfig:
     except Exception as exc:
         raise ConfigError(str(exc), field="em.theta0") from exc
 
-    try:
-        cfg.em = EmConfig(max_iters=int(get("em.max_iters", 100)),
-                          tol=float(get("em.tol", 1e-10)),
-                          record_trajectory=bool(get("em.record_trajectory", True)))
-    except Exception as exc:
-        raise ConfigError(str(exc), field="em.max_iters") from exc
-
-    try:
-        cfg.scheme = QuadratureScheme(
-            abs_tol=float(get("quadrature.abs_tol", 1e-10)),
-            range_sigma=float(get("quadrature.range_sigma", 12.0)),
-            max_subdivisions=int(get("quadrature.max_subdivisions", 1 << 16)))
-    except Exception as exc:
-        raise ConfigError(str(exc), field="quadrature.abs_tol") from exc
+    cfg.em = _section(raw, "em", EmConfig, {
+        "max_iters": _integer, "tol": float, "record_trajectory": bool})
+    cfg.scheme = _section(raw, "quadrature", QuadratureScheme, {
+        "abs_tol": float, "range_sigma": float, "max_subdivisions": _integer})
 
     cfg.out_dir = str(get("output.directory", "."))
     cfg.probe_offsets = _as_float_list(

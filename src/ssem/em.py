@@ -5,6 +5,9 @@ terms; unlabeled samples are weighted by responsibilities under the previous
 iterate.  Only the component parameters are updated: the mixture weights are
 treated as known and never re-estimated.
 
+All kinds share one E-step that reduces the data to per-component
+sufficient statistics; the M-step and the surrogate are O(K) in them.
+
 Per-sample reductions use NumPy's pairwise summation over arrays held in a
 fixed order, so results are bitwise reproducible run to run.
 """
@@ -14,15 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .errors import EmptyComponent
+from .errors import DomainError, EmptyComponent
 from .model import (
-    LOG_SQRT_2PI,
     ExpFamilySpec,
     MixtureParams,
     ModelKind,
-    invert_alpha_prime,
     responsibilities,
 )
 
@@ -90,123 +90,104 @@ def _max_error(params: MixtureParams, theta_star: MixtureParams) -> float:
     return float(np.max(np.abs(params.theta - theta_star.theta)))
 
 
+def _sufficient_statistics(kind: ModelKind, data,
+                           theta_t: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
+    """E-step under ``theta_t``, the one O(N*K) pass of an EM step.
+
+    Returns ``(S, N)``: per component, ``S_k`` sums t(y) over the labeled
+    points of component k plus the responsibility-weighted unlabeled points,
+    and ``N_k`` is the matching mass (label count plus responsibilities).
+    """
+    kind.check_params(theta_t)
+    K, x, t = theta_t.K, data.labeled_x, kind.family.t
+    if np.any(x >= K):
+        raise DomainError(f"label {int(x.max())} out of range for K={K}")
+    S = np.bincount(x, weights=np.asarray(t(data.labeled_y), dtype=float),
+                    minlength=K).astype(float)  # int zeros when m = 0
+    N = np.bincount(x, minlength=K).astype(float)
+    if data.n:
+        q = responsibilities(kind, theta_t, data.unlabeled_y).T
+        S += q @ np.asarray(t(data.unlabeled_y), dtype=float)
+        N += q.sum(axis=1)
+    return S, N
+
+
+def _update(kind: ModelKind, S: np.ndarray, N: np.ndarray, total: int,
+            theta_t: MixtureParams) -> MixtureParams:
+    """Maximizer of the surrogate built from ``(S, N)``: the tied value
+    ``(S_1 - S_0) / (m+n)`` for ``sym2``, else each mean ``S_k / N_k``
+    mapped to its component parameter."""
+    if kind.tag == "sym2":
+        return MixtureParams.symmetric((S[1] - S[0]) / total)
+    if np.any(N < _EMPTY_DENOMINATOR):
+        k = int(np.argmin(N))
+        raise EmptyComponent(
+            f"component {k} has no labeled support and responsibility mass "
+            f"{N[k]:.3e}")
+    return MixtureParams(theta_t.pi, [
+        kind.theta_from_mean(S[k] / N[k], x0=float(theta_t.theta[k]))
+        for k in range(theta_t.K)])
+
+
+def _carrier_sum(kind: ModelKind, data) -> float:
+    """Sum of ``h(y)`` over every observation: the theta-free surrogate term."""
+    h = kind.family.log_carrier
+    return float(np.sum(h(data.labeled_y))) + float(np.sum(h(data.unlabeled_y)))
+
+
+def _surrogate(kind: ModelKind, theta: MixtureParams, S: np.ndarray,
+               N: np.ndarray, total: int, carrier_sum: float) -> float:
+    th = theta.theta
+    acc = float(np.sum(th * S - np.asarray(kind.family.alpha(th), dtype=float) * N))
+    acc += carrier_sum
+    if kind.tag != "expfam":
+        acc += float(np.sum(N * np.log(theta.pi)))
+    return acc / total
+
+
 def q_value(kind: ModelKind, data, theta: MixtureParams,
             theta_t: MixtureParams) -> float:
     """Semi-supervised surrogate Q(theta; theta_t), normalized by 1/(n+m).
 
-    Gaussian kinds use the quadratic complete-data form including the
-    log(sqrt(2*pi)/pi_k) constants; exponential-family kinds use
-    ``theta_k t(y) + h(y) - alpha(theta_k)`` without weight constants.
-    The two therefore differ by a theta-independent offset.
+    In natural form it is ``sum_k theta_k S_k - alpha(theta_k) N_k`` plus
+    the sum of ``h(y)`` over all points, with ``(S, N)`` the E-step
+    statistics under ``theta_t``.  Gaussian kinds also add
+    ``sum_k N_k log pi_k``, giving the complete-data form with its
+    log(sqrt(2*pi)/pi_k) constants; exponential-family kinds carry no
+    weight constants.  The two therefore differ by a theta-independent
+    offset.
     """
     kind.check_params(theta)
-    kind.check_params(theta_t)
-    total = data.m + data.n
-    x, ly, uy = data.labeled_x, data.labeled_y, data.unlabeled_y
-    q = responsibilities(kind, theta_t, uy) if data.n else None
+    S, N = _sufficient_statistics(kind, data, theta_t)
+    return _surrogate(kind, theta, S, N, data.m + data.n, _carrier_sum(kind, data))
 
-    if kind.tag == "expfam":
-        spec = kind.spec
-        th, alph = theta.theta, np.asarray(kind.spec.alpha(theta.theta), dtype=float)
-        acc = 0.0
-        if data.m:
-            ty, hy = np.asarray(spec.t(ly), dtype=float), np.asarray(
-                spec.log_carrier(ly), dtype=float)
-            acc += float(np.sum(th[x] * ty + hy - alph[x]))
-        if data.n:
-            ty, hy = np.asarray(spec.t(uy), dtype=float), np.asarray(
-                spec.log_carrier(uy), dtype=float)
-            terms = ty[:, None] * th[None, :] + hy[:, None] - alph[None, :]
-            acc += float(np.sum(q * terms))
-        return acc / total
 
-    th = theta.theta
-    consts = LOG_SQRT_2PI - np.log(theta.pi)
-    acc = 0.0
-    if data.m:
-        acc += float(np.sum(0.5 * (ly - th[x]) ** 2 + consts[x]))
-    if data.n:
-        diff = uy[:, None] - th[None, :]
-        acc += float(np.sum(q * (0.5 * diff * diff + consts[None, :])))
-    return -acc / total
+def m_step(kind: ModelKind, data, theta_t: MixtureParams) -> MixtureParams:
+    """One EM update: the E-step statistics under ``theta_t`` mapped to the
+    surrogate's maximizer.  Labels count as hard assignments; the weights
+    are left unchanged."""
+    S, N = _sufficient_statistics(kind, data, theta_t)
+    return _update(kind, S, N, data.m + data.n, theta_t)
 
 
 def m_step_gmm(data, theta_t: MixtureParams) -> MixtureParams:
-    """Per-component weighted means: labels count as hard assignments,
-    unlabeled points contribute their responsibilities under ``theta_t``.
-    Weights are left unchanged."""
-    K = theta_t.K
-    num = np.zeros(K)
-    den = np.zeros(K)
-    if data.m:
-        num += np.bincount(data.labeled_x, weights=data.labeled_y, minlength=K)
-        den += np.bincount(data.labeled_x, minlength=K).astype(float)
-    if data.n:
-        q = responsibilities(ModelKind.gmm(), theta_t, data.unlabeled_y)
-        num += q.T @ data.unlabeled_y
-        den += q.sum(axis=0)
-    if np.any(den < _EMPTY_DENOMINATOR):
-        k = int(np.argmin(den))
-        raise EmptyComponent(
-            f"component {k} has no labeled support and responsibility mass "
-            f"{den[k]:.3e}")
-    return MixtureParams(theta_t.pi, num / den)
+    """Per-component weighted means (:func:`m_step` for ``gmm``)."""
+    return m_step(ModelKind.gmm(), data, theta_t)
 
 
 def m_step_expfam(spec: ExpFamilySpec, data, theta_t: MixtureParams) -> MixtureParams:
     """Weighted mean of sufficient statistics mapped back through the
-    inverse mean function (safeguarded Newton to |residual| < 1e-12)."""
-    kind = ModelKind.expfam(spec)
-    kind.check_params(theta_t)
-    K = theta_t.K
-    num = np.zeros(K)
-    den = np.zeros(K)
-    if data.m:
-        t_lab = np.asarray(spec.t(data.labeled_y), dtype=float)
-        num += np.bincount(data.labeled_x, weights=t_lab, minlength=K)
-        den += np.bincount(data.labeled_x, minlength=K).astype(float)
-    if data.n:
-        q = responsibilities(kind, theta_t, data.unlabeled_y)
-        t_unl = np.asarray(spec.t(data.unlabeled_y), dtype=float)
-        num += q.T @ t_unl
-        den += q.sum(axis=0)
-    if np.any(den < _EMPTY_DENOMINATOR):
-        k = int(np.argmin(den))
-        raise EmptyComponent(
-            f"component {k} has no labeled support and responsibility mass "
-            f"{den[k]:.3e}")
-    theta_new = np.array([
-        invert_alpha_prime(spec, num[k] / den[k], x0=float(theta_t.theta[k]))
-        for k in range(K)
-    ])
-    return MixtureParams(theta_t.pi, theta_new)
+    inverse mean function, safeguarded Newton to |residual| < 1e-12
+    (:func:`m_step` for ``expfam``)."""
+    return m_step(ModelKind.expfam(spec), data, theta_t)
 
 
 def m_step_sym2(data, theta_t: float) -> float:
-    """Tied-mean update for the symmetric pair.
-
-    Labels for the component at -theta flip the sign of their observation;
-    unlabeled points are tilted by 1 - 2*q where q is the posterior of the
-    -theta component.
-    """
-    total = data.m + data.n
-    acc = 0.0
-    if data.m:
-        sign = 1.0 - 2.0 * (data.labeled_x == 0)
-        acc += float(np.sum(sign * data.labeled_y))
-    if data.n:
-        q = expit(-2.0 * data.unlabeled_y * float(theta_t))
-        acc += float(np.sum((1.0 - 2.0 * q) * data.unlabeled_y))
-    return acc / total
-
-
-def m_step(kind: ModelKind, data, theta_t: MixtureParams) -> MixtureParams:
-    """Dispatch the family-appropriate M-step on MixtureParams."""
-    if kind.tag == "gmm":
-        return m_step_gmm(data, theta_t)
-    if kind.tag == "expfam":
-        return m_step_expfam(kind.spec, data, theta_t)
-    return MixtureParams.symmetric(m_step_sym2(data, theta_t.sym2_scalar()))
+    """Tied-mean update of the symmetric pair's scalar (:func:`m_step` for
+    ``sym2``): labels for the component at -theta flip the sign of their
+    observation."""
+    return m_step(ModelKind.sym2(), data,
+                  MixtureParams.symmetric(theta_t)).sym2_scalar()
 
 
 def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
@@ -221,15 +202,18 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
     traj = Trajectory(iterates=[theta0])
     if theta_star is not None:
         traj.errors.append(_max_error(theta0, theta_star))
+    total = data.m + data.n
+    carrier_sum = _carrier_sum(kind, data)
     current = theta0
     for t in range(cfg.max_iters):
         try:
-            nxt = m_step(kind, data, current)
+            S, N = _sufficient_statistics(kind, data, current)
+            nxt = _update(kind, S, N, total, current)
         except Exception as exc:
             exc.iteration = t
             raise
         if cfg.record_trajectory:
-            traj.q_values.append(q_value(kind, data, nxt, current))
+            traj.q_values.append(_surrogate(kind, nxt, S, N, total, carrier_sum))
         traj.iterates.append(nxt)
         if theta_star is not None:
             traj.errors.append(_max_error(nxt, theta_star))

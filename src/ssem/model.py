@@ -1,13 +1,13 @@
 """Mixture model families: densities, responsibilities, parameter containers.
 
-Three families are supported, all univariate with unit-variance Gaussian
-components where applicable:
+Every kind is K components of a one-parameter exponential family
+``p(y | k) = exp(theta_k * t(y) + h(y) - alpha(theta_k))`` with known
+weights pi_k:
 
-* ``gmm``    -- K Gaussian components N(theta_k, 1) with weights pi_k;
-* ``expfam`` -- K components from a user-supplied one-parameter exponential
-  family ``p(y | k) = exp(theta_k * t(y) + h(y) - alpha(theta_k))``;
-* ``sym2``   -- two equally weighted Gaussians at -theta and +theta, tied
-  through a single scalar.
+* ``gmm``    -- the unit-variance Gaussian member, N(theta_k, 1);
+* ``expfam`` -- a user-supplied family;
+* ``sym2``   -- the Gaussian member's tied two-component case: equally
+  weighted components at -theta and +theta.
 
 Responsibilities are the posterior component probabilities under the current
 parameters (mixture weights included) and are always computed in log space
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, gammaln, logsumexp, ndtri
+from scipy.special import gammaln, logsumexp, ndtri
 
 from .errors import DomainError, MeanOutOfRange, NoConvergence
 
@@ -127,6 +127,8 @@ def exponential_spec() -> ExpFamilySpec:
     )
 
 
+_GAUSSIAN = gaussian_spec()
+
 BUILTIN_FAMILIES = {
     "gaussian": gaussian_spec,
     "poisson": poisson_spec,
@@ -190,7 +192,8 @@ class MixtureParams:
 
 @dataclass(frozen=True)
 class ModelKind:
-    """Dispatch tag over the three supported families."""
+    """Which of the three model kinds; :attr:`family` names the exponential
+    family its components come from."""
 
     tag: str
     spec: ExpFamilySpec | None = None
@@ -202,6 +205,12 @@ class ModelKind:
             raise DomainError("expfam kind requires an ExpFamilySpec")
         if self.tag != "expfam" and self.spec is not None:
             raise DomainError(f"{self.tag} kind takes no family spec")
+
+    @property
+    def family(self) -> ExpFamilySpec:
+        """The exponential family behind this kind: the supplied spec for
+        ``expfam``, the unit-variance Gaussian for ``gmm`` and ``sym2``."""
+        return _GAUSSIAN if self.spec is None else self.spec
 
     @classmethod
     def gmm(cls) -> "ModelKind":
@@ -215,6 +224,14 @@ class ModelKind:
     def expfam(cls, spec: ExpFamilySpec) -> "ModelKind":
         return cls("expfam", spec)
 
+    def theta_from_mean(self, mean: float, x0: float) -> float:
+        """Component parameter whose mean statistic is ``mean``: the mean
+        itself for the Gaussian kinds, else :func:`invert_alpha_prime`
+        started at ``x0``."""
+        if self.spec is None:
+            return float(mean)
+        return invert_alpha_prime(self.spec, float(mean), x0=x0)
+
     def check_params(self, params: MixtureParams) -> None:
         if self.tag == "sym2":
             params.sym2_scalar()
@@ -222,18 +239,14 @@ class ModelKind:
             self.spec.check_theta(params.theta)
 
 
-def _component_log_density_matrix(kind: ModelKind, params: MixtureParams,
-                                  y: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log p(y_i | k); y must already be 1-d float."""
-    theta = params.theta
-    if kind.tag == "expfam":
-        spec = kind.spec
-        ty = np.asarray(spec.t(y), dtype=float)
-        hy = np.asarray(spec.log_carrier(y), dtype=float)
-        return (np.outer(ty, theta) + hy[:, None]
-                - np.asarray(spec.alpha(theta), dtype=float)[None, :])
-    diff = y[:, None] - theta[None, :]
-    return -0.5 * diff * diff - LOG_SQRT_2PI
+def _natural_logits(family: ExpFamilySpec, theta: np.ndarray, log_pi,
+                    y: np.ndarray) -> np.ndarray:
+    """(K, N) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``: the
+    component log densities without the carrier ``h(y)``, which every
+    component shares.  ``y`` must already be 1-d float."""
+    logits = np.multiply.outer(theta, np.asarray(family.t(y), dtype=float))
+    logits += (log_pi - np.asarray(family.alpha(theta), dtype=float))[:, None]
+    return logits
 
 
 def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
@@ -242,17 +255,22 @@ def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
     if not 0 <= k < params.K:
         raise DomainError(f"component index {k} out of range for K={params.K}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = _component_log_density_matrix(kind, params, y_arr)[:, k]
+    family = kind.family
+    out = (_natural_logits(family, params.theta, 0.0, y_arr)[k]
+           + np.asarray(family.log_carrier(y_arr), dtype=float))
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
 def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
-    """log of the pi-weighted component density sum, via max-shifted
-    log-sum-exp so nothing overflows for |theta|, |y| up to 50."""
+    """log of the pi-weighted component density sum: the carrier ``h(y)``
+    plus a max-shifted log-sum-exp of the natural-form logits, so nothing
+    overflows for |theta|, |y| up to 50."""
     kind.check_params(params)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    logw = np.log(params.pi)[None, :] + _component_log_density_matrix(kind, params, y_arr)
-    out = logsumexp(logw, axis=1)
+    family = kind.family
+    logits = _natural_logits(family, params.theta, np.log(params.pi), y_arr)
+    out = (np.asarray(family.log_carrier(y_arr), dtype=float)
+           + logsumexp(logits, axis=0))
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
@@ -260,28 +278,34 @@ def log_responsibilities(kind: ModelKind, params: MixtureParams,
                          y: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log posterior component probabilities."""
     kind.check_params(params)
-    y = np.asarray(y, dtype=float)
-    logw = np.log(params.pi)[None, :] + _component_log_density_matrix(kind, params, y)
-    return logw - logsumexp(logw, axis=1, keepdims=True)
+    logits = _natural_logits(kind.family, params.theta, np.log(params.pi),
+                             np.asarray(y, dtype=float))
+    return (logits - logsumexp(logits, axis=0, keepdims=True)).T
 
 
 def responsibilities(kind: ModelKind, params: MixtureParams,
                      y: np.ndarray) -> np.ndarray:
-    """(N, K) posterior probabilities; rows sum to 1."""
-    if kind.tag == "sym2":
-        # Equal weights cancel and the two-component posterior collapses to a
-        # logistic in 2*y*theta; this form never exponentiates a positive logit.
-        scalar = params.sym2_scalar()
-        q0 = expit(-2.0 * np.asarray(y, dtype=float) * scalar)
-        return np.stack([q0, 1.0 - q0], axis=-1)
-    return np.exp(log_responsibilities(kind, params, y))
+    """(N, K) posterior probabilities; rows sum to 1.
+
+    The result is the transposed view of a C-contiguous (K, N) array, so
+    ``responsibilities(...).T`` holds one contiguous row per component.
+    The logits are linear in ``t(y)`` (``h(y)`` cancels), so no ``y**2``
+    is ever formed; one max shift keeps every exponent <= 0.
+    """
+    kind.check_params(params)
+    q = _natural_logits(kind.family, params.theta, np.log(params.pi),
+                        np.asarray(y, dtype=float))
+    q -= q.max(axis=0)
+    np.exp(q, out=q)
+    q /= q.sum(axis=0)
+    return q.T
 
 
 def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):
     """Posterior probability of component ``k`` given ``y``.
 
-    For ``sym2``, ``k=0`` is the component at ``-theta`` and the value is
-    computed as the stable logistic ``1 / (1 + exp(2*y*theta))``.
+    For ``sym2``, ``k=0`` is the component at ``-theta``; the value equals
+    the logistic ``1 / (1 + exp(2*y*theta))``.
     """
     kind.check_params(params)
     if not 0 <= k < params.K:

@@ -29,7 +29,6 @@ from .errors import DegenerateDenominator, DomainError
 from .model import (
     MixtureParams,
     ModelKind,
-    invert_alpha_prime,
     marginal_log_density,
     responsibilities,
 )
@@ -87,30 +86,25 @@ class PopulationModel:
 
 def _component_scales(pm: PopulationModel) -> tuple[np.ndarray, np.ndarray]:
     """Component means and standard deviations under the truth."""
-    theta = pm.theta_star.theta
-    if pm.kind.tag == "expfam":
-        spec = pm.kind.spec
-        means = np.asarray(spec.alpha_prime(theta), dtype=float)
-        sds = np.sqrt(np.asarray(spec.alpha_second(theta), dtype=float))
-        return means, sds
-    return theta, np.ones_like(theta)
+    spec, theta = pm.kind.family, pm.theta_star.theta
+    means = np.asarray(spec.alpha_prime(theta), dtype=float)
+    sds = np.sqrt(np.asarray(spec.alpha_second(theta), dtype=float))
+    return means, sds
 
 
 def _truncation(pm: PopulationModel) -> tuple[float, float]:
     means, sds = _component_scales(pm)
     rs = pm.scheme.range_sigma
-    lo = float(np.min(means - rs * sds))
-    hi = float(np.max(means + rs * sds))
-    if pm.kind.tag == "expfam":
-        s_lo, s_hi = pm.kind.spec.support.lo, pm.kind.spec.support.hi
-        lo, hi = max(lo, s_lo), min(hi, s_hi)
+    support = pm.kind.family.support
+    lo = max(float(np.min(means - rs * sds)), support.lo)
+    hi = min(float(np.max(means + rs * sds)), support.hi)
     return lo, hi
 
 
 def expect(pm: PopulationModel, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E[f(Y)] under the true marginal, to ``scheme.abs_tol`` absolute error."""
     lo, hi = _truncation(pm)
-    if pm.kind.tag == "expfam" and pm.kind.spec.support.kind == "integer":
+    if pm.kind.family.support.kind == "integer":
         ys = np.arange(math.floor(lo), math.ceil(hi) + 1, dtype=float)
         weights = np.exp(marginal_log_density(pm.kind, pm.theta_star, ys))
         return float(np.sum(np.asarray(f(ys), dtype=float) * weights))
@@ -137,9 +131,7 @@ def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
 
 
 def _statistic(pm: PopulationModel, y: np.ndarray) -> np.ndarray:
-    if pm.kind.tag == "expfam":
-        return np.asarray(pm.kind.spec.t(y), dtype=float)
-    return y
+    return np.asarray(pm.kind.family.t(y), dtype=float)
 
 
 def responsibility_moments(pm: PopulationModel, theta: MixtureParams,
@@ -154,10 +146,7 @@ def responsibility_moments(pm: PopulationModel, theta: MixtureParams,
 
 def _labeled_moment(pm: PopulationModel, k: int) -> float:
     """E[1{X=k} t(Y)] in closed form."""
-    if pm.kind.tag == "expfam":
-        mean_k = float(pm.kind.spec.alpha_prime(pm.theta_star.theta[k]))
-    else:
-        mean_k = float(pm.theta_star.theta[k])
+    mean_k = float(pm.kind.family.alpha_prime(pm.theta_star.theta[k]))
     return float(pm.theta_star.pi[k]) * mean_k
 
 
@@ -177,11 +166,7 @@ def pop_m0(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
     e_q, e_qt = responsibility_moments(pm, theta, k)
     if abs(e_q) < _DEGENERATE_DENOMINATOR:
         raise DegenerateDenominator(f"E[q_{k}] = {e_q:.3e}")
-    ratio = e_qt / e_q
-    if pm.kind.tag == "expfam":
-        return invert_alpha_prime(pm.kind.spec, ratio,
-                                  x0=float(theta.theta[k]))
-    return ratio
+    return pm.kind.theta_from_mean(e_qt / e_q, x0=float(theta.theta[k]))
 
 
 def pop_m_gamma(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
@@ -203,10 +188,7 @@ def pop_m_gamma(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
     den = (1.0 - gamma) * e_q + gamma * pi_k
     if abs(den) < _DEGENERATE_DENOMINATOR:
         raise DegenerateDenominator(f"denominator {den:.3e} for component {k}")
-    ratio = num / den
-    if pm.kind.tag == "expfam":
-        return invert_alpha_prime(pm.kind.spec, ratio, x0=float(theta.theta[k]))
-    return ratio
+    return pm.kind.theta_from_mean(num / den, x0=float(theta.theta[k]))
 
 
 def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
@@ -217,11 +199,8 @@ def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
     """
     if not 0 <= k < pm.theta_star.K:
         raise DomainError(f"component index {k} out of range")
-    if pm.kind.tag == "expfam":
-        mean_k = float(pm.kind.spec.alpha_prime(pm.theta_star.theta[k]))
-        return invert_alpha_prime(pm.kind.spec, mean_k,
-                                  x0=float(pm.theta_star.theta[k]))
-    return float(pm.theta_star.theta[k])
+    star_k = float(pm.theta_star.theta[k])
+    return pm.kind.theta_from_mean(pm.kind.family.alpha_prime(star_k), x0=star_k)
 
 
 def dm0_dtheta_sym2(pm: PopulationModel, theta: float) -> float:

@@ -22,7 +22,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, DomainError
 from .model import MixtureParams, ModelKind
@@ -68,6 +67,8 @@ class Dataset:
             raise DomainError("dataset cannot be empty")
         if labeled_x.size and labeled_x.min() < 0:
             raise DomainError("labels must be component indices >= 0")
+        if not (np.all(np.isfinite(labeled_y)) and np.all(np.isfinite(unlabeled_y))):
+            raise DomainError("observations must be finite")
         for arr in (labeled_x, labeled_y, unlabeled_y):
             arr.setflags(write=False)
         object.__setattr__(self, "labeled_x", labeled_x)
@@ -117,18 +118,16 @@ def _proportional_counts(pi: np.ndarray, m: int) -> np.ndarray:
 
 def _component_draws(kind: ModelKind, theta_star: MixtureParams,
                      labels: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if kind.tag == "expfam":
-        spec = kind.spec
-        if spec.quantile is None:
-            raise DomainError(
-                f"family {spec.name!r} has no quantile function; cannot sample")
-        y = np.empty_like(u)
-        for k in range(theta_star.K):
-            mask = labels == k
-            if mask.any():
-                y[mask] = spec.quantile(float(theta_star.theta[k]), u[mask])
-        return y
-    return theta_star.theta[labels] + ndtri(u)
+    spec = kind.family
+    if spec.quantile is None:
+        raise DomainError(
+            f"family {spec.name!r} has no quantile function; cannot sample")
+    y = np.empty_like(u)
+    for k in range(theta_star.K):
+        mask = labels == k
+        if mask.any():
+            y[mask] = spec.quantile(float(theta_star.theta[k]), u[mask])
+    return y
 
 
 def sample_dataset(kind: ModelKind, theta_star: MixtureParams,

@@ -81,6 +81,19 @@ class TestExitCodes:
         assert err["error"] == "config"
         assert err["field"] == "model.pi"
 
+    @pytest.mark.parametrize("line, field", [
+        ("em.max_iters = 1.5", "em.max_iters"),
+        ("em.tol = 0", "em.tol"),
+        ("quadrature.range_sigma = 4", "quadrature.range_sigma"),
+    ])
+    def test_config_error_names_field(self, tmp_path, capsys, line, field):
+        bad = write_cfg(tmp_path, GMM_CFG + line + "\n")
+        rc = main(["simulate", "--config", bad, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == field
+
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # One labeled sample cannot support two components.
         cfg = write_cfg(tmp_path, """

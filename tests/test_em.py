@@ -14,7 +14,7 @@ from ssem.em import (
     q_value,
     run_em,
 )
-from ssem.errors import EmptyComponent
+from ssem.errors import DomainError, EmptyComponent
 from ssem.model import (
     MixtureParams,
     ModelKind,
@@ -99,6 +99,11 @@ class TestMStepGmm:
     def test_empty_component_raises(self):
         ds = Dataset([0], [5.0], [])
         with pytest.raises(EmptyComponent):
+            m_step_gmm(ds, MixtureParams([0.5, 0.5], [0.0, 1.0]))
+
+    def test_label_out_of_range_raises(self):
+        ds = Dataset([2], [1.0], [0.5])
+        with pytest.raises(DomainError, match="label 2"):
             m_step_gmm(ds, MixtureParams([0.5, 0.5], [0.0, 1.0]))
 
     def test_direct_summation_oracle(self):

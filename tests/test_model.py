@@ -106,6 +106,19 @@ class TestResponsibility:
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
         assert q[2] > 0.999
 
+    @pytest.mark.parametrize("kind", [GMM, ModelKind.expfam(gaussian_spec()), SYM2],
+                             ids=["gmm", "expfam-gaussian", "sym2"])
+    def test_far_tail_rows_stay_finite(self, kind):
+        # |y| beyond 1e154 overflows y**2; the natural-form logits never
+        # form it, so the near component takes the whole mass.
+        params = MixtureParams.symmetric(1.0)
+        y = np.array([1e154, 1e155, -1e200])
+        q = responsibilities(kind, params, y)
+        assert np.all(np.isfinite(q))
+        np.testing.assert_array_equal(q.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(q[:, 1], [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(q[:, 0], [0.0, 0.0, 1.0])
+
     @given(st.floats(-20, 20), st.floats(-6, 6))
     @settings(max_examples=200, deadline=None)
     def test_sym2_complementarity(self, y, theta):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ssem.errors import ConfigError
+from ssem.errors import ConfigError, DomainError
 from ssem.model import MixtureParams, ModelKind, poisson_spec
 from ssem.sampling import (
     Dataset,
@@ -112,6 +112,17 @@ class TestDatasetAndCsv:
             Dataset([], [], [])
         with pytest.raises(ConfigError):
             SampleConfig(seed=0, m=0, n=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations_rejected(self, bad, tmp_path):
+        with pytest.raises(DomainError):
+            Dataset([0], [bad], [0.5])
+        with pytest.raises(DomainError):
+            Dataset([0], [0.5], [bad])
+        path = tmp_path / "bad.csv"
+        path.write_text(f"kind,x,y\nL,0,0.5\nU,,{bad}\n")
+        with pytest.raises(DomainError):
+            load_dataset_csv(path)
 
     def test_roundtrip_exact(self, tmp_path):
         star = MixtureParams([0.4, 0.6], [-0.5, 1.5])
