@@ -36,6 +36,7 @@ from .model import (
 )
 from .population import (
     PopulationModel,
+    PopulationStep,
     QuadratureScheme,
     c_theta,
     dm0_dtheta_sym2,

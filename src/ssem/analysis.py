@@ -40,14 +40,11 @@ from .errors import (
     TrajectoryTooShort,
 )
 from .em import Trajectory
-from .model import MixtureParams, ModelKind, responsibilities
+from .model import MixtureParams
 from .population import (
     PopulationModel,
-    c_theta,
+    PopulationStep,
     dm0_dtheta_sym2,
-    expect,
-    pop_m0,
-    pop_m_gamma,
     run_population_em,
 )
 
@@ -81,12 +78,12 @@ def contraction_ratio(pm: PopulationModel, theta_probe: MixtureParams,
     within quadrature noise of the truth and the ratio is ill-defined.
     """
     star_k = float(pm.theta_star.theta[k])
-    m0 = pop_m0(pm, theta_probe, k)
-    denom = abs(m0 - star_k)
+    step = PopulationStep.at(pm, theta_probe)
+    denom = abs(step.m0(k) - star_k)
     if denom <= _fixed_point_guard(pm):
         raise ProbeTooCloseToFixedPoint(
             f"|M0 - theta*| = {denom:.3e} within the quadrature floor")
-    return abs(pop_m_gamma(pm, theta_probe, k) - star_k) / denom
+    return abs(step.m_gamma(k) - star_k) / denom
 
 
 @dataclass
@@ -160,17 +157,18 @@ def verify_theorem1(pm: PopulationModel,
         pi=pm.theta_star.pi.tolist(),
         probes=[p.theta.tolist() for p in probe_grid])
     for i, probe in enumerate(probe_grid):
+        step = PopulationStep.at(pm, probe)
         for k in range(pm.theta_star.K):
             row = ProbeResult(i, k, probe.theta.tolist())
             star_k = float(pm.theta_star.theta[k])
-            m0 = pop_m0(pm, probe, k)
+            m0 = step.m0(k)
             dist0 = abs(m0 - star_k)
             if dist0 <= guard:
                 row.skipped = True
                 report.results.append(row)
                 continue
-            mg = pop_m_gamma(pm, probe, k)
-            c = c_theta(pm, probe, k)
+            mg = step.m_gamma(k)
+            c = float(step.e_q[k])
             row.ratio_empirical = abs(mg - star_k) / dist0
             row.beta_theory = beta_theoretical(c, float(pm.theta_star.pi[k]),
                                                pm.gamma)
@@ -258,22 +256,22 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
     report = Theorem2Report(gamma=pm.gamma,
                             theta_star=pm.theta_star.theta.tolist())
     for side in (+1, -1):
+        # Every component's series shares the probes theta* + side * eps.
+        steps = [(eps, PopulationStep.at(pm, MixtureParams(
+                      pm.theta_star.pi, pm.theta_star.theta + side * eps)))
+                 for eps in eps_sorted if eps > guard]
         for k in range(pm.theta_star.K):
             series = Theorem2Series(component=k, side=side)
             star_k = float(pm.theta_star.theta[k])
             ap_star = float(spec.alpha_prime(star_k))
             fisher_star = float(spec.alpha_second(star_k))
-            for eps in eps_sorted:
-                if eps <= guard:
-                    continue
-                probe = MixtureParams(pm.theta_star.pi,
-                                      pm.theta_star.theta + side * eps)
-                m0 = pop_m0(pm, probe, k)
+            for eps, step in steps:
+                m0 = step.m0(k)
                 if abs(m0 - star_k) <= guard:
                     continue
-                mg = pop_m_gamma(pm, probe, k)
+                mg = step.m_gamma(k)
                 ratio = abs(mg - star_k) / abs(m0 - star_k)
-                beta = beta_theoretical(c_theta(pm, probe, k),
+                beta = beta_theoretical(float(step.e_q[k]),
                                         float(pm.theta_star.pi[k]), pm.gamma)
                 resid = abs(float(spec.alpha_prime(mg)) - ap_star
                             - (mg - star_k) * fisher_star)
@@ -388,9 +386,8 @@ def unlabeled_pull_sym2(pm: PopulationModel, theta: float) -> float:
     unlabeled-only update."""
     if pm.kind.tag != "sym2":
         raise DomainError("unlabeled_pull_sym2 requires the sym2 kind")
-    params = MixtureParams.symmetric(float(theta))
-    return -expect(
-        pm, lambda y: responsibilities(ModelKind.sym2(), params, y)[:, 0] * y)
+    step = PopulationStep.at(pm, MixtureParams.symmetric(float(theta)))
+    return -float(step.e_qt[0])
 
 
 def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
@@ -418,10 +415,12 @@ def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
     applicable = theta_star > 0.5
     gap = theta_probe - theta_star
 
-    f_probe = unlabeled_pull_sym2(pm, theta_probe)
+    # f(theta_probe) and M_0(theta_probe) = 2 f(theta_probe) share one step.
+    step = PopulationStep.at(pm, MixtureParams.symmetric(float(theta_probe)))
+    f_probe = -float(step.e_qt[0])
     f_star = unlabeled_pull_sym2(pm, float(theta_star))
     smooth_lhs = 2.0 * abs(f_probe - f_star)
-    m0 = pop_m0(pm, MixtureParams.symmetric(float(theta_probe)), 1)
+    m0 = step.m0(1)
     contraction_lhs = abs(m0 - theta_star)
 
     boundary_term = 2.0 * (_phi(theta_star) - theta_star * _upper_tail(theta_star))
@@ -562,25 +561,26 @@ def demonstrate_rescue(pm: PopulationModel,
             return MixtureParams.symmetric(pm.sym2_star() + off)
         return MixtureParams(pm.theta_star.pi, pm.theta_star.theta + off)
 
-    kappa, k_best, probe_best = -math.inf, 0, None
+    kappa, k_best, step_best = -math.inf, 0, None
     for off in offsets:
-        probe = probe_at(off)
+        step = PopulationStep.at(pm0, probe_at(off))
         for k in range(pm.theta_star.K):
             star_k = float(pm.theta_star.theta[k])
-            probe_dist = abs(float(probe.theta[k]) - star_k)
+            probe_dist = abs(float(step.theta.theta[k]) - star_k)
             if probe_dist <= guard:
                 continue
-            secant = abs(pop_m0(pm0, probe, k) - star_k) / probe_dist
+            secant = abs(step.m0(k) - star_k) / probe_dist
             if secant > kappa:
-                kappa, k_best, probe_best = secant, k, probe
-    if probe_best is None:
+                kappa, k_best, step_best = secant, k, step
+    if step_best is None:
         raise ProbeTooCloseToFixedPoint("no usable probe in the grid")
     if pm.kind.tag == "sym2":
         # Concave increasing update: the secants grow toward the derivative
         # at the fixed point, which is the actual supremum.
         kappa = max(kappa, dm0_dtheta_sym2(pm0, pm.sym2_star()))
 
-    c_best = c_theta(pm0, probe_best, k_best)
+    probe_best = step_best.theta
+    c_best = float(step_best.e_q[k_best])
     pi_k = float(pm.theta_star.pi[k_best])
     x = c_best * (kappa - 1.0) / pi_k
     gamma_min = x / (1.0 + x)

@@ -147,15 +147,17 @@ def _verify_checks(cfg: RunConfig, which: str) -> list[dict]:
         checks += verify_theorem2(pm, cfg.epsilons).checks()
     elif which == "thm3-1":
         for star in cfg.theta_star_grid:
-            checks += rate_bound_item1(star, cfg.gamma, cfg.scheme).checks()
+            checks += rate_bound_item1(
+                star, cfg.population_gamma(), cfg.scheme).checks()
     elif which == "thm3-2":
         for star in cfg.theta_star_grid:
-            checks += rate_bound_item2(star, cfg.gamma, cfg.scheme).checks()
+            checks += rate_bound_item2(
+                star, cfg.population_gamma(), cfg.scheme).checks()
     elif which == "thm3-3":
         for star in cfg.theta_star_grid:
             for off in cfg.item3_probe_offsets:
-                checks += rate_bound_item3(star, cfg.gamma, star + off,
-                                           cfg.scheme).checks()
+                checks += rate_bound_item3(star, cfg.population_gamma(),
+                                           star + off, cfg.scheme).checks()
     elif which == "lemma3":
         for t in cfg.tail_grid:
             lower, upper, tail = gaussian_tail_sandwich(t)
@@ -174,8 +176,11 @@ def _verify_checks(cfg: RunConfig, which: str) -> list[dict]:
 def cmd_verify(cfg: RunConfig, which: str, out_dir: str) -> int:
     if which == "all":
         targets = [w for w in VERIFY_TARGETS if w != "all"]
-        # thm1 applies to the Gaussian kinds, thm2 to exponential families.
+        # thm1 applies to the Gaussian kinds, thm2 to exponential families,
+        # and thm3-* to the symmetric pair (on their own theta* grid).
         skip = {"thm1"} if cfg.kind.tag == "expfam" else {"thm2"}
+        if cfg.kind.tag != "sym2":
+            skip |= {"thm3-1", "thm3-2", "thm3-3"}
         targets = [t for t in targets if t not in skip]
     else:
         targets = [which]

@@ -158,8 +158,20 @@ class RunConfig:
         return SampleConfig(seed=self.seed, m=self.m, n=self.n,
                             label_allocation=self.allocation)
 
+    def population_gamma(self) -> float:
+        """``data.gamma`` for the population operators and rate bounds.
+
+        They need unlabeled data, so gamma = 1 (valid for ``sample`` and
+        ``simulate``) is a configuration error here.
+        """
+        if self.gamma >= 1.0:
+            raise ConfigError(
+                "data.gamma = 1 leaves no unlabeled data; population EM and "
+                "the verify targets need gamma < 1", field="data.gamma")
+        return self.gamma
+
     def population_model(self, gamma: float | None = None) -> PopulationModel:
-        g = self.gamma if gamma is None else gamma
+        g = self.population_gamma() if gamma is None else gamma
         return PopulationModel(self.kind, self.theta_star, g, self.scheme)
 
 

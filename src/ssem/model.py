@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtri
+from scipy.special import gammaln, ndtri
 
 from .errors import DomainError, MeanOutOfRange, NoConvergence
 
@@ -261,16 +261,27 @@ def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
+def _shifted_exp(logits: np.ndarray) -> np.ndarray:
+    """In place on a (K, N) array: subtract each column's max and
+    exponentiate, so every exponent is <= 0.  Returns the column maxima."""
+    top = logits.max(axis=0)
+    logits -= top
+    np.exp(logits, out=logits)
+    return top
+
+
 def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
     """log of the pi-weighted component density sum: the carrier ``h(y)``
-    plus a max-shifted log-sum-exp of the natural-form logits, so nothing
+    plus the log-sum-exp of the natural-form logits, taken as the column
+    max plus the log of the max-shifted exponentials' sum, so nothing
     overflows for |theta|, |y| up to 50."""
     kind.check_params(params)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     family = kind.family
     logits = _natural_logits(family, params.theta, np.log(params.pi), y_arr)
+    top = _shifted_exp(logits)
     out = (np.asarray(family.log_carrier(y_arr), dtype=float)
-           + logsumexp(logits, axis=0))
+           + (np.log(logits.sum(axis=0)) + top))
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
@@ -280,7 +291,8 @@ def log_responsibilities(kind: ModelKind, params: MixtureParams,
     kind.check_params(params)
     logits = _natural_logits(kind.family, params.theta, np.log(params.pi),
                              np.asarray(y, dtype=float))
-    return (logits - logsumexp(logits, axis=0, keepdims=True)).T
+    logits -= logits.max(axis=0)
+    return (logits - np.log(np.exp(logits).sum(axis=0))).T
 
 
 def responsibilities(kind: ModelKind, params: MixtureParams,
@@ -295,8 +307,7 @@ def responsibilities(kind: ModelKind, params: MixtureParams,
     kind.check_params(params)
     q = _natural_logits(kind.family, params.theta, np.log(params.pi),
                         np.asarray(y, dtype=float))
-    q -= q.max(axis=0)
-    np.exp(q, out=q)
+    _shifted_exp(q)
     q /= q.sum(axis=0)
     return q.T
 

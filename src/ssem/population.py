@@ -6,6 +6,12 @@ All expectations are taken under the true marginal mixture with parameters
 are available in closed form (`E[1{X=k}] = pi_k`, `E[1{X=k} t(Y)] =
 pi_k * alpha_prime(theta*_k)`, which is `pi_k * theta*_k` for Gaussians).
 
+The only unlabeled quantities an operator evaluation needs are the 2K
+responsibility moments ``E[q_k]`` and ``E[q_k t(Y)]`` at the probe.  They do
+not depend on gamma, and :meth:`PopulationStep.at` computes all of them with
+one vector integral whose every output meets ``scheme.abs_tol`` on its own;
+``M_0``, ``M_gamma`` and ``c_k`` at that probe are then read from the step.
+
 Continuous supports are integrated with the adaptive Gauss-Kronrod rule on
 a truncated interval (``range_sigma`` standard deviations beyond the
 outermost component means; the tails beyond 8 sigma carry less than 1e-15
@@ -101,13 +107,20 @@ def _truncation(pm: PopulationModel) -> tuple[float, float]:
     return lo, hi
 
 
-def expect(pm: PopulationModel, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """E[f(Y)] under the true marginal, to ``scheme.abs_tol`` absolute error."""
+def expect(pm: PopulationModel,
+           f: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+    """E[f(Y)] under the true marginal, to ``scheme.abs_tol`` absolute error.
+
+    ``f`` maps the ``(n,)`` points to shape ``(n,)``, giving a float, or to
+    ``(M, n)``, giving an ``(M,)`` array whose every entry meets the
+    tolerance.
+    """
     lo, hi = _truncation(pm)
     if pm.kind.family.support.kind == "integer":
         ys = np.arange(math.floor(lo), math.ceil(hi) + 1, dtype=float)
         weights = np.exp(marginal_log_density(pm.kind, pm.theta_star, ys))
-        return float(np.sum(np.asarray(f(ys), dtype=float) * weights))
+        value = np.sum(np.asarray(f(ys), dtype=float) * weights, axis=-1)
+        return float(value) if value.ndim == 0 else value
 
     def integrand(y):
         density = np.exp(marginal_log_density(pm.kind, pm.theta_star, y))
@@ -124,24 +137,8 @@ def expect(pm: PopulationModel, f: Callable[[np.ndarray], np.ndarray]) -> float:
     return value
 
 
-def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
-    """Expected responsibility E[q(Y; theta_k)] under the truth."""
-    pm.kind.check_params(theta)
-    return expect(pm, lambda y: responsibilities(pm.kind, theta, y)[:, k])
-
-
 def _statistic(pm: PopulationModel, y: np.ndarray) -> np.ndarray:
     return np.asarray(pm.kind.family.t(y), dtype=float)
-
-
-def responsibility_moments(pm: PopulationModel, theta: MixtureParams,
-                           k: int) -> tuple[float, float]:
-    """(E[q_k], E[q_k * t(Y)]) under the truth, for probe parameters."""
-    pm.kind.check_params(theta)
-    e_q = expect(pm, lambda y: responsibilities(pm.kind, theta, y)[:, k])
-    e_qt = expect(
-        pm, lambda y: responsibilities(pm.kind, theta, y)[:, k] * _statistic(pm, y))
-    return e_q, e_qt
 
 
 def _labeled_moment(pm: PopulationModel, k: int) -> float:
@@ -150,23 +147,64 @@ def _labeled_moment(pm: PopulationModel, k: int) -> float:
     return float(pm.theta_star.pi[k]) * mean_k
 
 
-def _sym2_m0_scalar(pm: PopulationModel, theta_scalar: float) -> float:
-    # Scalar unlabeled-only update: E[(1 - 2q)Y] with E[Y] = 0 analytically,
-    # i.e. -2 E[q(Y; theta) Y].
-    params = MixtureParams.symmetric(theta_scalar)
-    return -2.0 * expect(
-        pm, lambda y: responsibilities(ModelKind.sym2(), params, y)[:, 0] * y)
+@dataclass(frozen=True)
+class PopulationStep:
+    """The unlabeled responsibility moments at one probe: ``e_q[k] =
+    E[q_k]`` and ``e_qt[k] = E[q_k t(Y)]`` under the truth of ``pm``.
+
+    Build it with :meth:`at`; every population update at the probe reads
+    from it, whatever the labeled fraction.
+    """
+
+    pm: PopulationModel
+    theta: MixtureParams
+    e_q: np.ndarray
+    e_qt: np.ndarray
+
+    @classmethod
+    def at(cls, pm: PopulationModel, theta: MixtureParams) -> "PopulationStep":
+        """All 2K moments at probe ``theta`` from one vector integral."""
+        pm.kind.check_params(theta)
+
+        def moments(y):
+            q = responsibilities(pm.kind, theta, y).T
+            return np.concatenate([q, q * _statistic(pm, y)])
+
+        values = expect(pm, moments)
+        values.setflags(write=False)
+        return cls(pm, theta, values[:theta.K], values[theta.K:])
+
+    def m0(self, k: int) -> float:
+        """Component k of the unlabeled-only update ``M_0``."""
+        return self._update(k, 0.0)
+
+    def m_gamma(self, k: int) -> float:
+        """Component k of the semi-supervised update at ``pm.gamma``."""
+        return self._update(k, self.pm.gamma)
+
+    def _update(self, k: int, gamma: float) -> float:
+        pm = self.pm
+        if pm.kind.tag == "sym2":
+            # Tied scalar update: E[(1 - 2q_0) Y] with E[Y] = 0 analytically
+            # is -2 E[q_0 Y], mixed with the labeled fixed point theta*.
+            m = ((1.0 - gamma) * (-2.0 * float(self.e_qt[0]))
+                 + gamma * pm.sym2_star())
+            return -m if k == 0 else m
+        num = (1.0 - gamma) * float(self.e_qt[k]) + gamma * _labeled_moment(pm, k)
+        den = (1.0 - gamma) * float(self.e_q[k]) + gamma * float(pm.theta_star.pi[k])
+        if abs(den) < _DEGENERATE_DENOMINATOR:
+            raise DegenerateDenominator(f"denominator {den:.3e} for component {k}")
+        return pm.kind.theta_from_mean(num / den, x0=float(self.theta.theta[k]))
+
+
+def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
+    """Expected responsibility E[q(Y; theta_k)] under the truth."""
+    return float(PopulationStep.at(pm, theta).e_q[k])
 
 
 def pop_m0(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
     """Unlabeled-only population update of component k at probe ``theta``."""
-    if pm.kind.tag == "sym2":
-        m = _sym2_m0_scalar(pm, theta.sym2_scalar())
-        return -m if k == 0 else m
-    e_q, e_qt = responsibility_moments(pm, theta, k)
-    if abs(e_q) < _DEGENERATE_DENOMINATOR:
-        raise DegenerateDenominator(f"E[q_{k}] = {e_q:.3e}")
-    return pm.kind.theta_from_mean(e_qt / e_q, x0=float(theta.theta[k]))
+    return PopulationStep.at(pm, theta).m0(k)
 
 
 def pop_m_gamma(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
@@ -177,18 +215,7 @@ def pop_m_gamma(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
     moments enter the numerator and denominator of the responsibility ratio
     with weight gamma.
     """
-    gamma = pm.gamma
-    if pm.kind.tag == "sym2":
-        star = pm.sym2_star()
-        m = (1.0 - gamma) * _sym2_m0_scalar(pm, theta.sym2_scalar()) + gamma * star
-        return -m if k == 0 else m
-    e_q, e_qt = responsibility_moments(pm, theta, k)
-    pi_k = float(pm.theta_star.pi[k])
-    num = (1.0 - gamma) * e_qt + gamma * _labeled_moment(pm, k)
-    den = (1.0 - gamma) * e_q + gamma * pi_k
-    if abs(den) < _DEGENERATE_DENOMINATOR:
-        raise DegenerateDenominator(f"denominator {den:.3e} for component {k}")
-    return pm.kind.theta_from_mean(num / den, x0=float(theta.theta[k]))
+    return PopulationStep.at(pm, theta).m_gamma(k)
 
 
 def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
@@ -230,16 +257,9 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
     traj.errors.append(float(np.max(np.abs(theta0.theta - pm.theta_star.theta))))
     current = theta0
     for _ in range(max_iters):
-        if pm.kind.tag == "sym2":
-            star = pm.sym2_star()
-            scalar = ((1.0 - pm.gamma)
-                      * _sym2_m0_scalar(pm, current.sym2_scalar())
-                      + pm.gamma * star)
-            nxt = MixtureParams.symmetric(scalar)
-        else:
-            nxt = MixtureParams(
-                current.pi,
-                [pop_m_gamma(pm, current, k) for k in range(current.K)])
+        step = PopulationStep.at(pm, current)
+        nxt = MixtureParams(current.pi,
+                            [step.m_gamma(k) for k in range(current.K)])
         traj.iterates.append(nxt)
         traj.errors.append(float(np.max(np.abs(nxt.theta - pm.theta_star.theta))))
         delta = float(np.max(np.abs(nxt.theta - current.theta)))

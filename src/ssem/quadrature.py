@@ -6,6 +6,14 @@ of the budget are bisected until the summed estimate drops below the
 requested absolute tolerance.  The integrand is evaluated on all pending
 panels in one vectorized call, so ``f`` must accept and return ndarrays.
 
+``f`` maps the ``(n,)`` node vector to shape ``(n,)`` (one integral) or
+``(M, n)`` (M integrals over one shared panel list, in the manner of
+``scipy.integrate.quad_vec``).  In the vector case each output keeps its
+own error estimate and must meet ``abs_tol`` on its own: a panel is
+bisected when any output's panel error exceeds its share of the budget, and
+refinement stops only when every output's summed estimate is within
+``abs_tol``.
+
 The final value is accumulated in ascending panel order, so results are
 bit-reproducible for identical inputs regardless of the split history's
 internal ordering.
@@ -58,20 +66,22 @@ _TINY = np.finfo(float).tiny
 
 def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
                      lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimate and QUADPACK-style error estimate per panel."""
+    """Kronrod estimate and QUADPACK-style error estimate per panel, each of
+    shape ``(P,)`` for a scalar integrand or ``(M, P)`` for a vector one."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center[:, None] + np.outer(half, _XK)
-    fx = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
+    fx = np.asarray(f(x.reshape(-1)), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     if not np.all(np.isfinite(fx)):
         raise QuadratureFailure("integrand returned a non-finite value")
     resk = fx @ _WK
-    resg = fx[:, _GAUSS_IDX] @ _WG
+    resg = fx[..., _GAUSS_IDX] @ _WG
     values = resk * half
     raw = np.abs(resk - resg) * half
     # Scale of |f - mean| over the panel; damps the raw Gauss/Kronrod gap the
     # same way QUADPACK does so smooth panels are not over-reported.
-    resasc = (np.abs(fx - 0.5 * resk[:, None]) @ _WK) * half
+    resasc = (np.abs(fx - 0.5 * resk[..., None]) @ _WK) * half
     scaled = resasc * np.minimum(1.0, (200.0 * raw / np.maximum(resasc, _TINY)) ** 1.5)
     errors = np.where(resasc > 0.0, scaled, raw)
     return values, errors
@@ -79,12 +89,16 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
               abs_tol: float = 1e-10, max_subdivisions: int = 1 << 16,
-              initial_panels: int = 8) -> tuple[float, float]:
+              initial_panels: int = 8
+              ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
 
-    Returns ``(value, error_estimate)``.  Raises :class:`QuadratureFailure`
-    if the estimate still exceeds ``abs_tol`` once ``max_subdivisions``
-    panels are in play (or the integrand goes non-finite).
+    Returns ``(value, error_estimate)``: two floats for a scalar integrand,
+    two ``(M,)`` arrays for one returning shape ``(M, n)``, where every
+    output's error estimate is within ``abs_tol``.  Raises
+    :class:`QuadratureFailure` if an estimate still exceeds ``abs_tol`` once
+    ``max_subdivisions`` panels are in play (or the integrand goes
+    non-finite).
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid integration interval [{a}, {b}]")
@@ -97,14 +111,15 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     min_width = (b - a) * 1e-15
 
     while True:
-        total_error = float(errors.sum())
+        total_error = float(np.max(errors.sum(axis=-1)))
         if total_error <= abs_tol:
             break
         if lo.size >= max_subdivisions:
             raise QuadratureFailure(
                 f"error estimate {total_error:.3e} > abs_tol {abs_tol:.3e} "
                 f"at {lo.size} subdivisions")
-        split = (errors > abs_tol / (2.0 * lo.size)) & (hi - lo > min_width)
+        over = errors.reshape(-1, lo.size) > abs_tol / (2.0 * lo.size)
+        split = over.any(axis=0) & (hi - lo > min_width)
         if not split.any():
             raise QuadratureFailure(
                 f"panels too narrow to refine further (error {total_error:.3e})")
@@ -114,8 +129,12 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         new_values, new_errors = _panel_estimates(f, new_lo, new_hi)
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
-        values = np.concatenate([values[~split], new_values])
-        errors = np.concatenate([errors[~split], new_errors])
+        values = np.concatenate([values[..., ~split], new_values], axis=-1)
+        errors = np.concatenate([errors[..., ~split], new_errors], axis=-1)
 
     order = np.argsort(lo, kind="stable")
-    return float(values[order].sum()), float(errors[order].sum())
+    value = values[..., order].sum(axis=-1)
+    error = errors[..., order].sum(axis=-1)
+    if value.ndim == 0:
+        return float(value), float(error)
+    return value, error

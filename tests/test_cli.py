@@ -36,6 +36,10 @@ data.seed = 11
 em.theta0 = -0.5, 1.5
 """
 
+SYM2_POP = "model.kind = sym2\nmodel.theta_star = 1.5\n"
+POISSON_POP = ("model.kind = expfam\nmodel.family = poisson\n"
+               "model.theta_star = 0.5, 2.0\nmodel.pi = 0.5, 0.5\n")
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -111,6 +115,26 @@ em.theta0 = 0.0, 0.5
         assert err["error"] == "numeric"
         assert err["type"] == "EmptyComponent"
         assert err["iteration"] == 0
+
+    @pytest.mark.parametrize("text, command", [
+        (SYM2_POP, ["population"]),
+        (SYM2_POP, ["verify", "thm1"]),
+        (SYM2_POP, ["verify", "rescue"]),
+        (SYM2_POP, ["verify", "thm3-1"]),
+        (SYM2_POP, ["verify", "thm3-2"]),
+        (SYM2_POP, ["verify", "thm3-3"]),
+        (POISSON_POP, ["verify", "thm2"]),
+    ], ids=["population", "thm1", "rescue", "thm3-1", "thm3-2", "thm3-3", "thm2"])
+    def test_gamma_one_population_is_config_error(self, tmp_path, capsys,
+                                                  text, command):
+        # gamma = 1 is valid for sampling but not for the population
+        # operators or the rate bounds, which need unlabeled data.
+        cfg = write_cfg(tmp_path, text + "data.gamma = 1\n")
+        rc = main(command + ["--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "data.gamma"
 
     def test_violation_exit_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.kind = sym2\nmodel.theta_star = 1.0\n")
@@ -197,6 +221,17 @@ class TestVerifyCommand:
         assert rc == 0
         payload = json.loads((tmp_path / "verify_thm3-2.json").read_text())
         assert "(not applicable)" in payload["checks"][0]["name"]
+
+    def test_gmm_all_runs_no_sym2_rate_checks(self, tmp_path):
+        # thm3-* check the symmetric pair on their own theta* grid; on a
+        # gmm model they say nothing about it and must not set the exit.
+        cfg = write_cfg(tmp_path, GMM_CFG)
+        rc = main(["verify", "all", "--config", cfg, "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "verify_all.json").read_text())
+        names = [c["name"] for c in payload["checks"]]
+        assert not [n for n in names if n.startswith("thm3-")]
+        assert any(n.startswith("thm1/") for n in names)
+        assert rc == 0
 
     def test_rescue_reports(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.kind = sym2\nmodel.theta_star = 1.5\n")

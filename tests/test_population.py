@@ -281,3 +281,44 @@ def test_scheme_validation():
         QuadratureScheme(range_sigma=4.0)
     with pytest.raises(ValueError):
         QuadratureScheme(abs_tol=0.0)
+
+
+class TestIntegralCount:
+    """One vector integral per probe: every population update at a probe
+    reads the same responsibility moments."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import ssem.quadrature
+
+        counter = []
+        original = ssem.quadrature.integrate
+
+        def counting(*args, **kwargs):
+            counter.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ssem.quadrature, "integrate", counting)
+        return counter
+
+    def test_population_em_one_integral_per_iteration(self, calls):
+        pm = PopulationModel(GMM, GMM3, 0.1)
+        traj = run_population_em(pm, MixtureParams(GMM3.pi, [-2.5, 0.4, 2.6]))
+        assert traj.n_steps > 1
+        assert len(calls) == traj.n_steps
+
+    def test_theorem1_one_integral_per_probe(self, calls):
+        from ssem.analysis import verify_theorem1
+
+        pm = PopulationModel(GMM, GMM3, 0.3)
+        probes = [MixtureParams(GMM3.pi, GMM3.theta + off)
+                  for off in (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)]
+        report = verify_theorem1(pm, probes)
+        assert not any(r.skipped for r in report.results)
+        assert len(calls) == 8
+
+    def test_item3_two_integrals(self, calls):
+        from ssem.analysis import rate_bound_item3
+
+        rate_bound_item3(1.0, 0.0, 3.0)
+        assert len(calls) == 2

@@ -45,6 +45,37 @@ class TestExactness:
         assert abs(value - 1.0) < 1e-10
 
 
+class TestVectorIntegrand:
+    TOL = 1e-12
+
+    @staticmethod
+    def stacked(x):
+        return np.stack([x ** j * gaussian_pdf(x) for j in range(4)])
+
+    def test_each_output_meets_tolerance(self):
+        values, errors = integrate(self.stacked, -15.0, 15.0, abs_tol=self.TOL)
+        assert values.shape == errors.shape == (4,)
+        np.testing.assert_allclose(values, [1.0, 0.0, 1.0, 0.0],
+                                   rtol=0.0, atol=self.TOL)
+        assert np.all(errors <= self.TOL)
+
+    def test_rows_match_scalar_integrals(self):
+        values, _ = integrate(self.stacked, -15.0, 15.0, abs_tol=self.TOL)
+        for j in range(4):
+            scalar, _ = integrate(lambda x: self.stacked(x)[j], -15.0, 15.0,
+                                  abs_tol=self.TOL)
+            assert abs(values[j] - scalar) <= 2.0 * self.TOL
+
+    def test_scalar_integrand_returns_floats(self):
+        value, err = integrate(gaussian_pdf, -15.0, 15.0, abs_tol=self.TOL)
+        assert type(value) is float and type(err) is float
+
+    def test_nonfinite_in_one_output(self):
+        f = lambda x: np.stack([gaussian_pdf(x), 1.0 / x])
+        with pytest.raises(QuadratureFailure):
+            integrate(f, -1.0, 1.0, abs_tol=1e-10)
+
+
 class TestFailureModes:
     def test_subdivision_budget(self):
         f = lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300)
