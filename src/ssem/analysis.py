@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import (
+    DegenerateDenominator,
     DomainError,
     NotExpFam,
     ProbeOutsideRegime,
@@ -257,8 +258,8 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
                             theta_star=pm.theta_star.theta.tolist())
     for side in (+1, -1):
         # Every component's series shares the probes theta* + side * eps.
-        steps = [(eps, PopulationStep.at(pm, MixtureParams(
-                      pm.theta_star.pi, pm.theta_star.theta + side * eps)))
+        steps = [(eps, PopulationStep.at(
+                      pm, pm.kind.shift(pm.theta_star, side * eps)))
                  for eps in eps_sorted if eps > guard]
         for k in range(pm.theta_star.K):
             series = Theorem2Series(component=k, side=side)
@@ -469,6 +470,17 @@ def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
     return lower, upper, tail
 
 
+def _step_ratios(traj: Trajectory, theta_star: MixtureParams,
+                 floor: float) -> tuple[int, list[float]]:
+    """How many iterates have a max-norm error above ``floor``, and the
+    ratio ``err_{t+1} / err_t`` of every step that starts from one."""
+    errs = np.array([float(np.max(np.abs(p.theta - theta_star.theta)))
+                     for p in traj.iterates])
+    ratios = [float(errs[t + 1] / errs[t])
+              for t in range(len(errs) - 1) if errs[t] > floor]
+    return int(np.count_nonzero(errs > floor)), ratios
+
+
 def empirical_rate(traj: Trajectory, theta_star: MixtureParams,
                    floor: float = RATE_FLOOR) -> float:
     """Worst per-step error contraction ``err_{t+1} / err_t`` along a
@@ -478,15 +490,11 @@ def empirical_rate(traj: Trajectory, theta_star: MixtureParams,
     Requires at least three iterates above the floor, otherwise raises
     :class:`TrajectoryTooShort`.
     """
-    errs = np.array([float(np.max(np.abs(p.theta - theta_star.theta)))
-                     for p in traj.iterates])
-    above = errs > floor
-    if int(above.sum()) < 3:
+    above, ratios = _step_ratios(traj, theta_star, floor)
+    if above < 3:
         raise TrajectoryTooShort(
-            f"only {int(above.sum())} iterates above the floor {floor:g}")
-    ratios = [errs[t + 1] / errs[t]
-              for t in range(len(errs) - 1) if above[t]]
-    return float(max(ratios))
+            f"only {above} iterates above the floor {floor:g}")
+    return max(ratios)
 
 
 def measurable_step_ratios(traj: Trajectory, theta_star: MixtureParams,
@@ -494,10 +502,7 @@ def measurable_step_ratios(traj: Trajectory, theta_star: MixtureParams,
     """Per-step error ratios for steps starting above the floor (may be
     fewer than the strict three-iterate requirement of
     :func:`empirical_rate`)."""
-    errs = np.array([float(np.max(np.abs(p.theta - theta_star.theta)))
-                     for p in traj.iterates])
-    return [float(errs[t + 1] / errs[t])
-            for t in range(len(errs) - 1) if errs[t] > floor]
+    return _step_ratios(traj, theta_star, floor)[1]
 
 
 @dataclass
@@ -546,6 +551,10 @@ def demonstrate_rescue(pm: PopulationModel,
     fraction ``gamma_min`` at which ``beta(gamma) * kappa = 1``, and emit
     population-EM trajectories bracketing it.
 
+    The probes are ``kind.shift(theta*, offset)``; one outside the natural
+    domain is skipped, as is a component inside the fixed-point guard or
+    whose ``E[q_k]`` underflows the denominator guard.
+
     When kappa < 1 the operator already contracts; the report carries the
     ``no_rescue_needed`` status (this is the observed situation for the
     symmetric pair at every separation) and the trajectories demonstrate the
@@ -556,20 +565,22 @@ def demonstrate_rescue(pm: PopulationModel,
     pm0 = pm.with_gamma(0.0)
     guard = _fixed_point_guard(pm)
 
-    def probe_at(off):
-        if pm.kind.tag == "sym2":
-            return MixtureParams.symmetric(pm.sym2_star() + off)
-        return MixtureParams(pm.theta_star.pi, pm.theta_star.theta + off)
-
     kappa, k_best, step_best = -math.inf, 0, None
     for off in offsets:
-        step = PopulationStep.at(pm0, probe_at(off))
+        try:
+            probe = pm.kind.shift(pm.theta_star, off)
+        except DomainError:  # the probe leaves the natural domain
+            continue
+        step = PopulationStep.at(pm0, probe)
         for k in range(pm.theta_star.K):
             star_k = float(pm.theta_star.theta[k])
             probe_dist = abs(float(step.theta.theta[k]) - star_k)
             if probe_dist <= guard:
                 continue
-            secant = abs(step.m0(k) - star_k) / probe_dist
+            try:
+                secant = abs(step.m0(k) - star_k) / probe_dist
+            except DegenerateDenominator:  # E[q_k] underflows at the probe
+                continue
             if secant > kappa:
                 kappa, k_best, step_best = secant, k, step
     if step_best is None:

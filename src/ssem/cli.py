@@ -37,7 +37,6 @@ from .config import (
     apply_overrides,
     build_run_config,
     load_config_file,
-    probe_grid,
     summary_header,
 )
 from .em import run_em
@@ -141,7 +140,8 @@ def _verify_checks(cfg: RunConfig, which: str) -> list[dict]:
     checks: list[dict] = []
     if which == "thm1":
         pm = cfg.population_model()
-        checks += verify_theorem1(pm, probe_grid(cfg)).checks()
+        checks += verify_theorem1(pm, [cfg.kind.shift(cfg.theta_star, off)
+                                       for off in cfg.probe_offsets]).checks()
     elif which == "thm2":
         pm = cfg.population_model()
         checks += verify_theorem2(pm, cfg.epsilons).checks()

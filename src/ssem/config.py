@@ -8,13 +8,14 @@ The full key list is documented in the README.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .em import EmConfig
 from .errors import ConfigError
 from .model import BUILTIN_FAMILIES, MixtureParams, ModelKind
 from .population import PopulationModel, QuadratureScheme
-from .sampling import SampleConfig
+from .sampling import ALLOCATIONS, SampleConfig
 
 SCHEMA_VERSION = "1"
 
@@ -35,6 +36,14 @@ def _parse_scalar(token: str):
     return token
 
 
+def _parse_value(value: str):
+    """A scalar, or a list when ``value`` holds a comma."""
+    value = value.strip()
+    if "," in value:
+        return [_parse_scalar(tok) for tok in value.split(",") if tok.strip()]
+    return _parse_scalar(value)
+
+
 def parse_config_text(text: str) -> dict:
     """Parse config text into an ordered flat dict of typed values."""
     out: dict = {}
@@ -48,11 +57,7 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        value = value.strip()
-        if "," in value:
-            out[key] = [_parse_scalar(tok) for tok in value.split(",") if tok.strip()]
-        else:
-            out[key] = _parse_scalar(value)
+        out[key] = _parse_value(value)
     return out
 
 
@@ -83,12 +88,26 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, value = item.partition("=")
-        value = value.strip()
-        if "," in value:
-            out[key.strip()] = [_parse_scalar(t) for t in value.split(",") if t.strip()]
-        else:
-            out[key.strip()] = _parse_scalar(value)
+        out[key.strip()] = _parse_value(value)
     return out
+
+
+def _get(raw: dict, key: str, convert, default=...):
+    """``convert(raw[key])``, or ``convert(default)`` when the key is absent
+    (a required key when ``default`` is left at ``...``).
+
+    The one place a config value is converted: a ``TypeError`` or
+    ``ValueError`` becomes a :class:`ConfigError` naming ``key``, while a
+    :class:`ConfigError` from a nested key passes through.
+    """
+    if key not in raw and default is ...:
+        raise ConfigError(f"missing required key {key}", field=key)
+    try:
+        return convert(raw.get(key, default))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field=key) from exc
 
 
 def _integer(value) -> int:
@@ -96,6 +115,34 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _choice(*options):
+    def convert(value):
+        if value not in options:
+            raise ValueError(f"must be one of {'|'.join(options)}, got {value!r}")
+        return value
+    return convert
+
+
+def _unit_interval(value) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {value}")
+    return value
+
+
+def _weights(k: int):
+    """Converter for ``k`` positive mixture weights summing to 1."""
+    def convert(value):
+        pi = _as_float_list(value)
+        if len(pi) != k:
+            raise ValueError(f"model.pi has {len(pi)} entries but "
+                             f"model.theta_star has {k}")
+        if any(p <= 0.0 for p in pi) or abs(sum(pi) - 1.0) > 1e-12:
+            raise ValueError(f"model.pi must be positive and sum to 1, got {pi}")
+        return pi
+    return convert
 
 
 def _section(raw: dict, prefix: str, factory, converters: dict):
@@ -109,13 +156,9 @@ def _section(raw: dict, prefix: str, factory, converters: dict):
     kwargs = {}
     for name, convert in converters.items():
         key = f"{prefix}.{name}"
-        if key not in raw:
-            continue
-        try:
-            kwargs[name] = convert(raw[key])
-            factory(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), field=key) from exc
+        if key in raw:
+            kwargs[name] = _get(raw, key, convert)
+            _get(raw, key, lambda _: factory(**kwargs))
     return factory(**kwargs)
 
 
@@ -130,21 +173,21 @@ class RunConfig:
     """Validated, structured view over the flat config dict."""
 
     raw: dict
-    kind: ModelKind = None
-    theta_star: MixtureParams = None
-    gamma: float = 0.0
-    total_samples: int = 0
-    seed: int = 0
-    allocation: str = "proportional"
-    theta0: MixtureParams = None
-    em: EmConfig = None
-    scheme: QuadratureScheme = None
-    out_dir: str = "."
-    probe_offsets: list = field(default_factory=list)
-    epsilons: list = field(default_factory=list)
-    item3_probe_offsets: list = field(default_factory=list)
-    theta_star_grid: list = field(default_factory=list)
-    tail_grid: list = field(default_factory=list)
+    kind: ModelKind
+    theta_star: MixtureParams
+    theta0: MixtureParams
+    em: EmConfig
+    scheme: QuadratureScheme
+    gamma: float
+    total_samples: int
+    seed: int
+    allocation: str
+    out_dir: str
+    probe_offsets: list[float]
+    epsilons: list[float]
+    item3_probe_offsets: list[float]
+    theta_star_grid: list[float]
+    tail_grid: list[float]
 
     @property
     def m(self) -> int:
@@ -170,123 +213,49 @@ class RunConfig:
                 "the verify targets need gamma < 1", field="data.gamma")
         return self.gamma
 
-    def population_model(self, gamma: float | None = None) -> PopulationModel:
-        g = self.population_gamma() if gamma is None else gamma
-        return PopulationModel(self.kind, self.theta_star, g, self.scheme)
+    def population_model(self) -> PopulationModel:
+        return PopulationModel(self.kind, self.theta_star,
+                               self.population_gamma(), self.scheme)
+
+
+def _family(name):
+    return BUILTIN_FAMILIES[_choice(*BUILTIN_FAMILIES)(name)]()
 
 
 def build_run_config(raw: dict) -> RunConfig:
     """Validate the flat dict and build typed objects.
 
-    Raises :class:`ConfigError` with the offending dotted key in ``field``.
+    Every key goes through :func:`_get`, as ``(key, converter, default)``,
+    so a bad value raises :class:`ConfigError` naming that key in ``field``.
     """
-    cfg = RunConfig(raw=dict(raw))
-
-    def get(key, default=None, required=False):
-        if key in raw:
-            return raw[key]
-        if required:
-            raise ConfigError(f"missing required key {key}", field=key)
-        return default
-
-    kind_tag = get("model.kind", required=True)
-    if kind_tag not in ("gmm", "sym2", "expfam"):
-        raise ConfigError(f"model.kind must be gmm|sym2|expfam, got {kind_tag!r}",
-                          field="model.kind")
-    try:
-        if kind_tag == "expfam":
-            family = get("model.family", required=True)
-            if family not in BUILTIN_FAMILIES:
-                raise ConfigError(
-                    f"model.family must be one of {sorted(BUILTIN_FAMILIES)}",
-                    field="model.family")
-            cfg.kind = ModelKind.expfam(BUILTIN_FAMILIES[family]())
-        else:
-            cfg.kind = ModelKind(kind_tag)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), field="model.kind") from exc
-
-    theta_raw = get("model.theta_star", required=True)
-    try:
-        if kind_tag == "sym2":
-            cfg.theta_star = MixtureParams.symmetric(float(theta_raw))
-        else:
-            theta = _as_float_list(theta_raw)
-            pi = _as_float_list(get("model.pi", required=True))
-            if len(pi) != len(theta):
-                raise ConfigError(
-                    f"model.pi has {len(pi)} entries but model.theta_star "
-                    f"has {len(theta)}", field="model.pi")
-            if any(p <= 0.0 for p in pi) or abs(sum(pi) - 1.0) > 1e-12:
-                raise ConfigError(
-                    f"model.pi must be positive and sum to 1, got {pi}",
-                    field="model.pi")
-            cfg.theta_star = MixtureParams(pi, theta)
-        cfg.kind.check_params(cfg.theta_star)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), field="model.theta_star") from exc
-
-    cfg.gamma = float(get("data.gamma", 0.0))
-    if not 0.0 <= cfg.gamma <= 1.0:
-        raise ConfigError(f"data.gamma must lie in [0, 1], got {cfg.gamma}",
-                          field="data.gamma")
-    cfg.total_samples = int(get("data.total_samples", 0))
-    cfg.seed = int(get("data.seed", 0))
-    cfg.allocation = get("data.allocation", "proportional")
-    if cfg.allocation not in ("proportional", "multinomial"):
-        raise ConfigError("data.allocation must be proportional|multinomial",
-                          field="data.allocation")
-
-    theta0_raw = get("em.theta0", None)
-    try:
-        if theta0_raw is None:
-            cfg.theta0 = cfg.theta_star
-        elif kind_tag == "sym2":
-            cfg.theta0 = MixtureParams.symmetric(float(theta0_raw))
-        else:
-            cfg.theta0 = MixtureParams(cfg.theta_star.pi,
-                                       _as_float_list(theta0_raw))
-        cfg.kind.check_params(cfg.theta0)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc), field="em.theta0") from exc
-
-    cfg.em = _section(raw, "em", EmConfig, {
-        "max_iters": _integer, "tol": float, "record_trajectory": bool})
-    cfg.scheme = _section(raw, "quadrature", QuadratureScheme, {
-        "abs_tol": float, "range_sigma": float, "max_subdivisions": _integer})
-
-    cfg.out_dir = str(get("output.directory", "."))
-    cfg.probe_offsets = _as_float_list(
-        get("verify.probe_offsets", [0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0]))
-    cfg.epsilons = _as_float_list(get("verify.epsilons", [0.2, 0.1, 0.05, 0.025]))
-    cfg.item3_probe_offsets = _as_float_list(
-        get("verify.item3_probe_offsets", [1.01, 2.0, 4.0]))
-    cfg.theta_star_grid = _as_float_list(
-        get("verify.theta_stars", [0.8, 1.0, 1.5, 2.0, 3.0, 5.0]))
-    cfg.tail_grid = _as_float_list(
-        get("verify.tail_grid", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0]))
-
-    return cfg
-
-
-def probe_grid(cfg: RunConfig) -> list[MixtureParams]:
-    """Probe parameters: the configured offsets added to the ground truth
-    (scalar offsets for sym2, vector shifts otherwise)."""
-    probes = []
-    for off in cfg.probe_offsets:
-        if cfg.kind.tag == "sym2":
-            probes.append(
-                MixtureParams.symmetric(cfg.theta_star.sym2_scalar() + off))
-        else:
-            probes.append(MixtureParams(cfg.theta_star.pi,
-                                        cfg.theta_star.theta + off))
-    return probes
+    get = partial(_get, raw)
+    tag = get("model.kind", _choice("gmm", "sym2", "expfam"))
+    kind = ModelKind(tag, get("model.family", _family) if tag == "expfam" else None)
+    star = get("model.theta_star", lambda v: kind.params(
+        v, lambda k: get("model.pi", _weights(k))))
+    return RunConfig(
+        raw=dict(raw), kind=kind, theta_star=star,
+        theta0=get("em.theta0", lambda v: kind.params(v, lambda k: star.pi),
+                   raw["model.theta_star"]),
+        em=_section(raw, "em", EmConfig, {
+            "max_iters": _integer, "tol": float, "record_trajectory": bool}),
+        scheme=_section(raw, "quadrature", QuadratureScheme, {
+            "abs_tol": float, "range_sigma": float,
+            "max_subdivisions": _integer}),
+        gamma=get("data.gamma", _unit_interval, 0.0),
+        total_samples=get("data.total_samples", _integer, 0),
+        seed=get("data.seed", _integer, 0),
+        allocation=get("data.allocation", _choice(*ALLOCATIONS), "proportional"),
+        out_dir=get("output.directory", str, "."),
+        probe_offsets=get("verify.probe_offsets", _as_float_list,
+                          (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),
+        epsilons=get("verify.epsilons", _as_float_list, (0.2, 0.1, 0.05, 0.025)),
+        item3_probe_offsets=get("verify.item3_probe_offsets", _as_float_list,
+                                (1.01, 2.0, 4.0)),
+        theta_star_grid=get("verify.theta_stars", _as_float_list,
+                            (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)),
+        tail_grid=get("verify.tail_grid", _as_float_list,
+                      (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
 
 
 def summary_header(cfg: RunConfig) -> dict:

@@ -238,6 +238,24 @@ class ModelKind:
         if self.tag == "expfam":
             self.spec.check_theta(params.theta)
 
+    def params(self, value, weights: Callable) -> MixtureParams:
+        """Checked parameters from a config value: one scalar for ``sym2``
+        (the tied pair ``(-value, value)``; ``weights`` is not called),
+        otherwise one entry per component, weighted by ``weights(K)``."""
+        if self.tag == "sym2":
+            params = MixtureParams.symmetric(value)
+        else:
+            theta = np.atleast_1d(np.asarray(value, dtype=float))
+            params = MixtureParams(weights(theta.size), theta)
+        self.check_params(params)
+        return params
+
+    def shift(self, params: MixtureParams, offset: float) -> MixtureParams:
+        """Checked parameters moved by ``offset``: along the tie for
+        ``sym2``, every component for the other kinds."""
+        value = params.sym2_scalar() if self.tag == "sym2" else params.theta
+        return self.params(value + offset, lambda k: params.pi)
+
 
 def _natural_logits(family: ExpFamilySpec, theta: np.ndarray, log_pi,
                     y: np.ndarray) -> np.ndarray:

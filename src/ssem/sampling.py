@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .model import MixtureParams, ModelKind
 
-_ALLOCATIONS = ("proportional", "multinomial")
+ALLOCATIONS = ("proportional", "multinomial")
 _MIN_UNIFORM = 2.0 ** -54
 
 
@@ -44,9 +44,9 @@ class SampleConfig:
             raise ConfigError("seed must fit in 64 unsigned bits", field="data.seed")
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ConfigError("need m + n >= 1 samples", field="data.total_samples")
-        if self.label_allocation not in _ALLOCATIONS:
+        if self.label_allocation not in ALLOCATIONS:
             raise ConfigError(
-                f"label_allocation must be one of {_ALLOCATIONS}",
+                f"label_allocation must be one of {ALLOCATIONS}",
                 field="data.allocation")
 
 

@@ -21,6 +21,7 @@ from ssem.analysis import (
 )
 from ssem.em import Trajectory
 from ssem.errors import (
+    DegenerateDenominator,
     DomainError,
     NotExpFam,
     ProbeOutsideRegime,
@@ -30,10 +31,11 @@ from ssem.errors import (
 from ssem.model import (
     MixtureParams,
     ModelKind,
+    exponential_spec,
     gaussian_spec,
     poisson_spec,
 )
-from ssem.population import PopulationModel, run_population_em
+from ssem.population import PopulationModel, PopulationStep, run_population_em
 
 GMM = ModelKind.gmm()
 GMM2 = MixtureParams([0.5, 0.5], [-1.0, 1.0])
@@ -358,3 +360,25 @@ class TestDemonstrateRescue:
         report = demonstrate_rescue(pm)
         for key, ratios in report.step_ratios.items():
             assert all(r <= report.ratio_bounds[key] for r in ratios)
+
+    def test_probes_outside_natural_domain_skipped(self):
+        # Offsets >= 1 push the exponential component at -1 past the
+        # natural-domain boundary 0; those probes are skipped.
+        pm = PopulationModel(ModelKind.expfam(exponential_spec()),
+                             MixtureParams([0.5, 0.5], [-1.0, -3.0]), 0.1)
+        report = demonstrate_rescue(pm, probe_offsets=[0.2, 0.5, 1.2, 3.0])
+        assert max(report.kappa_probe) < 0.0
+        assert report.step_ratios
+
+    def test_underflowing_component_skipped(self):
+        # At offset 4 the Poisson component at log-mean 2 takes almost no
+        # responsibility: its E[q_k] underflows the denominator guard.
+        pm = PopulationModel(ModelKind.expfam(poisson_spec()),
+                             MixtureParams([0.5, 0.5], [0.5, 2.0]), 0.1)
+        far = PopulationStep.at(pm.with_gamma(0.0),
+                                MixtureParams([0.5, 0.5], [4.5, 6.0]))
+        with pytest.raises(DegenerateDenominator):
+            far.m0(1)
+        report = demonstrate_rescue(pm, probe_offsets=[0.5, 1.2, 4.0])
+        assert math.isfinite(report.kappa_measured)
+        assert report.step_ratios

@@ -68,6 +68,13 @@ class TestConfigParsing:
             build_run_config({})
         assert err.value.field == "model.kind"
 
+    def test_missing_weights_field_path(self):
+        raw = parse_config_text(GMM_CFG)
+        del raw["model.pi"]
+        with pytest.raises(ConfigError) as err:
+            build_run_config(raw)
+        assert err.value.field == "model.pi"
+
     def test_bad_weights_field_path(self):
         raw = parse_config_text(GMM_CFG)
         raw["model.pi"] = [0.5, 0.4]
@@ -89,6 +96,18 @@ class TestExitCodes:
         ("em.max_iters = 1.5", "em.max_iters"),
         ("em.tol = 0", "em.tol"),
         ("quadrature.range_sigma = 4", "quadrature.range_sigma"),
+        ("data.gamma = abc", "data.gamma"),
+        ("data.total_samples = abc", "data.total_samples"),
+        ("data.seed = abc", "data.seed"),
+        ("verify.probe_offsets = abc", "verify.probe_offsets"),
+        ("verify.epsilons = abc", "verify.epsilons"),
+        ("verify.item3_probe_offsets = abc", "verify.item3_probe_offsets"),
+        ("verify.theta_stars = abc", "verify.theta_stars"),
+        ("verify.tail_grid = abc", "verify.tail_grid"),
+        ("data.total_samples = 1.5", "data.total_samples"),
+        ("data.seed = 1.5", "data.seed"),
+        ("model.pi = 1", "model.pi"),
+        ("model.pi = a, b", "model.pi"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, line, field):
         bad = write_cfg(tmp_path, GMM_CFG + line + "\n")
@@ -232,6 +251,23 @@ class TestVerifyCommand:
         assert not [n for n in names if n.startswith("thm3-")]
         assert any(n.startswith("thm1/") for n in names)
         assert rc == 0
+
+    @pytest.mark.parametrize("text", [
+        POISSON_POP + "data.gamma = 0.1\n",
+        ("model.kind = expfam\nmodel.family = exponential\n"
+         "model.theta_star = -1, -3\nmodel.pi = 0.5, 0.5\ndata.gamma = 0.1\n"),
+    ], ids=["poisson", "exponential"])
+    def test_rescue_probes_off_domain_are_not_numeric_failures(
+            self, tmp_path, capsys, text):
+        # The default probe offsets (up to 4) leave the exponential natural
+        # domain and make the far Poisson component's E[q_k] underflow;
+        # those probes are skipped, so the run reports its checks.
+        cfg = write_cfg(tmp_path, text)
+        rc = main(["verify", "all", "--config", cfg, "--out", str(tmp_path)])
+        assert rc in (0, 4), capsys.readouterr().err
+        payload = json.loads((tmp_path / "verify_all.json").read_text())
+        names = [c["name"] for c in payload["checks"]]
+        assert any(n.startswith("rescue/step_ratio_le_beta_kappa") for n in names)
 
     def test_rescue_reports(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.kind = sym2\nmodel.theta_star = 1.5\n")

@@ -196,6 +196,57 @@ class TestMixtureParams:
             MixtureParams([0.5, 0.5], [-1.0, 1.5]).sym2_scalar()
 
 
+class TestModelKindParams:
+    def test_sym2_takes_one_scalar_and_no_weights(self):
+        def no_weights(k):
+            raise AssertionError("sym2 must not ask for weights")
+
+        assert SYM2.params(1.25, no_weights) == MixtureParams.symmetric(1.25)
+
+    def test_sym2_rejects_a_list(self):
+        with pytest.raises((TypeError, ValueError)):
+            SYM2.params([1.0, 2.0], lambda k: [0.5, 0.5])
+
+    def test_vector_takes_one_entry_per_weight(self):
+        asked = []
+
+        def weights(k):
+            asked.append(k)
+            return [0.3, 0.7]
+
+        params = GMM.params([-1, 2.5], weights)
+        assert asked == [2]
+        assert params == MixtureParams([0.3, 0.7], [-1.0, 2.5])
+
+    def test_entry_count_must_match_weights(self):
+        with pytest.raises(DomainError):
+            GMM.params([0.0, 1.0, 2.0], lambda k: [0.5, 0.5])
+
+    def test_out_of_domain_value_raises(self):
+        kind = ModelKind.expfam(exponential_spec())
+        with pytest.raises(DomainError):
+            kind.params([-1.0, 0.5], lambda k: [0.5, 0.5])
+
+
+class TestModelKindShift:
+    def test_sym2_moves_along_the_tie(self):
+        shifted = SYM2.shift(MixtureParams.symmetric(1.5), 0.5)
+        assert shifted == MixtureParams.symmetric(2.0)
+
+    def test_vector_moves_every_component(self):
+        base = MixtureParams([0.2, 0.3, 0.5], [-3.0, 0.0, 3.0])
+        shifted = GMM.shift(base, -0.25)
+        np.testing.assert_array_equal(shifted.pi, base.pi)
+        np.testing.assert_array_equal(shifted.theta, base.theta - 0.25)
+
+    def test_out_of_domain_shift_raises(self):
+        kind = ModelKind.expfam(exponential_spec())
+        base = MixtureParams([0.5, 0.5], [-1.0, -3.0])
+        assert kind.shift(base, 0.5) == MixtureParams([0.5, 0.5], [-0.5, -2.5])
+        with pytest.raises(DomainError):
+            kind.shift(base, 1.2)
+
+
 class TestInvertAlphaPrime:
     def test_poisson(self):
         assert invert_alpha_prime(poisson_spec(), 3.0) == pytest.approx(
