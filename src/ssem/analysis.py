@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import (
     DegenerateDenominator,
@@ -378,7 +377,7 @@ def _phi(t: float) -> float:
 
 
 def _upper_tail(t: float) -> float:
-    return 0.5 * erfc(t / math.sqrt(2.0))
+    return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
 def unlabeled_pull_sym2(pm: PopulationModel, theta: float) -> float:

@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -90,20 +91,41 @@ def _write_json(path: str, payload: dict) -> None:
         text, encoding="utf-8", newline="\n"))
 
 
+@contextmanager
+def _timed(timings: dict, phase: str):
+    """Record the seconds the ``with`` body takes as ``timings[phase]``."""
+    start = time.perf_counter()
+    yield
+    timings[phase] = time.perf_counter() - start
+
+
+def _sample_to_csv(cfg: RunConfig, out_dir: str, timings: dict):
+    """Draw the configured dataset and write ``dataset.csv``."""
+    with _timed(timings, "sample"):
+        dataset = sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())
+    with _timed(timings, "write_dataset"):
+        _write_via(os.path.join(out_dir, "dataset.csv"),
+                   lambda p: save_dataset_csv(dataset, p))
+    return dataset
+
+
 def cmd_sample(cfg: RunConfig, out_dir: str) -> int:
-    dataset = sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())
-    _write_via(os.path.join(out_dir, "dataset.csv"),
-               lambda p: save_dataset_csv(dataset, p))
+    timings: dict = {}
+    dataset = _sample_to_csv(cfg, out_dir, timings)
     summary = summary_header(cfg)
-    summary.update({"m": dataset.m, "n": dataset.n, "gamma": dataset.gamma})
+    summary.update({"m": dataset.m, "n": dataset.n, "gamma": dataset.gamma,
+                    "timings_s": timings})
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return EXIT_OK
 
 
-def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float) -> int:
+def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float,
+                timings: dict) -> int:
     """Write ``trajectory.csv`` and ``summary.json`` for an EM run begun at
-    ``start`` (a ``perf_counter`` reading)."""
-    _write_via(os.path.join(out_dir, "trajectory.csv"), traj.write_csv)
+    ``start`` (a ``perf_counter`` reading); ``timings`` (seconds per phase)
+    gains the trajectory write and goes into the summary as ``timings_s``."""
+    with _timed(timings, "write_trajectory"):
+        _write_via(os.path.join(out_dir, "trajectory.csv"), traj.write_csv)
     try:
         rate = empirical_rate(traj, cfg.theta_star)
     except TrajectoryTooShort:
@@ -114,6 +136,7 @@ def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float) -> int:
         "iterations": traj.n_steps,
         "empirical_rate": rate,
         "wall_time_s": time.perf_counter() - start,
+        "timings_s": timings,
     })
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return EXIT_OK
@@ -121,19 +144,21 @@ def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float) -> int:
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     start = time.perf_counter()
-    dataset = sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())
-    _write_via(os.path.join(out_dir, "dataset.csv"),
-               lambda p: save_dataset_csv(dataset, p))
-    traj = run_em(cfg.kind, dataset, cfg.theta0, cfg.em,
-                  theta_star=cfg.theta_star)
-    return _finish_run(cfg, out_dir, traj, start)
+    timings: dict = {}
+    dataset = _sample_to_csv(cfg, out_dir, timings)
+    with _timed(timings, "em"):
+        traj = run_em(cfg.kind, dataset, cfg.theta0, cfg.em,
+                      theta_star=cfg.theta_star)
+    return _finish_run(cfg, out_dir, traj, start, timings)
 
 
 def cmd_population(cfg: RunConfig, out_dir: str) -> int:
     start = time.perf_counter()
-    traj = run_population_em(cfg.population_model(), cfg.theta0,
-                             max_iters=cfg.em.max_iters, tol=cfg.em.tol)
-    return _finish_run(cfg, out_dir, traj, start)
+    timings: dict = {}
+    with _timed(timings, "em"):
+        traj = run_population_em(cfg.population_model(), cfg.theta0,
+                                 max_iters=cfg.em.max_iters, tol=cfg.em.tol)
+    return _finish_run(cfg, out_dir, traj, start, timings)
 
 
 def _verify_checks(cfg: RunConfig, which: str) -> list[dict]:

@@ -92,6 +92,20 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     return out
 
 
+class _Consulted(dict):
+    """The raw config, recording in ``keys_read`` every key tested for
+    membership.  :func:`_get` and :func:`_section` test each key they
+    consult, so a key left out of ``keys_read`` is one no converter read."""
+
+    def __init__(self, raw: dict):
+        super().__init__(raw)
+        self.keys_read: set = set()
+
+    def __contains__(self, key):
+        self.keys_read.add(key)
+        return super().__contains__(key)
+
+
 def _get(raw: dict, key: str, convert, default=...):
     """``convert(raw[key])``, or ``convert(default)`` when the key is absent
     (a required key when ``default`` is left at ``...``).
@@ -227,13 +241,16 @@ def build_run_config(raw: dict) -> RunConfig:
 
     Every key goes through :func:`_get`, as ``(key, converter, default)``,
     so a bad value raises :class:`ConfigError` naming that key in ``field``.
+    A key that none of them reads (a typo, or a key of another model kind,
+    such as ``model.pi`` on ``sym2``) raises :class:`ConfigError` too.
     """
+    raw = _Consulted(raw)
     get = partial(_get, raw)
     tag = get("model.kind", _choice("gmm", "sym2", "expfam"))
     kind = ModelKind(tag, get("model.family", _family) if tag == "expfam" else None)
     star = get("model.theta_star", lambda v: kind.params(
         v, lambda k: get("model.pi", _weights(k))))
-    return RunConfig(
+    cfg = RunConfig(
         raw=dict(raw), kind=kind, theta_star=star,
         theta0=get("em.theta0", lambda v: kind.params(v, lambda k: star.pi),
                    raw["model.theta_star"]),
@@ -256,6 +273,11 @@ def build_run_config(raw: dict) -> RunConfig:
                             (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)),
         tail_grid=get("verify.tail_grid", _as_float_list,
                       (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
+    for key in raw:
+        if key not in raw.keys_read:
+            raise ConfigError(f"unknown key {key} (no {tag} run reads it)",
+                              field=key)
+    return cfg
 
 
 def summary_header(cfg: RunConfig) -> dict:

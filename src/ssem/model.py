@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .errors import DomainError, MeanOutOfRange, NoConvergence
 
@@ -78,6 +77,14 @@ class ExpFamilySpec:
 
 def gaussian_spec() -> ExpFamilySpec:
     """Unit-variance Gaussian: t(y)=y, alpha(theta)=theta^2/2."""
+
+    # scipy.special is imported where it is used, not with the package: it
+    # is most of the import time of ``ssem.cli``.
+    def _quantile(th, u):
+        from scipy.special import ndtri
+
+        return th + ndtri(u)
+
     return ExpFamilySpec(
         name="gaussian",
         t=lambda y: y,
@@ -87,7 +94,7 @@ def gaussian_spec() -> ExpFamilySpec:
         alpha_second=lambda th: np.ones_like(np.asarray(th, dtype=float)),
         natural_domain=(-np.inf, np.inf),
         support=Support("real"),
-        quantile=lambda th, u: th + ndtri(u),
+        quantile=_quantile,
     )
 
 
@@ -99,10 +106,15 @@ def poisson_spec() -> ExpFamilySpec:
 
         return poisson.ppf(u, np.exp(th)).astype(float)
 
+    def _log_carrier(y):
+        from scipy.special import gammaln
+
+        return -gammaln(np.asarray(y, dtype=float) + 1.0)
+
     return ExpFamilySpec(
         name="poisson",
         t=lambda y: y,
-        log_carrier=lambda y: -gammaln(np.asarray(y, dtype=float) + 1.0),
+        log_carrier=_log_carrier,
         alpha=np.exp,
         alpha_prime=np.exp,
         alpha_second=np.exp,

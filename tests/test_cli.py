@@ -2,9 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ssem
 from ssem.cli import main
 from ssem.config import (
     apply_overrides,
@@ -108,6 +112,8 @@ class TestExitCodes:
         ("data.seed = 1.5", "data.seed"),
         ("model.pi = 1", "model.pi"),
         ("model.pi = a, b", "model.pi"),
+        ("em.max_iter = 2", "em.max_iter"),
+        ("model.family = poisson", "model.family"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, line, field):
         bad = write_cfg(tmp_path, GMM_CFG + line + "\n")
@@ -116,6 +122,15 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert err["field"] == field
+
+    def test_key_of_another_kind_is_config_error(self, tmp_path, capsys):
+        # sym2 is one scalar with fixed equal weights: it reads no model.pi.
+        bad = write_cfg(tmp_path, SYM2_CFG + "model.pi = 0.5, 0.5\n")
+        rc = main(["population", "--config", bad, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "model.pi"
 
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # One labeled sample cannot support two components.
@@ -190,6 +205,41 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--out", str(out_b), "--seed", "100"])
         assert ((out_a / "dataset.csv").read_bytes()
                 != (out_b / "dataset.csv").read_bytes())
+
+
+class TestPhaseTimings:
+    @pytest.mark.parametrize("command, phases", [
+        ("simulate", ["sample", "write_dataset", "em", "write_trajectory"]),
+        ("population", ["em", "write_trajectory"]),
+    ], ids=["simulate", "population"])
+    def test_phases_fit_in_wall_time(self, tmp_path, command, phases):
+        cfg = write_cfg(tmp_path, GMM_CFG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        timings = summary["timings_s"]
+        assert list(timings) == phases
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= summary["wall_time_s"]
+
+    def test_sample_phases(self, tmp_path):
+        cfg = write_cfg(tmp_path, GMM_CFG)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary["timings_s"]) == ["sample", "write_dataset"]
+        assert all(t >= 0.0 for t in summary["timings_s"].values())
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # scipy.special is most of the start-up time; only sampling and the
+        # Poisson family need it, and they import it when called.
+        src = str(Path(ssem.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import ssem.cli; "
+             "print('scipy.special' in sys.modules)", src],
+            capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestPopulationCommand:

@@ -1,9 +1,13 @@
 """Sampling determinism, allocation rules, and moment consistency."""
 
+import csv
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ssem.errors import ConfigError, DomainError
 from ssem.model import MixtureParams, ModelKind, poisson_spec
@@ -17,6 +21,31 @@ from ssem.sampling import (
 
 GMM = ModelKind.gmm()
 SYM2 = ModelKind.sym2()
+MAX = sys.float_info.max
+
+
+def reference_save_dataset_csv(dataset, path):
+    """The ``csv.writer`` implementation ``save_dataset_csv`` replaced; its
+    bytes define the ``dataset.csv`` format."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["kind", "x", "y"])
+        for x, y in zip(dataset.labeled_x, dataset.labeled_y):
+            writer.writerow(["L", int(x), f"{y:.17g}"])
+        for y in dataset.unlabeled_y:
+            writer.writerow(["U", "", f"{y:.17g}"])
+
+
+def assert_bit_identical(a, b):
+    for attr in ("labeled_x", "labeled_y", "unlabeled_y"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+
+
+# Finite floats (subnormals, +-0 and +-max included) and integer-valued
+# floats, as the Poisson sampler draws them.
+OBSERVATIONS = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-2 ** 53, 2 ** 53).map(float))
 
 
 class TestDeterminism:
@@ -141,3 +170,71 @@ class TestDatasetAndCsv:
         assert lines[1] == "L,1,0.125"
         assert lines[2] == "U,,2.5"
         assert path.read_bytes().count(b"\r") == 0
+
+    @pytest.mark.parametrize("m, n", [
+        (0, 1), (1, 0), (1, 1), (65535, 65537), (65536, 65536),
+        (65537, 65535), (0, 65536), (65537, 0),
+    ])
+    def test_bytes_match_reference_writer(self, m, n, tmp_path):
+        # Row counts at and around 65,536, a multiple of the writer's chunk
+        # length, and empty halves.
+        rng = np.random.default_rng(m + 7 * n)
+        labels = rng.integers(0, 4, m)
+        labels[::97] = rng.integers(0, 2 ** 63 - 1, labels[::97].size)
+        ys = np.ldexp(rng.standard_normal(m + n), rng.integers(-1074, 1021, m + n))
+        ys[:4] = [-0.0, 5e-324, MAX, -MAX][:ys[:4].size]
+        ds = Dataset(labels, ys[:m], ys[m:])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_dataset_csv(ds, got)
+        reference_save_dataset_csv(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), OBSERVATIONS)),
+           unlabeled=st.lists(OBSERVATIONS))
+    @example(labeled=[(0, 5e-324), (1, -0.0), (2 ** 63 - 1, MAX)],
+             unlabeled=[0.0, -0.0, -5e-324, -MAX, 2.2250738585072014e-308, 7.0])
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_bit_identical(self, labeled, unlabeled, tmp_path_factory):
+        assume(labeled or unlabeled)
+        ds = Dataset([x for x, _ in labeled], [y for _, y in labeled], unlabeled)
+        path = tmp_path_factory.mktemp("roundtrip") / "ds.csv"
+        save_dataset_csv(ds, path)
+        assert_bit_identical(load_dataset_csv(path), ds)
+
+    @pytest.mark.parametrize("text, line", [
+        ("kind,x,y\nL,0,0.5\nU\nU,,1\n", 3),
+        ("kind,x,y\nL,0,0.5\n\nU,,1\n", 3),
+        ("kind,x,y\nL,0,0.5\nU,,1\n\n", 4),
+        ("kind,x,y\n\n", 2),
+        ("kind,x,y\nL,0,0.5\nU,,abc\n", 3),
+        ("kind,x,y\nL,,0.5\n", 2),
+        ("kind,x,y\nL,0,0.5\nL,1.0,0.5\n", 3),
+        ("kind,x,y\nL,99999999999999999999,0.5\n", 2),
+        ("kind,x,y\nL,0000000000000000000000001,0.5\n", 2),
+        ("kind,x,y\nU,,1\nU,,1,9\n", 3),
+        ("kind,x,y\nU,,1\nU,3,1\n", 3),
+        ("kind,x,y\nU,,1\nX,,1\n", 3),
+    ], ids=["short-row", "blank-line", "trailing-blank-line", "only-blank-line",
+            "bad-float", "empty-label", "float-label", "label-overflow",
+            "long-label", "extra-column", "label-on-U-row", "unknown-kind"])
+    def test_malformed_row_is_config_error(self, text, line, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_dataset_csv(path)
+        assert err.value.field == "dataset"
+        assert f"line {line}:" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "kind,x\nU,,1\n", "kind;x;y\nU,,1\n"])
+    def test_bad_header_is_config_error(self, text, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_dataset_csv(path)
+        assert err.value.field == "dataset"
+
+    def test_negative_label_is_domain_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("kind,x,y\nL,-1,0.5\n")
+        with pytest.raises(DomainError):
+            load_dataset_csv(path)
