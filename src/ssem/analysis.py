@@ -472,9 +472,13 @@ def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
 def _step_ratios(traj: Trajectory, theta_star: MixtureParams,
                  floor: float) -> tuple[int, list[float]]:
     """How many iterates have a max-norm error above ``floor``, and the
-    ratio ``err_{t+1} / err_t`` of every step that starts from one."""
-    errs = np.array([float(np.max(np.abs(p.theta - theta_star.theta)))
-                     for p in traj.iterates])
+    ratio ``err_{t+1} / err_t`` of every step that starts from one.
+
+    The errors are ``traj.errors``; they are computed against
+    ``theta_star`` only when the run recorded none."""
+    errs = np.array(traj.errors or [
+        float(np.max(np.abs(p.theta - theta_star.theta)))
+        for p in traj.iterates])
     ratios = [float(errs[t + 1] / errs[t])
               for t in range(len(errs) - 1) if errs[t] > floor]
     return int(np.count_nonzero(errs > floor)), ratios

@@ -134,6 +134,8 @@ def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float,
     summary.update({
         "final_theta": traj.final.theta.tolist(),
         "iterations": traj.n_steps,
+        "converged": traj.converged,
+        "stop_reason": traj.stop_reason,
         "empirical_rate": rate,
         "wall_time_s": time.perf_counter() - start,
         "timings_s": timings,

@@ -55,12 +55,20 @@ class Trajectory:
     ``iterates[0]`` is the supplied initialization.  ``q_values[t]`` is the
     surrogate at step t+1 evaluated against iterate t (empty when not
     recorded); ``errors[t]`` is max_k |theta_t,k - theta*_k| (empty when no
-    ground truth was supplied).
+    ground truth was supplied).  ``converged`` is True when the run stopped
+    because a step moved the parameters by less than the tolerance, False
+    when it ran out of iterations.
     """
 
     iterates: list[MixtureParams] = field(default_factory=list)
     q_values: list[float] = field(default_factory=list)
     errors: list[float] = field(default_factory=list)
+    converged: bool = False
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the run stopped: ``"tol"`` or ``"max_iters"``."""
+        return "tol" if self.converged else "max_iters"
 
     @property
     def n_steps(self) -> int:
@@ -220,5 +228,6 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
         delta = float(np.max(np.abs(nxt.theta - current.theta)))
         current = nxt
         if delta < cfg.tol:
+            traj.converged = True
             break
     return traj

@@ -265,5 +265,6 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
         delta = float(np.max(np.abs(nxt.theta - current.theta)))
         current = nxt
         if delta < tol:
+            traj.converged = True
             break
     return traj

@@ -10,6 +10,11 @@ Random stream contract (frozen; cross-language reimplementations must match):
   0.0 draw is replaced by 2^-54 so inverse CDFs stay finite.
 * Gaussian variates come from the inverse normal CDF applied to a single
   uniform, never from Box-Muller, to keep stream positions aligned.
+* A Poisson variate with mean ``mu = exp(theta)`` is the smallest integer
+  ``k >= 0`` with ``scipy.special.pdtr(k, mu) >= u``.  At a step of that
+  CDF (within rounding) it is scipy's rule, ``k = ceil(pdtrik(u, mu))``,
+  then ``k - 1`` if ``pdtr(k - 1, mu) >= u``: the draws are the floats
+  ``scipy.stats.poisson.ppf(u, mu)`` returns.
 * Under ``proportional`` allocation, component k receives round(pi_k * m)
   labels (residual adjusted on the largest-weight component) in ascending
   component order; no label randomness is consumed, but stream 0 is still
@@ -19,6 +24,7 @@ Random stream contract (frozen; cross-language reimplementations must match):
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from functools import partial
 
@@ -169,6 +175,10 @@ _CHUNK_ROWS = 1 << 13
 # int64 label), so a field that ``np.loadtxt`` truncated is always invalid.
 _ROW = np.dtype([("k", "S2"), ("x", "S21"), ("y", "f8")])
 _LABEL = re.compile(rb"-?[0-9]{1,19}")
+# Every byte a data row may hold.  ``np.loadtxt`` would strip whitespace
+# around a ``y`` and drop NULs that end a string field, so rows holding
+# either are refused before the parse.
+_ROW_BYTES = (string.ascii_letters + string.digits + ",.+-\n").encode()
 _INT64 = range(-2 ** 63, 2 ** 63)
 
 
@@ -201,33 +211,41 @@ def _bad_line(lineno: int, line: str) -> ConfigError:
 
 
 def _line_count(fh) -> int | None:
-    """The number of lines from the position of text file ``fh`` (a line
-    start) to its end, or None when one of them is blank.  Reads a MiB at
-    a time, so the text is never held whole."""
-    count, last = 0, "\n"
-    for chunk in iter(partial(fh.read, 1 << 20), ""):
-        if "\n\n" in chunk or last == chunk[0] == "\n":
+    """The number of lines from the position of binary file ``fh`` (a line
+    start) to its end, or None when one of them is blank or holds a byte
+    that no row of the writer holds.  Reads a MiB at a time, so the text is
+    never held whole."""
+    count, last = 0, b"\n"
+    for chunk in iter(partial(fh.read, 1 << 20), b""):
+        if (b"\n\n" in chunk or last == chunk[:1] == b"\n"
+                or chunk.translate(None, _ROW_BYTES)):
             return None
-        count += chunk.count("\n")
-        last = chunk[-1]
-    return count + (last != "\n")
+        count += chunk.count(b"\n")
+        last = chunk[-1:]
+    return count + (last != b"\n")
 
 
 def _body_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
         lines = fh.read().split("\n")[1:]
     if lines and lines[-1] == "":
         lines.pop()
     return lines
 
 
+def _unparsed(line: str) -> bool:
+    """Whether ``np.loadtxt`` would skip ``line`` or parse it leniently: a
+    blank line, or one with a byte outside ``_ROW_BYTES``."""
+    return not line or bool(line.encode().translate(None, _ROW_BYTES))
+
+
 def _parse_rows(path, n_lines: int | None) -> np.ndarray:
     """The data rows of ``path``, after its header line, as ``_ROW``
     records; ``n_lines`` is their :func:`_line_count`.
 
-    A blank line, or a line ``np.loadtxt`` cannot parse (a wrong field
-    count or a ``y`` that is no float), raises :class:`ConfigError` naming
-    the first such line.
+    A blank line, a line with a byte outside ``_ROW_BYTES``, or a line
+    ``np.loadtxt`` cannot parse (a wrong field count or a ``y`` that is no
+    float), raises :class:`ConfigError` naming the first such line.
     """
     def parse(source, **kwargs):
         return np.loadtxt(source, dtype=_ROW, delimiter=",", comments=None,
@@ -235,8 +253,9 @@ def _parse_rows(path, n_lines: int | None) -> np.ndarray:
 
     if n_lines == 0:
         return np.empty(0, _ROW)
-    # np.loadtxt skips blank lines, so they are found first.  max_rows lets
-    # it allocate the records once, at their final size.
+    # Blank lines and stray bytes are found first (``_line_count``).
+    # max_rows lets np.loadtxt allocate the records once, at their final
+    # size.
     if n_lines is not None:
         try:
             return parse(path, skiprows=1, max_rows=n_lines)
@@ -244,9 +263,11 @@ def _parse_rows(path, n_lines: int | None) -> np.ndarray:
             pass
     lines = _body_lines(path)
     # Bisect for the first bad line: lines[:lo] parse, and the first bad
-    # line is at an index in [lo, hi], the first blank line at the latest.
+    # line is at an index in [lo, hi], the first blank line or line with a
+    # stray byte at the latest.
     lo = 0
-    hi = lines.index("") if "" in lines else len(lines)
+    hi = next((i for i, line in enumerate(lines) if _unparsed(line)),
+              len(lines))
     while lo < hi:
         mid = (lo + hi + 1) // 2
         try:
@@ -263,16 +284,18 @@ def load_dataset_csv(path) -> Dataset:
     Each row must be ``L,<label>,<y>`` with an int64 decimal label, or
     ``U,,<y>``, where ``y`` is a float.  A bad header, or any other row
     (a blank line, a missing or extra field, an empty, fractional or
-    out-of-range label, a label on a ``U`` row, a ``y`` that is no float),
+    out-of-range label, a label on a ``U`` row, a ``y`` that is no float,
+    whitespace, a NUL or a non-ASCII character anywhere in the row),
     raises :class:`ConfigError` with ``field="dataset"`` and the 1-based
     line number.  Negative labels and non-finite ``y`` pass the parse and
     are refused by :class:`Dataset` (:class:`DomainError`).
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().removesuffix("\n")
-        if header != "kind,x,y":
-            raise ConfigError(f"unexpected dataset header {header!r}",
-                              field="dataset")
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n")
+        if header != b"kind,x,y":
+            raise ConfigError(
+                f"unexpected dataset header {header.decode(errors='replace')!r}",
+                field="dataset")
         n_lines = _line_count(fh)
     rows = _parse_rows(path, n_lines)
 

@@ -329,6 +329,19 @@ class TestEmpiricalRate:
         with pytest.raises(TrajectoryTooShort):
             empirical_rate(traj, star)
 
+    def test_reads_recorded_errors(self):
+        pm = PopulationModel.sym2(2.0, 0.0)
+        traj = run_population_em(pm, MixtureParams.symmetric(3.0), max_iters=30)
+        bare = Trajectory(iterates=traj.iterates)
+        star = pm.theta_star
+        assert empirical_rate(traj, star) == empirical_rate(bare, star)
+        assert (measurable_step_ratios(traj, star)
+                == measurable_step_ratios(bare, star))
+        # The recorded errors are read, not recomputed against this truth.
+        elsewhere = MixtureParams.symmetric(2.5)
+        assert empirical_rate(traj, elsewhere) == empirical_rate(traj, star)
+        assert empirical_rate(bare, elsewhere) != empirical_rate(bare, star)
+
     def test_measurable_ratios_fallback(self):
         pm = PopulationModel.sym2(5.0, 0.0)
         traj = run_population_em(pm, MixtureParams.symmetric(5.5), max_iters=10)

@@ -229,6 +229,26 @@ class TestPhaseTimings:
         assert all(t >= 0.0 for t in summary["timings_s"].values())
 
 
+class TestRunDiagnostics:
+    @pytest.mark.parametrize("command", ["simulate", "population"])
+    def test_default_gmm_run_stops_on_tol(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, GMM_CFG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert summary["stop_reason"] == "tol"
+
+    @pytest.mark.parametrize("command", ["simulate", "population"])
+    def test_one_iteration_stops_on_max_iters(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, GMM_CFG)
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     "--set", "em.max_iters=1"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["iterations"] == 1
+        assert summary["converged"] is False
+        assert summary["stop_reason"] == "max_iters"
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_special_unloaded(self):
         # scipy.special is most of the start-up time; only sampling and the
@@ -240,6 +260,22 @@ class TestImport:
              "print('scipy.special' in sys.modules)", src],
             capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+    def test_poisson_sampling_leaves_scipy_stats_unloaded(self):
+        # The Poisson sampler needs scipy.special only; scipy.stats costs
+        # about a second to import.
+        src = str(Path(ssem.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import ssem; "
+            "kind = ssem.ModelKind.expfam(ssem.poisson_spec()); "
+            "star = ssem.MixtureParams([0.5, 0.5], [0.5, 2.0]); "
+            "ds = ssem.sample_dataset(kind, star, ssem.SampleConfig(0, 100, 900)); "
+            "print(ds.n, 'scipy.special' in sys.modules, "
+            "'scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        assert out.stdout.split() == ["900", "True", "False"]
 
 
 class TestPopulationCommand:

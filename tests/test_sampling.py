@@ -1,14 +1,19 @@
 """Sampling determinism, allocation rules, and moment consistency."""
 
 import csv
+import hashlib
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ssem.model
+from ssem.cli import main
 from ssem.errors import ConfigError, DomainError
 from ssem.model import MixtureParams, ModelKind, poisson_spec
 from ssem.sampling import (
@@ -22,6 +27,7 @@ from ssem.sampling import (
 GMM = ModelKind.gmm()
 SYM2 = ModelKind.sym2()
 MAX = sys.float_info.max
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def reference_save_dataset_csv(dataset, path):
@@ -131,6 +137,91 @@ class TestMoments:
         assert abs(mean2 - 2.0) < 4 * math.sqrt(2.0 / 10_000)
 
 
+def poisson_reference(theta, u):
+    """The draws ``scipy.stats.poisson.ppf`` gives; the Poisson sampler must
+    return the same floats."""
+    from scipy.stats import poisson
+
+    return poisson.ppf(u, np.exp(theta)).astype(float)
+
+
+def cdf_step_probes(theta):
+    """Every step ``pdtr(k, mu)`` of the Poisson CDF in (0, 1), its 1-ULP
+    neighbours and its 1e-14 relative offsets, inside (0, 1)."""
+    from scipy.special import pdtr
+
+    mu = math.exp(theta)
+    steps = pdtr(np.arange(mu + 40.0 * math.sqrt(mu) + 50.0), mu)
+    steps = steps[(steps > 0.0) & (steps < 1.0)]
+    probes = np.concatenate([steps, np.nextafter(steps, 0.0),
+                             np.nextafter(steps, 1.0),
+                             steps * (1.0 - 1e-14), steps * (1.0 + 1e-14)])
+    return probes[(probes > 0.0) & (probes < 1.0)]
+
+
+POISSON_THETAS = [-5.0, -4.0, 0.5, 2.0, math.log(50.0), 8.0]
+
+
+class TestPoissonQuantile:
+    quantile = staticmethod(poisson_spec().quantile)
+
+    def assert_matches_scipy(self, theta, u):
+        got = self.quantile(theta, u)
+        want = poisson_reference(theta, u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_seeded_uniforms(self, theta, monkeypatch):
+        u = np.maximum(np.random.default_rng(7).random(300_000), 2.0 ** -54)
+        deferred = []
+        rule = ssem.model._poisson_rule
+
+        def spy(v, mu):
+            deferred.append(np.size(v))
+            return rule(v, mu)
+
+        monkeypatch.setattr(ssem.model, "_poisson_rule", spy)
+        self.assert_matches_scipy(theta, u)
+        # The table maps the draws: the rule sees the two bracket ends and
+        # the few draws near a step.
+        assert deferred[0] == 2 and sum(deferred[1:]) < 100
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_cdf_steps(self, theta):
+        # For theta = 8 the probes include subnormal steps.
+        self.assert_matches_scipy(theta, cdf_step_probes(theta))
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_extreme_uniforms(self, theta):
+        ends = np.array([2.0 ** -54, 1.0 - 2.0 ** -53])
+        self.assert_matches_scipy(theta, ends)
+        u = np.random.default_rng(3).random(1000)
+        self.assert_matches_scipy(theta, np.concatenate([ends, u]))
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_empty(self, theta):
+        self.assert_matches_scipy(theta, np.empty(0))
+
+    def test_huge_mean(self):
+        # At mu = e^16 scipy's pdtr jumps by 1.2e-7 between k = 8899533 and
+        # 8899534, 4.5 sd above the mean, where pdtrik has no jump: a table
+        # search would disagree with the rule between steps there.
+        self.assert_matches_scipy(16.0, np.linspace(0.9999964, 0.99999675, 400))
+
+    def test_bracket_wider_than_draws(self):
+        # mu = e^8 ~ 2981: the bracket spans hundreds of values of k.
+        self.assert_matches_scipy(8.0, np.array([1e-9, 0.5, 1.0 - 1e-9]))
+
+    def test_simulate_writes_pinned_dataset(self, tmp_path):
+        pinned = json.loads((PERFBENCH / "digests.json").read_text())
+        cfg = str(PERFBENCH / "configs" / "poisson2.cfg")
+        assert main(["simulate", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "dataset.csv").read_bytes())
+        assert digest.hexdigest() == pinned["sha256"]["poisson2.cfg:0"]
+
+
 class TestDatasetAndCsv:
     def test_gamma_is_labeled_fraction(self):
         ds = Dataset([0, 1], [0.5, -0.5], [1.0, 2.0, 3.0])
@@ -214,9 +305,19 @@ class TestDatasetAndCsv:
         ("kind,x,y\nU,,1\nU,,1,9\n", 3),
         ("kind,x,y\nU,,1\nU,3,1\n", 3),
         ("kind,x,y\nU,,1\nX,,1\n", 3),
+        ("kind,x,y\nL,0\x00,1\n", 2),
+        ("kind,x,y\nU,,1\nU,,\t2\n", 3),
+        ("kind,x,y\nL,0, 1.5\n", 2),
+        ("kind,x,y\nU,,1 \n", 2),
+        ("kind,x,y\nU,,0.5\nU,,1\u2028\n", 3),
+        ("kind,x,y\nU,,0.5\r\nU,,1\n", 2),
+        ("kind,x,y\nL\x00,0,1\n", 2),
     ], ids=["short-row", "blank-line", "trailing-blank-line", "only-blank-line",
             "bad-float", "empty-label", "float-label", "label-overflow",
-            "long-label", "extra-column", "label-on-U-row", "unknown-kind"])
+            "long-label", "extra-column", "label-on-U-row", "unknown-kind",
+            "nul-after-label", "tab-before-y", "space-before-y",
+            "space-after-y", "line-separator-after-y", "carriage-return",
+            "nul-after-kind"])
     def test_malformed_row_is_config_error(self, text, line, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(text)
