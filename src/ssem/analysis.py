@@ -490,8 +490,10 @@ def empirical_rate(traj: Trajectory, theta_star: MixtureParams,
     trajectory, ignoring steps whose starting error sits below ``floor``
     (noise / quadrature level).
 
-    Requires at least three iterates above the floor, otherwise raises
-    :class:`TrajectoryTooShort`.
+    The errors are the ones the run recorded in ``traj.errors``, which take
+    precedence; ``theta_star`` is used only when the trajectory recorded
+    none.  Requires at least three iterates above the floor, otherwise
+    raises :class:`TrajectoryTooShort`.
     """
     above, ratios = _step_ratios(traj, theta_star, floor)
     if above < 3:
@@ -504,7 +506,8 @@ def measurable_step_ratios(traj: Trajectory, theta_star: MixtureParams,
                            floor: float = RATE_FLOOR) -> list[float]:
     """Per-step error ratios for steps starting above the floor (may be
     fewer than the strict three-iterate requirement of
-    :func:`empirical_rate`)."""
+    :func:`empirical_rate`).  As there, recorded ``traj.errors`` take
+    precedence over errors against ``theta_star``."""
     return _step_ratios(traj, theta_star, floor)[1]
 
 

@@ -159,7 +159,9 @@ def cdf_step_probes(theta):
     return probes[(probes > 0.0) & (probes < 1.0)]
 
 
-POISSON_THETAS = [-5.0, -4.0, 0.5, 2.0, math.log(50.0), 8.0]
+# 9.2 sits just below the table's mean cap (log 1e4 ~ 9.21), where pdtr
+# and pdtrik agree least.
+POISSON_THETAS = [-5.0, -4.0, 0.5, 2.0, math.log(50.0), 8.0, 9.2]
 
 
 class TestPoissonQuantile:
@@ -171,17 +173,22 @@ class TestPoissonQuantile:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("theta", POISSON_THETAS)
-    def test_seeded_uniforms(self, theta, monkeypatch):
-        u = np.maximum(np.random.default_rng(7).random(300_000), 2.0 ** -54)
-        deferred = []
+    @pytest.fixture
+    def deferred(self, monkeypatch):
+        """The sizes of the inputs the quantile hands to scipy's rule."""
+        sizes = []
         rule = ssem.model._poisson_rule
 
         def spy(v, mu):
-            deferred.append(np.size(v))
+            sizes.append(np.size(v))
             return rule(v, mu)
 
         monkeypatch.setattr(ssem.model, "_poisson_rule", spy)
+        return sizes
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_seeded_uniforms(self, theta, deferred):
+        u = np.maximum(np.random.default_rng(7).random(300_000), 2.0 ** -54)
         self.assert_matches_scipy(theta, u)
         # The table maps the draws: the rule sees the two bracket ends and
         # the few draws near a step.
@@ -209,9 +216,11 @@ class TestPoissonQuantile:
         # search would disagree with the rule between steps there.
         self.assert_matches_scipy(16.0, np.linspace(0.9999964, 0.99999675, 400))
 
-    def test_bracket_wider_than_draws(self):
-        # mu = e^8 ~ 2981: the bracket spans hundreds of values of k.
-        self.assert_matches_scipy(8.0, np.array([1e-9, 0.5, 1.0 - 1e-9]))
+    def test_bracket_wider_than_draws(self, deferred):
+        # mu = e^8 ~ 2981: the table spans hundreds of values of k for
+        # three draws, none near a step, and still maps them.
+        self.assert_matches_scipy(8.0, np.array([1e-6, 0.5, 1.0 - 1e-6]))
+        assert deferred[0] == 2 and sum(deferred[1:]) == 0
 
     def test_simulate_writes_pinned_dataset(self, tmp_path):
         pinned = json.loads((PERFBENCH / "digests.json").read_text())
