@@ -42,7 +42,7 @@ from .config import (
 )
 from .em import run_em
 from .errors import ConfigError, SsemError, TrajectoryTooShort
-from .population import run_population_em
+from .population import IntegralMemo, run_population_em
 from .sampling import sample_dataset, save_dataset_csv
 
 EXIT_OK = 0
@@ -212,8 +212,10 @@ def cmd_verify(cfg: RunConfig, which: str, out_dir: str) -> int:
     else:
         targets = [which]
     checks: list[dict] = []
+    timings: dict = {}
     for target in targets:
-        checks += _verify_checks(cfg, target)
+        with _timed(timings, target):
+            checks += _verify_checks(cfg, target)
     # Exit status considers only applicable checks; non-applicable entries
     # are reported but never fail the run.
     pass_all = all(c["pass"] for c in checks if c.get("applicable", True))
@@ -222,6 +224,7 @@ def cmd_verify(cfg: RunConfig, which: str, out_dir: str) -> int:
         "config": dict(cfg.raw),
         "checks": checks,
         "pass_all": pass_all,
+        "timings_s": timings,
     }
     _write_json(os.path.join(out_dir, f"verify_{which}.json"), payload)
     return EXIT_OK if pass_all else EXIT_VIOLATION
@@ -271,14 +274,16 @@ def main(argv=None) -> int:
         _emit_error("config", exc)
         return EXIT_CONFIG
 
+    # Integrals are shared by the targets and gammas of this command only.
     try:
-        if args.command == "sample":
-            return cmd_sample(cfg, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "population":
-            return cmd_population(cfg, out_dir)
-        return cmd_verify(cfg, args.which, out_dir)
+        with IntegralMemo():
+            if args.command == "sample":
+                return cmd_sample(cfg, out_dir)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, out_dir)
+            if args.command == "population":
+                return cmd_population(cfg, out_dir)
+            return cmd_verify(cfg, args.which, out_dir)
     except ConfigError as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

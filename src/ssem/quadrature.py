@@ -14,6 +14,10 @@ bisected when any output's panel error exceeds its share of the budget, and
 refinement stops only when every output's summed estimate is within
 ``abs_tol``.
 
+The starting split may be made in advance as :class:`Panels`, so a caller
+integrating many functions against one weight can compute the weight at the
+starting nodes once: ``integrate`` hands ``f`` that very node array first.
+
 The final value is accumulated in ascending panel order, so results are
 bit-reproducible for identical inputs regardless of the split history's
 internal ordering.
@@ -21,7 +25,7 @@ internal ordering.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,15 +68,40 @@ _WG = np.concatenate([_GAUSS_WEIGHTS_POS[:3], [_GAUSS_WEIGHTS_POS[3]], _GAUSS_WE
 _TINY = np.finfo(float).tiny
 
 
-def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
-                     lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimate and QUADPACK-style error estimate per panel, each of
-    shape ``(P,)`` for a scalar integrand or ``(M, P)`` for a vector one."""
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel ``[lo_i, hi_i]``, panel after
+    panel: shape ``(15 P,)``."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = center[:, None] + np.outer(half, _XK)
-    fx = np.asarray(f(x.reshape(-1)), dtype=float)
-    fx = fx.reshape(fx.shape[:-1] + x.shape)
+    return (center[:, None] + np.outer(half, _XK)).reshape(-1)
+
+
+class Panels(NamedTuple):
+    """A split of ``[a, b]`` into panels ``[lo_i, hi_i]`` and their Kronrod
+    nodes.  :meth:`uniform` is the split ``integrate`` makes from a panel
+    count."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def uniform(cls, a: float, b: float, count: int) -> "Panels":
+        """``count`` equal panels over ``[a, b]``."""
+        edges = np.linspace(a, b, count + 1)
+        lo, hi = edges[:-1], edges[1:]
+        return cls(lo, hi, _kronrod_nodes(lo, hi))
+
+
+def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
+                     lo: np.ndarray, hi: np.ndarray, nodes: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimate and QUADPACK-style error estimate per panel, each of
+    shape ``(P,)`` for a scalar integrand or ``(M, P)`` for a vector one.
+    ``nodes`` are the panels' Kronrod nodes."""
+    half = 0.5 * (hi - lo)
+    fx = np.asarray(f(nodes), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + (lo.size, _XK.size))
     if not np.all(np.isfinite(fx)):
         raise QuadratureFailure("integrand returned a non-finite value")
     resk = fx @ _WK
@@ -89,7 +118,7 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
               abs_tol: float = 1e-10, max_subdivisions: int = 1 << 16,
-              initial_panels: int = 8
+              initial_panels: int | Panels = 8
               ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
 
@@ -99,15 +128,24 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     :class:`QuadratureFailure` if an estimate still exceeds ``abs_tol`` once
     ``max_subdivisions`` panels are in play (or the integrand goes
     non-finite).
+
+    ``initial_panels`` is the starting split: a count of equal panels, or
+    :class:`Panels` spanning ``[a, b]``, whose ``nodes`` array is then the
+    argument of the first call to ``f``.
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid integration interval [{a}, {b}]")
     if abs_tol <= 0.0:
         raise ValueError("abs_tol must be positive")
 
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    values, errors = _panel_estimates(f, lo, hi)
+    if isinstance(initial_panels, Panels):
+        start = initial_panels
+        if not (start.lo[0] == a and start.hi[-1] == b):
+            raise ValueError(f"initial panels do not span [{a}, {b}]")
+    else:
+        start = Panels.uniform(a, b, initial_panels)
+    lo, hi = start.lo, start.hi
+    values, errors = _panel_estimates(f, lo, hi, start.nodes)
     min_width = (b - a) * 1e-15
 
     while True:
@@ -126,7 +164,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_values, new_errors = _panel_estimates(f, new_lo, new_hi)
+        new_values, new_errors = _panel_estimates(
+            f, new_lo, new_hi, _kronrod_nodes(new_lo, new_hi))
         lo = np.concatenate([lo[~split], new_lo])
         hi = np.concatenate([hi[~split], new_hi])
         values = np.concatenate([values[..., ~split], new_values], axis=-1)

@@ -221,6 +221,19 @@ class TestPhaseTimings:
         assert all(t >= 0.0 for t in timings.values())
         assert sum(timings.values()) <= summary["wall_time_s"]
 
+    @pytest.mark.parametrize("which, targets", [
+        ("all", ["thm1", "thm3-1", "thm3-2", "thm3-3", "lemma3", "rescue"]),
+        ("lemma3", ["lemma3"]),
+    ], ids=["all", "lemma3"])
+    def test_verify_times_each_target_in_run_order(self, tmp_path, which,
+                                                   targets):
+        cfg = write_cfg(tmp_path, SYM2_POP + "data.gamma = 0.1\n")
+        main(["verify", which, "--config", cfg, "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / f"verify_{which}.json").read_text())
+        assert list(payload["timings_s"]) == targets
+        assert all(t >= 0.0 for t in payload["timings_s"].values())
+        assert payload["schema_version"] == "1"
+
     def test_sample_phases(self, tmp_path):
         cfg = write_cfg(tmp_path, GMM_CFG)
         assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0

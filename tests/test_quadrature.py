@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ssem.errors import QuadratureFailure
-from ssem.quadrature import integrate
+from ssem.quadrature import Panels, integrate
 
 
 def gaussian_pdf(x):
@@ -89,6 +89,30 @@ class TestFailureModes:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate(gaussian_pdf, 1.0, -1.0)
+
+    def test_panels_must_span_the_interval(self):
+        with pytest.raises(ValueError):
+            integrate(gaussian_pdf, -1.0, 1.0,
+                      initial_panels=Panels.uniform(-1.0, 2.0, 3))
+
+
+class TestPrebuiltPanels:
+    def test_first_call_gets_the_panel_nodes(self):
+        panels = Panels.uniform(-12.0, 13.0, 25)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return np.tanh(x) * gaussian_pdf(x - 0.7)
+
+        integrate(f, -12.0, 13.0, abs_tol=1e-13, initial_panels=panels)
+        assert seen[0] is panels.nodes and len(seen) > 1
+
+    def test_same_bits_as_a_panel_count(self):
+        f = lambda x: np.tanh(x) * gaussian_pdf(x - 0.7)
+        built = integrate(f, -12, 13, abs_tol=1e-13,
+                          initial_panels=Panels.uniform(-12, 13, 25))
+        assert built == integrate(f, -12, 13, abs_tol=1e-13, initial_panels=25)
 
 
 def test_deterministic_bits():
