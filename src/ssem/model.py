@@ -54,6 +54,10 @@ class ExpFamilySpec:
 
     ``quantile(theta, u)``, when given, maps uniforms in (0, 1) to component
     draws by inverse CDF; it is required only for sampling datasets.
+
+    ``alpha_prime_inv(mu)``, when given, is the closed-form inverse of the
+    mean function; :func:`invert_alpha_prime` then uses it in place of
+    Newton.  The built-in families supply one.
     """
 
     name: str
@@ -65,6 +69,7 @@ class ExpFamilySpec:
     natural_domain: tuple[float, float] = (-np.inf, np.inf)
     support: Support = Support("real")
     quantile: Callable | None = None
+    alpha_prime_inv: Callable | None = None
 
     def check_theta(self, theta: np.ndarray) -> None:
         lo, hi = self.natural_domain
@@ -95,6 +100,7 @@ def gaussian_spec() -> ExpFamilySpec:
         natural_domain=(-np.inf, np.inf),
         support=Support("real"),
         quantile=_quantile,
+        alpha_prime_inv=lambda mu: mu,
     )
 
 
@@ -175,6 +181,7 @@ def poisson_spec() -> ExpFamilySpec:
         natural_domain=(-np.inf, np.inf),
         support=Support("integer", 0, np.inf),
         quantile=_poisson_quantile,
+        alpha_prime_inv=np.log,
     )
 
 
@@ -190,6 +197,7 @@ def exponential_spec() -> ExpFamilySpec:
         natural_domain=(-np.inf, 0.0),
         support=Support("real", 0.0, np.inf),
         quantile=lambda th, u: np.log1p(-u) / th,
+        alpha_prime_inv=lambda mu: -1.0 / mu,
     )
 
 
@@ -291,12 +299,10 @@ class ModelKind:
         return cls("expfam", spec)
 
     def theta_from_mean(self, mean: float, x0: float) -> float:
-        """Component parameter whose mean statistic is ``mean``: the mean
-        itself for the Gaussian kinds, else :func:`invert_alpha_prime`
-        started at ``x0``."""
-        if self.spec is None:
-            return float(mean)
-        return invert_alpha_prime(self.spec, float(mean), x0=x0)
+        """Component parameter whose mean statistic is ``mean``:
+        :func:`invert_alpha_prime` of :attr:`family`, started at ``x0``
+        when the family has no closed-form inverse."""
+        return invert_alpha_prime(self.family, float(mean), x0=x0)
 
     def check_params(self, params: MixtureParams) -> None:
         if self.tag == "sym2":
@@ -415,15 +421,32 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
                        tol: float = 1e-12, max_iter: int = 200) -> float:
     """Solve ``alpha_prime(x) = target`` for x in the natural domain.
 
-    Safeguarded Newton: a bracket is grown geometrically from ``x0`` using
-    the monotonicity of ``alpha_prime``; Newton steps that leave the bracket
-    fall back to bisection.  Raises :class:`MeanOutOfRange` when no bracket
-    exists inside the domain and :class:`NoConvergence` after ``max_iter``
-    iterations.
+    A family with ``alpha_prime_inv`` is inverted in closed form; ``x0``,
+    ``tol`` and ``max_iter`` are then unused.  Raises
+    :class:`MeanOutOfRange` when the result is not finite or not inside
+    the open natural domain.
+
+    Otherwise safeguarded Newton: a bracket is grown geometrically from
+    ``x0`` using the monotonicity of ``alpha_prime``; Newton steps that
+    leave the bracket fall back to bisection.  It stops at an *absolute*
+    residual ``|alpha_prime(x) - target| < tol``, so x is accurate only to
+    about ``tol / alpha_second(x)``: loose where ``alpha_prime`` is flat
+    (a Poisson mean of 1e-14 would come back as log-mean -28 rather than
+    -32), and a target inside ``tol`` of the range's end is not rejected.
+    Raises :class:`MeanOutOfRange` when no bracket exists inside the domain
+    and :class:`NoConvergence` after ``max_iter`` iterations.
     """
     lo_dom, hi_dom = spec.natural_domain
     if not np.isfinite(target):
         raise MeanOutOfRange(f"target statistic {target} is not finite")
+    if spec.alpha_prime_inv is not None:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = float(spec.alpha_prime_inv(np.float64(target)))
+        if not (np.isfinite(x) and lo_dom < x < hi_dom):
+            raise MeanOutOfRange(
+                f"statistic {target} outside the range of alpha_prime for "
+                f"{spec.name!r}")
+        return x
 
     def residual(x):
         return float(spec.alpha_prime(x)) - target

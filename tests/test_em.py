@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ssem import em
 from ssem.em import (
     EmConfig,
     m_step,
@@ -255,6 +256,125 @@ class TestRunEm:
             run_em(GMM, ds, MixtureParams([0.5, 0.5], [0.0, 1.0]),
                    EmConfig(max_iters=5, tol=1e-10))
         assert err.value.iteration == 0
+
+
+# One kind per statistic and family shape: K=3 Gaussian, the tied pair, and
+# an integer-support family.
+BLOCK_KINDS = {
+    "gmm": (GMM, MixtureParams([0.3, 0.4, 0.3], [-2.0, 0.5, 2.0])),
+    "sym2": (SYM2, MixtureParams.symmetric(1.3)),
+    "poisson": (ModelKind.expfam(poisson_spec()),
+                MixtureParams([0.5, 0.5], np.log([2.0, 6.0]))),
+}
+# Every E-step block boundary case, as (multiple of B, offset).
+BLOCK_SIZES = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)]
+
+
+def block_dataset(name, n, seed=0):
+    """Seven labeled points and ``n`` unlabeled ones for ``BLOCK_KINDS[name]``."""
+    kind, theta = BLOCK_KINDS[name]
+    rng = np.random.default_rng(seed)
+    if name == "poisson":
+        uy = rng.poisson(4.0, size=n).astype(float)
+        ly = rng.poisson(4.0, size=7).astype(float)
+    else:
+        uy = rng.normal(scale=2.5, size=n)
+        ly = rng.normal(scale=2.5, size=7)
+    return Dataset(rng.integers(0, theta.K, size=7), ly, uy)
+
+
+def estep(kind, ds, theta):
+    return em._sufficient_statistics(
+        kind, ds, theta, em._labeled_statistics(kind, ds, theta.K))
+
+
+class TestBlockedEStep:
+    @pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
+    @pytest.mark.parametrize("blocks, offset", BLOCK_SIZES)
+    def test_statistics_match_exact_sums(self, name, blocks, offset):
+        kind, theta = BLOCK_KINDS[name]
+        n = blocks * em._block_rows(theta.K) + offset
+        ds = block_dataset(name, n, seed=n)
+        S, N = estep(kind, ds, theta)
+        q = responsibilities(kind, theta, ds.unlabeled_y)
+        for k in range(theta.K):
+            labeled = ds.labeled_y[ds.labeled_x == k].tolist()
+            for got, terms in (
+                    (S[k], labeled + (q[:, k] * ds.unlabeled_y).tolist()),
+                    (N[k], [1.0] * len(labeled) + q[:, k].tolist())):
+                # Rounded products summed exactly; the E-step's own sums
+                # (BLAS dot, pairwise) may lose a few units of the
+                # absolute sum's last place.
+                scale = math.fsum(abs(v) for v in terms)
+                assert abs(got - math.fsum(terms)) <= 16 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
+    @pytest.mark.parametrize("blocks, offset", BLOCK_SIZES[:4])
+    def test_one_block_bit_identical_to_single_array(self, name, blocks, offset):
+        kind, theta = BLOCK_KINDS[name]
+        n = blocks * em._block_rows(theta.K) + offset
+        ds = block_dataset(name, n, seed=n)
+        S, N = estep(kind, ds, theta)
+        # The formula before blocking; t(y) = y for every kind here.
+        S_ref = np.bincount(ds.labeled_x, weights=ds.labeled_y,
+                            minlength=theta.K).astype(float)
+        N_ref = np.bincount(ds.labeled_x, minlength=theta.K).astype(float)
+        if n:
+            q = responsibilities(kind, theta, ds.unlabeled_y).T
+            S_ref += q @ ds.unlabeled_y
+            N_ref += q.sum(axis=1)
+        np.testing.assert_array_equal(S, S_ref)
+        np.testing.assert_array_equal(N, N_ref)
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
+    def test_far_tail_row_in_later_block_stays_finite(self, name):
+        kind, theta = BLOCK_KINDS[name]
+        rows = em._block_rows(theta.K)
+        ds = block_dataset(name, 2 * rows + 3)
+        uy = ds.unlabeled_y.copy()
+        uy[rows + 5] = 1e154  # y**2 would overflow
+        ds = Dataset(ds.labeled_x, ds.labeled_y, uy)
+        S, N = estep(kind, ds, theta)
+        assert np.all(np.isfinite(S)) and np.all(np.isfinite(N))
+        assert np.max(S) >= 1e154 * (1.0 - 1e-12)
+        assert np.all(np.isfinite(m_step(kind, ds, theta).theta))
+
+    def test_label_out_of_range_raises_from_m_step_and_run_em(self):
+        theta = BLOCK_KINDS["gmm"][1]
+        rows = em._block_rows(theta.K)
+        ds = Dataset([0, 3], [1.0, 2.0], np.linspace(-3, 3, rows + 1))
+        with pytest.raises(DomainError, match="label 3"):
+            m_step(GMM, ds, theta)
+        with pytest.raises(DomainError, match="label 3") as err:
+            run_em(GMM, ds, theta, EmConfig(max_iters=5, tol=1e-10))
+        assert err.value.iteration == 0
+
+    def test_work_counts_per_iteration(self, monkeypatch):
+        # One E-step pass per iteration, in ceil(n / B) calls; the labeled
+        # statistics once per run.
+        calls, rows, labeled_calls = [], [], []
+
+        def counting_responsibilities(kind, params, y):
+            calls.append(1)
+            rows.append(np.size(y))
+            return responsibilities(kind, params, y)
+
+        def counting_labeled(*args):
+            labeled_calls.append(1)
+            return labeled_statistics(*args)
+
+        labeled_statistics = em._labeled_statistics
+        monkeypatch.setattr(em, "responsibilities", counting_responsibilities)
+        monkeypatch.setattr(em, "_labeled_statistics", counting_labeled)
+        kind, theta = BLOCK_KINDS["gmm"]
+        B = em._block_rows(theta.K)
+        ds = block_dataset("gmm", 2 * B + 3)
+        traj = run_em(kind, ds, MixtureParams(theta.pi, theta.theta + 0.4),
+                      EmConfig(max_iters=4, tol=1e-300))
+        assert traj.n_steps == 4
+        assert sum(rows) == ds.n * traj.n_steps
+        assert len(calls) == math.ceil(ds.n / B) * traj.n_steps
+        assert len(labeled_calls) == 1
 
 
 class TestTrajectoryCsv:

@@ -1,5 +1,6 @@
 """Density, responsibility, and mean-function inversion checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,46 @@ class TestInvertAlphaPrime:
         spec = poisson_spec()
         recovered = invert_alpha_prime(spec, float(np.exp(theta)))
         assert recovered == pytest.approx(theta, abs=1e-10)
+
+    # Newton's absolute 1e-12 residual on alpha' says nothing about x when
+    # alpha' is far below or far above 1; the built-ins invert exactly.
+    def test_poisson_small_mean_exact(self):
+        assert invert_alpha_prime(poisson_spec(), 1e-14, x0=0.0) == pytest.approx(
+            math.log(1e-14), rel=1e-15)
+
+    def test_poisson_zero_mean_out_of_range(self):
+        with pytest.raises(MeanOutOfRange):
+            invert_alpha_prime(poisson_spec(), 0.0)
+
+    def test_exponential_small_mean_exact(self):
+        assert invert_alpha_prime(exponential_spec(), 1e-9) == pytest.approx(
+            -1e9, rel=1e-15)
+
+    @pytest.mark.parametrize("target, expected", [(1e-300, -1e300),
+                                                  (1e300, -1e-300)])
+    def test_exponential_extreme_means_in_domain(self, target, expected):
+        assert invert_alpha_prime(exponential_spec(), target) == pytest.approx(
+            expected, rel=1e-15)
+
+    @pytest.mark.parametrize("target", [0.0, 1e-320, -2.0])
+    def test_exponential_closed_form_rejects_off_domain(self, target):
+        # -1/mu is -inf, overflows, or lands at or above 0.
+        with pytest.raises(MeanOutOfRange):
+            invert_alpha_prime(exponential_spec(), target)
+
+    def test_user_family_without_inverse_uses_newton(self):
+        spec = dataclasses.replace(poisson_spec(), alpha_prime_inv=None)
+        assert invert_alpha_prime(spec, 3.0) == pytest.approx(
+            math.log(3.0), abs=1e-12)
+
+    @pytest.mark.parametrize("make", [gaussian_spec, poisson_spec,
+                                      exponential_spec])
+    def test_builtin_inverse_undoes_mean(self, make):
+        spec = make()
+        for theta in (-7.5, -1.0, -0.01):
+            mean = float(spec.alpha_prime(np.float64(theta)))
+            assert invert_alpha_prime(spec, mean) == pytest.approx(
+                theta, rel=4e-16)
 
 
 def test_support_validation():
