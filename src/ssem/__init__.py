@@ -14,6 +14,7 @@ from .errors import (
     MeanOutOfRange,
     NoConvergence,
     NotExpFam,
+    NumericOverflow,
     ProbeOutsideRegime,
     ProbeTooCloseToFixedPoint,
     QuadratureFailure,

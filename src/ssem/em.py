@@ -15,6 +15,16 @@ working set stays in cache and its memory is O(K * block).  Each block's
 sums (NumPy pairwise sums and one BLAS dot product per component) are
 accumulated in that fixed block order, so results are bitwise reproducible
 run to run.
+
+The E-step reads the unlabeled sample only through its empirical
+distribution.  An integer-valued sample (every Poisson one) is therefore
+reduced once per run to its distinct values and their counts
+(:func:`ssem.sampling.integer_table`), and the E-step and the carrier sum
+weight each distinct value by its count: EM on grouped data.  A continuous
+sample is read row by row.
+
+A sum that leaves the float64 range raises :class:`NumericOverflow`
+instead of turning into inf or NaN.
 """
 
 from __future__ import annotations
@@ -23,13 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyComponent
+from .errors import DomainError, EmptyComponent, NumericOverflow
 from .model import (
     ExpFamilySpec,
     MixtureParams,
     ModelKind,
     responsibilities,
 )
+from .sampling import integer_table
 
 _EMPTY_DENOMINATOR = 1e-300  # subnormal boundary: below this a component is empty
 
@@ -130,26 +141,50 @@ def _labeled_statistics(kind: ModelKind, data,
     return S, N
 
 
-def _sufficient_statistics(kind: ModelKind, data, theta_t: MixtureParams,
-                           labeled: tuple[np.ndarray, np.ndarray]
+def _unlabeled(data) -> tuple[np.ndarray, np.ndarray | None]:
+    """The unlabeled sample as ``(values, counts)``: the distinct values of
+    an integer-valued sample and how often each occurs, else every row and
+    ``None``.  Independent of the iterate, so a run computes it once."""
+    table = integer_table(data.unlabeled_y)
+    if table is None:
+        return data.unlabeled_y, None
+    return table.values, table.counts.astype(float)
+
+
+def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
+                           labeled: tuple[np.ndarray, np.ndarray],
+                           unlabeled: tuple[np.ndarray, np.ndarray | None]
                            ) -> tuple[np.ndarray, np.ndarray]:
     """E-step under ``theta_t``, the one O(N*K) pass of an EM step.
 
     Returns ``(S, N)``: the ``labeled`` statistics of
     :func:`_labeled_statistics` plus, per component, the
     responsibility-weighted sum of t(y) over the unlabeled points and the
-    responsibility mass.  The unlabeled points are taken in blocks of
-    :func:`_block_rows` rows, so the ``(K, rows)`` responsibilities stay in
-    cache; each block's sums are added in order.
+    responsibility mass.  ``unlabeled`` is :func:`_unlabeled`; with counts
+    ``c``, distinct value ``v`` adds ``q(v) c t(v)`` and ``q(v) c``.  The
+    values are taken in blocks of :func:`_block_rows`, so the ``(K, rows)``
+    responsibilities stay in cache; each block's sums are added in order.
+    Raises :class:`NumericOverflow` when a logit ``theta_k t(y)`` or a sum
+    overflows.
     """
     kind.check_params(theta_t)
     S, N = labeled[0].copy(), labeled[1].copy()
-    y, t, rows = data.unlabeled_y, kind.family.t, _block_rows(theta_t.K)
-    for lo in range(0, data.n, rows):
-        block = y[lo:lo + rows]
-        q = responsibilities(kind, theta_t, block).T
-        S += q @ np.asarray(t(block), dtype=float)
-        N += q.sum(axis=1)
+    (y, counts), t, rows = unlabeled, kind.family.t, _block_rows(theta_t.K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, y.size, rows):
+            block = y[lo:lo + rows]
+            q = responsibilities(kind, theta_t, block).T
+            ty = np.asarray(t(block), dtype=float)
+            if counts is None:
+                S += q @ ty
+                N += q.sum(axis=1)
+            else:
+                c = counts[lo:lo + rows]
+                S += q @ (c * ty)
+                N += q @ c
+    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(N))):
+        raise NumericOverflow(
+            f"E-step statistics overflow float64 under theta {theta_t.theta}")
     return S, N
 
 
@@ -170,19 +205,32 @@ def _update(kind: ModelKind, S: np.ndarray, N: np.ndarray, total: int,
         for k in range(theta_t.K)])
 
 
-def _carrier_sum(kind: ModelKind, data) -> float:
-    """Sum of ``h(y)`` over every observation: the theta-free surrogate term."""
+def _carrier_sum(kind: ModelKind, data,
+                 unlabeled: tuple[np.ndarray, np.ndarray | None]) -> float:
+    """Sum of ``h(y)`` over every observation: the theta-free surrogate
+    term.  ``unlabeled`` is :func:`_unlabeled`; a distinct value adds
+    ``c h(v)``."""
     h = kind.family.log_carrier
-    return float(np.sum(h(data.labeled_y))) + float(np.sum(h(data.unlabeled_y)))
+    y, counts = unlabeled
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = float(np.sum(h(data.labeled_y)))
+        hy = np.asarray(h(y), dtype=float)
+        acc += float(np.sum(hy if counts is None else counts * hy))
+    if not np.isfinite(acc):
+        raise NumericOverflow("the carrier sum of h(y) overflows float64")
+    return acc
 
 
 def _surrogate(kind: ModelKind, theta: MixtureParams, S: np.ndarray,
                N: np.ndarray, total: int, carrier_sum: float) -> float:
     th = theta.theta
-    acc = float(np.sum(th * S - np.asarray(kind.family.alpha(th), dtype=float) * N))
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = float(np.sum(th * S - np.asarray(kind.family.alpha(th), dtype=float) * N))
     acc += carrier_sum
     if kind.tag != "expfam":
         acc += float(np.sum(N * np.log(theta.pi)))
+    if not np.isfinite(acc):
+        raise NumericOverflow(f"the surrogate at theta {th} overflows float64")
     return acc / total
 
 
@@ -199,17 +247,21 @@ def q_value(kind: ModelKind, data, theta: MixtureParams,
     offset.
     """
     kind.check_params(theta)
-    S, N = _sufficient_statistics(kind, data, theta_t,
-                                  _labeled_statistics(kind, data, theta_t.K))
-    return _surrogate(kind, theta, S, N, data.m + data.n, _carrier_sum(kind, data))
+    unlabeled = _unlabeled(data)
+    S, N = _sufficient_statistics(kind, theta_t,
+                                  _labeled_statistics(kind, data, theta_t.K),
+                                  unlabeled)
+    return _surrogate(kind, theta, S, N, data.m + data.n,
+                      _carrier_sum(kind, data, unlabeled))
 
 
 def m_step(kind: ModelKind, data, theta_t: MixtureParams) -> MixtureParams:
     """One EM update: the E-step statistics under ``theta_t`` mapped to the
     surrogate's maximizer.  Labels count as hard assignments; the weights
     are left unchanged."""
-    S, N = _sufficient_statistics(kind, data, theta_t,
-                                  _labeled_statistics(kind, data, theta_t.K))
+    S, N = _sufficient_statistics(kind, theta_t,
+                                  _labeled_statistics(kind, data, theta_t.K),
+                                  _unlabeled(data))
     return _update(kind, S, N, data.m + data.n, theta_t)
 
 
@@ -239,30 +291,36 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
     """Iterate the M-step from ``theta0`` until the parameter change drops
     below ``cfg.tol`` or ``cfg.max_iters`` steps have run.
 
+    The labeled statistics, the unlabeled sample's distinct-value table
+    and, when the surrogate is recorded, the carrier sum are computed once.
     M-step failures propagate with the iteration index attached as an
-    ``iteration`` attribute on the exception.
+    ``iteration`` attribute on the exception; failures of the once-per-run
+    work carry iteration 0.
     """
     kind.check_params(theta0)
     traj = Trajectory(iterates=[theta0])
     if theta_star is not None:
         traj.errors.append(_max_error(theta0, theta_star))
     total = data.m + data.n
-    carrier_sum = _carrier_sum(kind, data)
     try:
         labeled = _labeled_statistics(kind, data, theta0.K)
-    except DomainError as exc:
+        unlabeled = _unlabeled(data)
+        carrier_sum = (_carrier_sum(kind, data, unlabeled)
+                       if cfg.record_trajectory else 0.0)
+    except (DomainError, NumericOverflow) as exc:
         exc.iteration = 0
         raise
     current = theta0
     for t in range(cfg.max_iters):
         try:
-            S, N = _sufficient_statistics(kind, data, current, labeled)
+            S, N = _sufficient_statistics(kind, current, labeled, unlabeled)
             nxt = _update(kind, S, N, total, current)
+            if cfg.record_trajectory:
+                traj.q_values.append(
+                    _surrogate(kind, nxt, S, N, total, carrier_sum))
         except Exception as exc:
             exc.iteration = t
             raise
-        if cfg.record_trajectory:
-            traj.q_values.append(_surrogate(kind, nxt, S, N, total, carrier_sum))
         traj.iterates.append(nxt)
         if theta_star is not None:
             traj.errors.append(_max_error(nxt, theta_star))

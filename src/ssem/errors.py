@@ -31,6 +31,11 @@ class MeanOutOfRange(SsemError):
     """Weighted sufficient statistic outside the range of the mean function."""
 
 
+class NumericOverflow(SsemError):
+    """A sum or statistic left the float64 range: an observation too far
+    out for the surrogate, or for the logits under the current iterate."""
+
+
 class NoConvergence(SsemError):
     """Root finder exhausted its iteration budget."""
 

@@ -1,5 +1,6 @@
 """Surrogate objective and M-step checks, including maximizer oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from ssem.em import (
     q_value,
     run_em,
 )
-from ssem.errors import DomainError, EmptyComponent
+from ssem.errors import DomainError, EmptyComponent, NumericOverflow
 from ssem.model import (
     MixtureParams,
     ModelKind,
@@ -285,7 +286,7 @@ def block_dataset(name, n, seed=0):
 
 def estep(kind, ds, theta):
     return em._sufficient_statistics(
-        kind, ds, theta, em._labeled_statistics(kind, ds, theta.K))
+        kind, theta, em._labeled_statistics(kind, ds, theta.K), em._unlabeled(ds))
 
 
 class TestBlockedEStep:
@@ -315,11 +316,18 @@ class TestBlockedEStep:
         n = blocks * em._block_rows(theta.K) + offset
         ds = block_dataset(name, n, seed=n)
         S, N = estep(kind, ds, theta)
-        # The formula before blocking; t(y) = y for every kind here.
+        # The formula before blocking; t(y) = y for every kind here.  The
+        # integer-valued Poisson sample is grouped: each distinct value v,
+        # with count c, adds q(v) c v and q(v) c.
         S_ref = np.bincount(ds.labeled_x, weights=ds.labeled_y,
                             minlength=theta.K).astype(float)
         N_ref = np.bincount(ds.labeled_x, minlength=theta.K).astype(float)
-        if n:
+        if n and name == "poisson":
+            v, c = np.unique(ds.unlabeled_y, return_counts=True)
+            q = responsibilities(kind, theta, v).T
+            S_ref += q @ (c * v)
+            N_ref += q @ c.astype(float)
+        elif n:
             q = responsibilities(kind, theta, ds.unlabeled_y).T
             S_ref += q @ ds.unlabeled_y
             N_ref += q.sum(axis=1)
@@ -375,6 +383,101 @@ class TestBlockedEStep:
         assert sum(rows) == ds.n * traj.n_steps
         assert len(calls) == math.ceil(ds.n / B) * traj.n_steps
         assert len(labeled_calls) == 1
+
+
+def far_tail_case(name, far):
+    """Fifty moderate unlabeled points and one at ``far``, for the Gaussian
+    kinds, with a start near the labels."""
+    uy = np.r_[np.linspace(-4, 4, 50), far]
+    if name == "gmm":
+        return (GMM, Dataset([0, 1, 2], [-3.0, 0.0, 3.0], uy),
+                MixtureParams([0.3, 0.4, 0.3], [-2.0, 0.5, 2.0]))
+    return SYM2, Dataset([0, 1], [-3.0, 3.0], uy), MixtureParams.symmetric(1.0)
+
+
+class TestFarTail:
+    # Tier-1 turns warnings into errors, so these also check that nothing
+    # overflows silently along the way.
+    @pytest.mark.parametrize("name", ["gmm", "sym2"])
+    def test_representable_tail_runs_finite(self, name):
+        # y**2 = 1e308 is still a float: the carrier, the logits and the
+        # surrogate all stay finite.
+        kind, ds, theta0 = far_tail_case(name, 1e154)
+        traj = run_em(kind, ds, theta0, EmConfig(max_iters=100))
+        assert traj.converged
+        assert np.all(np.isfinite(traj.final.theta))
+        assert np.all(np.isfinite(traj.q_values))
+
+    @pytest.mark.parametrize("name", ["gmm", "sym2"])
+    def test_overflowing_tail_is_typed_error(self, name):
+        # y**2 overflows, so the surrogate's carrier sum has no float value.
+        kind, ds, theta0 = far_tail_case(name, 1e155)
+        with pytest.raises(NumericOverflow) as err:
+            run_em(kind, ds, theta0, EmConfig(max_iters=100))
+        assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("name", ["gmm", "sym2"])
+    def test_overflowing_logits_are_typed_error(self, name):
+        # Without the surrogate the first step succeeds and moves a
+        # component to ~1e153; theta * y then overflows in the next E-step.
+        kind, ds, theta0 = far_tail_case(name, 1e155)
+        with pytest.raises(NumericOverflow) as err:
+            run_em(kind, ds, theta0,
+                   EmConfig(max_iters=100, record_trajectory=False))
+        assert err.value.iteration == 1
+
+    def test_cli_exit_3(self, tmp_path, capsys):
+        from ssem.cli import main
+
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("model.kind = gmm\nmodel.pi = 0.5, 0.5\n"
+                       "model.theta_star = 0, 1e155\ndata.total_samples = 60\n"
+                       "em.theta0 = -1, 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert err["type"] == "NumericOverflow"
+        assert err["iteration"] == 0
+
+
+class TestGroupedEStep:
+    def test_integer_sample_passes_distinct_values_per_iteration(self, monkeypatch):
+        rows = []
+
+        def counting_responsibilities(kind, params, y):
+            rows.append(np.size(y))
+            return responsibilities(kind, params, y)
+
+        monkeypatch.setattr(em, "responsibilities", counting_responsibilities)
+        kind, theta = BLOCK_KINDS["poisson"]
+        ds = block_dataset("poisson", 3 * em._block_rows(theta.K))
+        distinct = np.unique(ds.unlabeled_y).size
+        traj = run_em(kind, ds, MixtureParams(theta.pi, theta.theta + 0.3),
+                      EmConfig(max_iters=6, tol=1e-300))
+        assert traj.n_steps == 6
+        assert sum(rows) <= distinct * traj.n_steps
+        assert distinct < 30
+
+    @pytest.mark.parametrize("name", ["gmm", "sym2"])
+    def test_integer_valued_gaussian_data_matches_row_sums(self, name):
+        # The grouping is chosen from the data, not the kind: integer-valued
+        # data under a Gaussian kind is grouped too, signed zeros apart.
+        kind, theta = BLOCK_KINDS[name]
+        rng = np.random.default_rng(5)
+        uy = rng.integers(-6, 7, 3000).astype(float)
+        uy[::50] = -0.0
+        ds = Dataset([0, 1], [-1.0, 2.0], uy)
+        S, N = estep(kind, ds, theta)
+        q = responsibilities(kind, theta, uy)
+        for k in range(theta.K):
+            labeled = ds.labeled_y[ds.labeled_x == k].tolist()
+            for got, terms in ((S[k], labeled + (q[:, k] * uy).tolist()),
+                               (N[k], [1.0] * len(labeled) + q[:, k].tolist())):
+                scale = math.fsum(abs(v) for v in terms)
+                assert abs(got - math.fsum(terms)) <= 16 * np.finfo(float).eps * scale
+        row_by_row = em._carrier_sum(kind, ds, (uy, None))
+        assert em._carrier_sum(kind, ds, em._unlabeled(ds)) == pytest.approx(
+            row_by_row, rel=1e-14)
 
 
 class TestTrajectoryCsv:

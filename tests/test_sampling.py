@@ -13,12 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ssem.model
+import ssem.sampling
 from ssem.cli import main
 from ssem.errors import ConfigError, DomainError
 from ssem.model import MixtureParams, ModelKind, poisson_spec
 from ssem.sampling import (
     Dataset,
     SampleConfig,
+    integer_table,
     load_dataset_csv,
     sample_dataset,
     save_dataset_csv,
@@ -42,6 +44,17 @@ def reference_save_dataset_csv(dataset, path):
             writer.writerow(["U", "", f"{y:.17g}"])
 
 
+def assert_simulate_writes_pinned_dataset(config, tmp_path):
+    """``ssem simulate --seed 0`` on a benchmark config writes the
+    ``dataset.csv`` whose digest the benchmark pins."""
+    pinned = json.loads((PERFBENCH / "digests.json").read_text())
+    cfg = str(PERFBENCH / "configs" / config)
+    assert main(["simulate", "--config", cfg, "--seed", "0",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "dataset.csv").read_bytes())
+    assert digest.hexdigest() == pinned["sha256"][f"{config}:0"]
+
+
 def assert_bit_identical(a, b):
     for attr in ("labeled_x", "labeled_y", "unlabeled_y"):
         x, y = getattr(a, attr), getattr(b, attr)
@@ -52,6 +65,11 @@ def assert_bit_identical(a, b):
 # floats, as the Poisson sampler draws them.
 OBSERVATIONS = (st.floats(allow_nan=False, allow_infinity=False)
                 | st.integers(-2 ** 53, 2 ** 53).map(float))
+# Integer-valued floats only, signed zeros and exponent-form ones included:
+# samples drawn from these take the writer's distinct-value path.
+INTEGER_VALUES = (st.integers(-2 ** 53, 2 ** 53).map(float)
+                  | st.sampled_from([-0.0, 0.0, 1e22, -2.0 ** 70, MAX, -MAX]))
+CHUNK = ssem.sampling._CHUNK_ROWS
 
 
 class TestDeterminism:
@@ -223,12 +241,53 @@ class TestPoissonQuantile:
         assert deferred[0] == 2 and sum(deferred[1:]) == 0
 
     def test_simulate_writes_pinned_dataset(self, tmp_path):
-        pinned = json.loads((PERFBENCH / "digests.json").read_text())
-        cfg = str(PERFBENCH / "configs" / "poisson2.cfg")
-        assert main(["simulate", "--config", cfg, "--seed", "0",
-                     "--out", str(tmp_path)]) == 0
-        digest = hashlib.sha256((tmp_path / "dataset.csv").read_bytes())
-        assert digest.hexdigest() == pinned["sha256"]["poisson2.cfg:0"]
+        assert_simulate_writes_pinned_dataset("poisson2.cfg", tmp_path)
+
+
+class TestIntegerTable:
+    def test_table_rebuilds_the_sample_bit_for_bit(self):
+        y = np.array([3.0, -0.0, 0.0, 3.0, -7.0, 1e22, 0.0, 2.0 ** 53 + 2])
+        table = integer_table(y)
+        assert table.values[table.inverse].tobytes() == y.tobytes()
+        # -0.0 and 0.0 are separate entries, keyed by bit pattern.
+        assert table.values.size == 6
+        assert table.counts.tolist() == [
+            int(np.sum(y.view(np.int64) == b))
+            for b in table.values.view(np.int64)]
+        np.testing.assert_array_equal(np.diff(table.values.view(np.int64)) > 0, True)
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0, 9.0])
+    def test_counted_and_sorted_tables_agree(self, theta, monkeypatch):
+        # Poisson draws take the bincount path; with it disabled the sort
+        # must give the same table.
+        kind = ModelKind.expfam(poisson_spec())
+        ds = sample_dataset(kind, MixtureParams([1.0], [theta]),
+                            SampleConfig(seed=4, m=0, n=5000))
+        counted = integer_table(ds.unlabeled_y)
+        monkeypatch.setattr(ssem.sampling, "_DENSE_MAX", 0)
+        sorted_ = integer_table(ds.unlabeled_y)
+        for a, b in zip(counted, sorted_):
+            assert a.tobytes() == b.tobytes()
+
+    def test_non_integer_samples_have_no_table(self):
+        assert integer_table(np.empty(0)) is None
+        y = np.arange(1000.0)
+        y[700] = 0.5  # past the leading probe
+        assert integer_table(y) is None
+
+    def test_continuous_sample_checks_only_a_leading_slice(self, monkeypatch):
+        sizes = []
+        integral = ssem.sampling._integral
+
+        def counting(y):
+            sizes.append(y.size)
+            return integral(y)
+
+        monkeypatch.setattr(ssem.sampling, "_integral", counting)
+        ds = sample_dataset(GMM, MixtureParams([0.5, 0.5], [-1.0, 1.0]),
+                            SampleConfig(seed=2, m=0, n=100_000))
+        assert integer_table(ds.unlabeled_y) is None
+        assert sizes == [ssem.sampling._PROBE_ROWS]
 
 
 class TestDatasetAndCsv:
@@ -261,6 +320,10 @@ class TestDatasetAndCsv:
         back = load_dataset_csv(path)
         assert back == ds
 
+    def test_simulate_writes_pinned_gmm3_dataset(self, tmp_path):
+        # A continuous sample: the writer's row-by-row path.
+        assert_simulate_writes_pinned_dataset("gmm3.cfg", tmp_path)
+
     def test_csv_layout(self, tmp_path):
         ds = Dataset([1], [0.125], [2.5])
         path = tmp_path / "ds.csv"
@@ -289,10 +352,30 @@ class TestDatasetAndCsv:
         reference_save_dataset_csv(ds, want)
         assert got.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("m, n", [
+        (0, 1), (3, CHUNK - 1), (0, CHUNK), (1, CHUNK + 1), (5, 2 * CHUNK + 3),
+    ])
+    def test_integer_sample_bytes_match_reference_writer(self, m, n, tmp_path):
+        # Integer-valued unlabeled rows, so the writer joins formatted
+        # distinct rows: signed zeros, negative integers, integers above
+        # 2^53 and ones printed in exponent form.
+        rng = np.random.default_rng(m + 7 * n)
+        uy = rng.integers(-40, 40, n).astype(float)
+        special = [-0.0, 0.0, 2.0 ** 53 + 2, -(2.0 ** 60), 1e22, -1e22, MAX]
+        k = min(n, len(special))
+        uy[rng.choice(n, k, replace=False)] = special[:k]
+        ds = Dataset(rng.integers(0, 3, m), rng.standard_normal(m), uy)
+        assert integer_table(ds.unlabeled_y) is not None
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_dataset_csv(ds, got)
+        reference_save_dataset_csv(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+
     @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), OBSERVATIONS)),
-           unlabeled=st.lists(OBSERVATIONS))
+           unlabeled=st.lists(OBSERVATIONS) | st.lists(INTEGER_VALUES))
     @example(labeled=[(0, 5e-324), (1, -0.0), (2 ** 63 - 1, MAX)],
              unlabeled=[0.0, -0.0, -5e-324, -MAX, 2.2250738585072014e-308, 7.0])
+    @example(labeled=[(1, 2.0)], unlabeled=[0.0, -0.0, 1e22, -3.0, 0.0, -0.0])
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_bit_identical(self, labeled, unlabeled, tmp_path_factory):
         assume(labeled or unlabeled)
