@@ -18,10 +18,10 @@ run to run.
 
 The E-step reads the unlabeled sample only through its empirical
 distribution.  An integer-valued sample (every Poisson one) is therefore
-reduced once per run to its distinct values and their counts
-(:func:`ssem.sampling.integer_table`), and the E-step and the carrier sum
-weight each distinct value by its count: EM on grouped data.  A continuous
-sample is read row by row.
+reduced once to its distinct values and their counts
+(:attr:`ssem.sampling.Dataset.unlabeled_table`), and the E-step and the
+carrier sum weight each distinct value by its count: EM on grouped data.
+A continuous sample is read row by row.
 
 A sum that leaves the float64 range raises :class:`NumericOverflow`
 instead of turning into inf or NaN.
@@ -40,7 +40,6 @@ from .model import (
     ModelKind,
     responsibilities,
 )
-from .sampling import integer_table
 
 _EMPTY_DENOMINATOR = 1e-300  # subnormal boundary: below this a component is empty
 
@@ -143,12 +142,13 @@ def _labeled_statistics(kind: ModelKind, data,
 
 def _unlabeled(data) -> tuple[np.ndarray, np.ndarray | None]:
     """The unlabeled sample as ``(values, counts)``: the distinct values of
-    an integer-valued sample and how often each occurs, else every row and
-    ``None``.  Independent of the iterate, so a run computes it once."""
-    table = integer_table(data.unlabeled_y)
+    an integer-valued sample and how often each occurs
+    (:attr:`Dataset.unlabeled_table`, built once per dataset), else every
+    row and ``None``."""
+    table = data.unlabeled_table
     if table is None:
         return data.unlabeled_y, None
-    return table.values, table.counts.astype(float)
+    return table.values, table.counts
 
 
 def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
@@ -295,7 +295,9 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
     and, when the surrogate is recorded, the carrier sum are computed once.
     M-step failures propagate with the iteration index attached as an
     ``iteration`` attribute on the exception; failures of the once-per-run
-    work carry iteration 0.
+    work carry iteration 0.  A carrier sum with no float64 value (a
+    Gaussian kind with |y| >= ~1.34e154) is one of them whatever n is, so
+    only a run with ``record_trajectory=False`` goes on to the E-steps.
     """
     kind.check_params(theta0)
     traj = Trajectory(iterates=[theta0])

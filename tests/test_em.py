@@ -385,10 +385,10 @@ class TestBlockedEStep:
         assert len(labeled_calls) == 1
 
 
-def far_tail_case(name, far):
-    """Fifty moderate unlabeled points and one at ``far``, for the Gaussian
-    kinds, with a start near the labels."""
-    uy = np.r_[np.linspace(-4, 4, 50), far]
+def far_tail_case(name, far, n=51):
+    """``n - 1`` moderate unlabeled points and one at ``far``, for the
+    Gaussian kinds, with a start near the labels."""
+    uy = np.r_[np.linspace(-4, 4, n - 1), far]
     if name == "gmm":
         return (GMM, Dataset([0, 1, 2], [-3.0, 0.0, 3.0], uy),
                 MixtureParams([0.3, 0.4, 0.3], [-2.0, 0.5, 2.0]))
@@ -415,6 +415,25 @@ class TestFarTail:
         with pytest.raises(NumericOverflow) as err:
             run_em(kind, ds, theta0, EmConfig(max_iters=100))
         assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("name", ["gmm", "sym2"])
+    def test_overflowing_tail_is_rejected_at_any_n(self, name):
+        # The carrier sum has no float64 value whatever n is, so a run that
+        # records the surrogate stops before its first step, even where the
+        # iterates alone would stay finite (sym2 below).
+        kind, ds, theta0 = far_tail_case(name, 1e155, n=100_000)
+        with pytest.raises(NumericOverflow) as err:
+            run_em(kind, ds, theta0, EmConfig(max_iters=100))
+        assert err.value.iteration == 0
+
+    def test_overflowing_tail_runs_without_the_surrogate(self):
+        # At n = 1e5 the far point moves the tied sym2 mean only to ~1e150,
+        # so theta * y stays finite and the unrecorded run converges.
+        kind, ds, theta0 = far_tail_case("sym2", 1e155, n=100_000)
+        traj = run_em(kind, ds, theta0,
+                      EmConfig(max_iters=100, record_trajectory=False))
+        assert traj.converged
+        assert np.all(np.isfinite(traj.final.theta))
 
     @pytest.mark.parametrize("name", ["gmm", "sym2"])
     def test_overflowing_logits_are_typed_error(self, name):

@@ -249,6 +249,7 @@ class TestIntegerTable:
         y = np.array([3.0, -0.0, 0.0, 3.0, -7.0, 1e22, 0.0, 2.0 ** 53 + 2])
         table = integer_table(y)
         assert table.values[table.inverse].tobytes() == y.tobytes()
+        assert not any(arr.flags.writeable for arr in table)
         # -0.0 and 0.0 are separate entries, keyed by bit pattern.
         assert table.values.size == 6
         assert table.counts.tolist() == [
@@ -256,18 +257,24 @@ class TestIntegerTable:
             for b in table.values.view(np.int64)]
         np.testing.assert_array_equal(np.diff(table.values.view(np.int64)) > 0, True)
 
-    @pytest.mark.parametrize("theta", [0.5, 2.0, 9.0])
-    def test_counted_and_sorted_tables_agree(self, theta, monkeypatch):
-        # Poisson draws take the bincount path; with it disabled the sort
-        # must give the same table.
-        kind = ModelKind.expfam(poisson_spec())
-        ds = sample_dataset(kind, MixtureParams([1.0], [theta]),
-                            SampleConfig(seed=4, m=0, n=5000))
-        counted = integer_table(ds.unlabeled_y)
-        monkeypatch.setattr(ssem.sampling, "_DENSE_MAX", 0)
-        sorted_ = integer_table(ds.unlabeled_y)
-        for a, b in zip(counted, sorted_):
-            assert a.tobytes() == b.tobytes()
+    def test_simulate_builds_the_table_once(self, tmp_path, monkeypatch):
+        # The writer and every E-step of the run read the table the
+        # Dataset built on first use: one full integrality pass in all.
+        sizes = []
+        integral = ssem.sampling._integral
+
+        def counting(y):
+            sizes.append(y.size)
+            return integral(y)
+
+        monkeypatch.setattr(ssem.sampling, "_integral", counting)
+        cfg = str(PERFBENCH / "configs" / "poisson2.cfg")
+        assert main(["simulate", "--config", cfg, "--seed", "0",
+                     "--set", "data.total_samples=2000",
+                     "--out", str(tmp_path)]) == 0
+        n = (tmp_path / "dataset.csv").read_text().count("\nU,")
+        assert n > 1000
+        assert sizes.count(n) == 1
 
     def test_non_integer_samples_have_no_table(self):
         assert integer_table(np.empty(0)) is None
@@ -365,21 +372,33 @@ class TestDatasetAndCsv:
         k = min(n, len(special))
         uy[rng.choice(n, k, replace=False)] = special[:k]
         ds = Dataset(rng.integers(0, 3, m), rng.standard_normal(m), uy)
-        assert integer_table(ds.unlabeled_y) is not None
+        assert ds.unlabeled_table is not None
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         save_dataset_csv(ds, got)
         reference_save_dataset_csv(ds, want)
         assert got.read_bytes() == want.read_bytes()
 
     @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), OBSERVATIONS)),
-           unlabeled=st.lists(OBSERVATIONS) | st.lists(INTEGER_VALUES))
+           unlabeled=st.lists(OBSERVATIONS))
     @example(labeled=[(0, 5e-324), (1, -0.0), (2 ** 63 - 1, MAX)],
              unlabeled=[0.0, -0.0, -5e-324, -MAX, 2.2250738585072014e-308, 7.0])
-    @example(labeled=[(1, 2.0)], unlabeled=[0.0, -0.0, 1e22, -3.0, 0.0, -0.0])
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_bit_identical(self, labeled, unlabeled, tmp_path_factory):
         assume(labeled or unlabeled)
         ds = Dataset([x for x, _ in labeled], [y for _, y in labeled], unlabeled)
+        path = tmp_path_factory.mktemp("roundtrip") / "ds.csv"
+        save_dataset_csv(ds, path)
+        assert_bit_identical(load_dataset_csv(path), ds)
+
+    @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), OBSERVATIONS)),
+           unlabeled=st.lists(INTEGER_VALUES, min_size=1))
+    @example(labeled=[(1, 2.0)], unlabeled=[0.0, -0.0, 1e22, -3.0, 0.0, -0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_integer_sample_roundtrip_bit_identical(self, labeled, unlabeled,
+                                                    tmp_path_factory):
+        # All-integer unlabeled rows: the writer's distinct-value path.
+        ds = Dataset([x for x, _ in labeled], [y for _, y in labeled], unlabeled)
+        assert ds.unlabeled_table is not None
         path = tmp_path_factory.mktemp("roundtrip") / "ds.csv"
         save_dataset_csv(ds, path)
         assert_bit_identical(load_dataset_csv(path), ds)
