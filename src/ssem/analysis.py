@@ -594,7 +594,7 @@ def demonstrate_rescue(pm: PopulationModel,
     if pm.kind.tag == "sym2":
         # Concave increasing update: the secants grow toward the derivative
         # at the fixed point, which is the actual supremum.
-        kappa = max(kappa, dm0_dtheta_sym2(pm0, pm.sym2_star()))
+        kappa = max(kappa, dm0_dtheta_sym2(pm0, pm.theta_star.sym2_scalar()))
 
     probe_best = step_best.theta
     c_best = float(step_best.e_q[k_best])

@@ -248,8 +248,13 @@ def build_run_config(raw: dict) -> RunConfig:
     get = partial(_get, raw)
     tag = get("model.kind", _choice("gmm", "sym2", "expfam"))
     kind = ModelKind(tag, get("model.family", _family) if tag == "expfam" else None)
-    star = get("model.theta_star", lambda v: kind.params(
-        v, lambda k: get("model.pi", _weights(k))))
+
+    def truth(value):
+        star = kind.params(value, lambda k: get("model.pi", _weights(k)))
+        kind.check_truth(star)
+        return star
+
+    star = get("model.theta_star", truth)
     cfg = RunConfig(
         raw=dict(raw), kind=kind, theta_star=star,
         theta0=get("em.theta0", lambda v: kind.params(v, lambda k: star.pi),

@@ -188,21 +188,19 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
     return S, N
 
 
-def _update(kind: ModelKind, S: np.ndarray, N: np.ndarray, total: int,
+def _update(kind: ModelKind, S: np.ndarray, N: np.ndarray,
             theta_t: MixtureParams) -> MixtureParams:
-    """Maximizer of the surrogate built from ``(S, N)``: the tied value
-    ``(S_1 - S_0) / (m+n)`` for ``sym2``, else each mean ``S_k / N_k``
-    mapped to its component parameter."""
-    if kind.tag == "sym2":
-        return MixtureParams.symmetric((S[1] - S[0]) / total)
-    if np.any(N < _EMPTY_DENOMINATOR):
-        k = int(np.argmin(N))
-        raise EmptyComponent(
-            f"component {k} has no labeled support and responsibility mass "
-            f"{N[k]:.3e}")
+    """Maximizer of the surrogate built from ``(S, N)``: component k from
+    :meth:`ModelKind.tied_update` on ``(S_j, N_j)``.  Untied, that maps the
+    mean ``S_k / N_k`` to its parameter; for ``sym2`` it is the tied value
+    ``(S_1 - S_0) / (N_0 + N_1)``.  Raises :class:`EmptyComponent` when the
+    mass ``sum a_j^2 N_j`` underflows: no labeled support and negligible
+    responsibility mass."""
+    S, N = S.tolist(), N.tolist()
     return MixtureParams(theta_t.pi, [
-        kind.theta_from_mean(S[k] / N[k], x0=float(theta_t.theta[k]))
-        for k in range(theta_t.K)])
+        kind.tied_update(k, lambda j: (S[j], N[j]), x0,
+                         _EMPTY_DENOMINATOR, EmptyComponent)
+        for k, x0 in enumerate(theta_t.theta.tolist())])
 
 
 def _carrier_sum(kind: ModelKind, data,
@@ -227,8 +225,7 @@ def _surrogate(kind: ModelKind, theta: MixtureParams, S: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         acc = float(np.sum(th * S - np.asarray(kind.family.alpha(th), dtype=float) * N))
     acc += carrier_sum
-    if kind.tag != "expfam":
-        acc += float(np.sum(N * np.log(theta.pi)))
+    acc += float(np.sum(N * np.log(theta.pi)))
     if not np.isfinite(acc):
         raise NumericOverflow(f"the surrogate at theta {th} overflows float64")
     return acc / total
@@ -238,13 +235,11 @@ def q_value(kind: ModelKind, data, theta: MixtureParams,
             theta_t: MixtureParams) -> float:
     """Semi-supervised surrogate Q(theta; theta_t), normalized by 1/(n+m).
 
-    In natural form it is ``sum_k theta_k S_k - alpha(theta_k) N_k`` plus
-    the sum of ``h(y)`` over all points, with ``(S, N)`` the E-step
-    statistics under ``theta_t``.  Gaussian kinds also add
-    ``sum_k N_k log pi_k``, giving the complete-data form with its
-    log(sqrt(2*pi)/pi_k) constants; exponential-family kinds carry no
-    weight constants.  The two therefore differ by a theta-independent
-    offset.
+    One formula for every kind: ``sum_k theta_k S_k - alpha(theta_k) N_k
+    + N_k log pi_k`` plus the sum of ``h(y)`` over all points, with
+    ``(S, N)`` the E-step statistics under ``theta_t``.  That is the
+    expected complete-data log-likelihood, weight and carrier constants
+    included; for a Gaussian kind ``h(y) = -y^2/2 - log sqrt(2 pi)``.
     """
     kind.check_params(theta)
     unlabeled = _unlabeled(data)
@@ -262,7 +257,7 @@ def m_step(kind: ModelKind, data, theta_t: MixtureParams) -> MixtureParams:
     S, N = _sufficient_statistics(kind, theta_t,
                                   _labeled_statistics(kind, data, theta_t.K),
                                   _unlabeled(data))
-    return _update(kind, S, N, data.m + data.n, theta_t)
+    return _update(kind, S, N, theta_t)
 
 
 def m_step_gmm(data, theta_t: MixtureParams) -> MixtureParams:
@@ -279,9 +274,11 @@ def m_step_expfam(spec: ExpFamilySpec, data, theta_t: MixtureParams) -> MixtureP
 
 
 def m_step_sym2(data, theta_t: float) -> float:
-    """Tied-mean update of the symmetric pair's scalar (:func:`m_step` for
-    ``sym2``): labels for the component at -theta flip the sign of their
-    observation."""
+    """Tied update of the symmetric pair's scalar (:func:`m_step` for
+    ``sym2``): ``(S_1 - S_0) / (N_0 + N_1)``, where ``N_0 + N_1`` is
+    ``m + n`` up to rounding.  A label for the component at -theta flips
+    the sign of its observation, and an unlabeled point adds
+    ``(q_1 - q_0) y``."""
     return m_step(ModelKind.sym2(), data,
                   MixtureParams.symmetric(theta_t)).sym2_scalar()
 
@@ -316,7 +313,7 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
     for t in range(cfg.max_iters):
         try:
             S, N = _sufficient_statistics(kind, current, labeled, unlabeled)
-            nxt = _update(kind, S, N, total, current)
+            nxt = _update(kind, S, N, current)
             if cfg.record_trajectory:
                 traj.q_values.append(
                     _surrogate(kind, nxt, S, N, total, carrier_sum))

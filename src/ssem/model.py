@@ -19,6 +19,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -203,6 +204,9 @@ def exponential_spec() -> ExpFamilySpec:
 
 _GAUSSIAN = gaussian_spec()
 
+# The sym2 pair as multiples of one free parameter: theta = (-phi, +phi).
+_SYM2_TIE = ((0, -1.0), (1, 1.0))
+
 BUILTIN_FAMILIES = {
     "gaussian": gaussian_spec,
     "poisson": poisson_spec,
@@ -225,11 +229,13 @@ class MixtureParams:
             raise DomainError("pi and theta must be 1-d vectors of equal length")
         if pi.size < 1:
             raise DomainError("mixture needs at least one component")
-        if np.any(pi <= 0.0):
+        # ndarray methods rather than np.any/np.all, whose Python wrappers
+        # cost about 1 us a call; population EM builds thousands of these.
+        if (pi <= 0.0).any():
             raise DomainError(f"all mixture weights must be positive, got {pi}")
         if abs(pi.sum() - 1.0) > 1e-12:
             raise DomainError(f"mixture weights must sum to 1, got sum={pi.sum()!r}")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DomainError(f"component parameters must be finite, got {theta}")
         pi.setflags(write=False)
         theta.setflags(write=False)
@@ -267,7 +273,10 @@ class MixtureParams:
 @dataclass(frozen=True)
 class ModelKind:
     """Which of the three model kinds; :attr:`family` names the exponential
-    family its components come from."""
+    family its components come from and :meth:`tie` how the components
+    share parameters.  The sample and population M-steps of every kind
+    run one rule, :meth:`tied_update`; in them ``sym2`` differs from
+    ``gmm`` only by its tie."""
 
     tag: str
     spec: ExpFamilySpec | None = None
@@ -304,11 +313,50 @@ class ModelKind:
         when the family has no closed-form inverse."""
         return invert_alpha_prime(self.family, float(mean), x0=x0)
 
+    def tie(self, k: int) -> tuple[tuple[int, float], ...]:
+        """The components that share component k's free parameter phi, as
+        pairs ``(j, a_j)`` with ``theta_j = a_j * phi``: ``((k, 1.0),)``
+        when untied, ``((0, -1.0), (1, 1.0))`` for ``sym2``."""
+        return _SYM2_TIE if self.tag == "sym2" else ((k, 1.0),)
+
+    def tied_update(self, k: int, moments: Callable, x0: float,
+                    floor: float, error: type) -> float:
+        """Component k's parameter from per-component moments: with
+        ``moments(j) = (num_j, den_j)``, the mass-weighted sum of t(y) and
+        the mass, ``n = sum a_j num_j`` and ``d = sum a_j^2 den_j`` over
+        :meth:`tie`, and ``theta_k = a_k * theta_from_mean(n / d)``, from
+        ``x0``, the previous ``theta_k``.
+
+        This maximizes ``sum_j theta_j num_j - alpha(theta_j) den_j`` under
+        the tie (McLachlan & Krishnan, *The EM Algorithm and Extensions*,
+        2008, on linearly constrained M-steps): exactly for an untied
+        component of any family, and for a tie of the Gaussian member,
+        whose ``alpha'`` is linear.  Raises ``error`` when ``|d| < floor``.
+        """
+        n = d = 0.0
+        for j, a in self.tie(k):
+            num, den = moments(j)
+            n += a * num
+            d += a * a * den
+            if j == k:
+                a_k = a
+        if abs(d) < floor:
+            raise error(f"component {k}: denominator {d:.3e} below {floor:g}")
+        return a_k * self.theta_from_mean(n / d, x0=a_k * x0)
+
     def check_params(self, params: MixtureParams) -> None:
         if self.tag == "sym2":
             params.sym2_scalar()
         if self.tag == "expfam":
             self.spec.check_theta(params.theta)
+
+    def check_truth(self, params: MixtureParams) -> None:
+        """:meth:`check_params` for a ground truth.  A ``sym2`` truth must
+        also have ``theta >= 0``: its components are told apart by sign,
+        component 1 being the one at ``+theta``."""
+        self.check_params(params)
+        if self.tag == "sym2" and params.sym2_scalar() < 0.0:
+            raise DomainError("symmetric-pair ground truth must have theta >= 0")
 
     def params(self, value, weights: Callable) -> MixtureParams:
         """Checked parameters from a config value: one scalar for ``sym2``
@@ -323,10 +371,15 @@ class ModelKind:
         return params
 
     def shift(self, params: MixtureParams, offset: float) -> MixtureParams:
-        """Checked parameters moved by ``offset``: along the tie for
-        ``sym2``, every component for the other kinds."""
-        value = params.sym2_scalar() if self.tag == "sym2" else params.theta
-        return self.params(value + offset, lambda k: params.pi)
+        """Checked parameters moved by ``offset`` along the tie: component
+        k by ``offset * a_k``, so every component for the untied kinds and
+        ``(-theta, theta)`` to ``(-theta - offset, theta + offset)`` for
+        ``sym2``."""
+        shifted = MixtureParams(params.pi, [
+            th + offset * dict(self.tie(k))[k]
+            for k, th in enumerate(params.theta.tolist())])
+        self.check_params(shifted)
+        return shifted
 
 
 def _natural_logits(family: ExpFamilySpec, theta: np.ndarray, log_pi,
@@ -405,8 +458,9 @@ def responsibilities(kind: ModelKind, params: MixtureParams,
 def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):
     """Posterior probability of component ``k`` given ``y``.
 
-    For ``sym2``, ``k=0`` is the component at ``-theta``; the value equals
-    the logistic ``1 / (1 + exp(2*y*theta))``.
+    For the ``sym2`` pair ``(-phi, +phi)``, ``k=0`` is the component at
+    ``-phi`` and the value is the logistic ``1 / (1 + exp(2*y*phi))``; the
+    tied M-step weighs an unlabeled ``y`` by ``q_1 - q_0 = tanh(y*phi)``.
     """
     kind.check_params(params)
     if not 0 <= k < params.K:
@@ -414,6 +468,16 @@ def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     out = responsibilities(kind, params, y_arr)[:, k]
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
+
+
+# np.errstate as a decorator builds no context manager per call: 0.7 rather
+# than 1.1 us a call, and the population updates make thousands of calls.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _closed_form_inverse(spec: ExpFamilySpec, target: float) -> float:
+    """``alpha_prime_inv(target)`` with numpy's floating-point warnings off:
+    a target outside the range of ``alpha_prime`` comes back as inf or NaN
+    for :func:`invert_alpha_prime` to reject."""
+    return float(spec.alpha_prime_inv(np.float64(target)))
 
 
 def invert_alpha_prime(spec: ExpFamilySpec, target: float,
@@ -437,12 +501,11 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
     and :class:`NoConvergence` after ``max_iter`` iterations.
     """
     lo_dom, hi_dom = spec.natural_domain
-    if not np.isfinite(target):
+    if not math.isfinite(target):
         raise MeanOutOfRange(f"target statistic {target} is not finite")
     if spec.alpha_prime_inv is not None:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = float(spec.alpha_prime_inv(np.float64(target)))
-        if not (np.isfinite(x) and lo_dom < x < hi_dom):
+        x = _closed_form_inverse(spec, target)
+        if not (math.isfinite(x) and lo_dom < x < hi_dom):
             raise MeanOutOfRange(
                 f"statistic {target} outside the range of alpha_prime for "
                 f"{spec.name!r}")

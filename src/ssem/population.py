@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,7 +80,7 @@ class PopulationModel:
     scheme: QuadratureScheme = QuadratureScheme()
 
     def __post_init__(self):
-        self.kind.check_params(self.theta_star)
+        self.kind.check_truth(self.theta_star)
         if not 0.0 <= self.gamma < 1.0:
             raise DomainError(
                 f"gamma must be in [0, 1): gamma=1 is handled analytically "
@@ -88,16 +89,20 @@ class PopulationModel:
     @classmethod
     def sym2(cls, theta_star: float, gamma: float,
              scheme: QuadratureScheme = QuadratureScheme()) -> "PopulationModel":
-        if theta_star < 0.0:
-            raise DomainError("symmetric-pair ground truth must have theta >= 0")
         return cls(ModelKind.sym2(), MixtureParams.symmetric(theta_star),
                    gamma, scheme)
 
     def with_gamma(self, gamma: float) -> "PopulationModel":
         return replace(self, gamma=gamma)
 
-    def sym2_star(self) -> float:
-        return self.theta_star.sym2_scalar()
+    @cached_property
+    def _labeled_moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Per component, ``E[1{X=k} t(Y)] = pi_k alpha'(theta*_k)`` and
+        ``E[1{X=k}] = pi_k``, in closed form, as floats."""
+        star, family = self.theta_star, self.kind.family
+        return (tuple(float(star.pi[k]) * float(family.alpha_prime(star.theta[k]))
+                      for k in range(star.K)),
+                tuple(star.pi.tolist()))
 
 
 def _component_scales(pm: PopulationModel) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +230,6 @@ def _statistic(pm: PopulationModel, y: np.ndarray) -> np.ndarray:
     return np.asarray(pm.kind.family.t(y), dtype=float)
 
 
-def _labeled_moment(pm: PopulationModel, k: int) -> float:
-    """E[1{X=k} t(Y)] in closed form."""
-    mean_k = float(pm.kind.family.alpha_prime(pm.theta_star.theta[k]))
-    return float(pm.theta_star.pi[k]) * mean_k
-
-
 @dataclass(frozen=True)
 class PopulationStep:
     """The unlabeled responsibility moments at one probe: ``e_q[k] =
@@ -275,18 +274,22 @@ class PopulationStep:
         return self._update(k, self.pm.gamma)
 
     def _update(self, k: int, gamma: float) -> float:
-        pm = self.pm
-        if pm.kind.tag == "sym2":
-            # Tied scalar update: E[(1 - 2q_0) Y] with E[Y] = 0 analytically
-            # is -2 E[q_0 Y], mixed with the labeled fixed point theta*.
-            m = ((1.0 - gamma) * (-2.0 * float(self.e_qt[0]))
-                 + gamma * pm.sym2_star())
-            return -m if k == 0 else m
-        num = (1.0 - gamma) * float(self.e_qt[k]) + gamma * _labeled_moment(pm, k)
-        den = (1.0 - gamma) * float(self.e_q[k]) + gamma * float(pm.theta_star.pi[k])
-        if abs(den) < _DEGENERATE_DENOMINATOR:
-            raise DegenerateDenominator(f"denominator {den:.3e} for component {k}")
-        return pm.kind.theta_from_mean(num / den, x0=float(self.theta.theta[k]))
+        """Component k of the update at labeled fraction ``gamma``:
+        :meth:`ModelKind.tied_update` on the moments mixed with weight
+        gamma, ``num_j = (1 - gamma) E[q_j t(Y)] + gamma pi_j
+        alpha'(theta*_j)`` and ``den_j = (1 - gamma) E[q_j] + gamma pi_j``.
+        Raises :class:`DegenerateDenominator` for this component alone when
+        ``|sum a_j^2 den_j| < 1e-12``."""
+        labeled_t, labeled_q = self.pm._labeled_moments
+        e_qt, e_q = self.e_qt, self.e_q
+
+        def moments(j):
+            return ((1.0 - gamma) * float(e_qt[j]) + gamma * labeled_t[j],
+                    (1.0 - gamma) * float(e_q[j]) + gamma * labeled_q[j])
+
+        return self.pm.kind.tied_update(k, moments, float(self.theta.theta[k]),
+                                        _DEGENERATE_DENOMINATOR,
+                                        DegenerateDenominator)
 
 
 def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
@@ -302,10 +305,11 @@ def pop_m0(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
 def pop_m_gamma(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
     """Semi-supervised population update of component k at probe ``theta``.
 
-    For the symmetric pair this is the convex combination
-    ``(1 - gamma) * M0(theta) + gamma * theta_star``; otherwise the labeled
-    moments enter the numerator and denominator of the responsibility ratio
-    with weight gamma.
+    The labeled moments enter the numerator and denominator of the
+    responsibility ratio with weight gamma, for every kind.  For the
+    symmetric pair the denominator ``(1 - gamma) E[q_0 + q_1] + gamma`` is
+    1 up to quadrature error, so the update is the convex combination
+    ``(1 - gamma) * M0(theta) + gamma * theta_star`` to that error.
     """
     return PopulationStep.at(pm, theta).m_gamma(k)
 
@@ -325,7 +329,7 @@ def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
 def dm0_dtheta_sym2(pm: PopulationModel, theta: float) -> float:
     """Derivative of the scalar unlabeled-only update for the symmetric pair:
     ``4 E[Y^2 exp(-2|Y| theta) / (1 + exp(-2|Y| theta))^2]``."""
-    if pm.kind.tag != "sym2":
+    if pm.kind != ModelKind.sym2():
         raise DomainError("dm0_dtheta_sym2 requires the sym2 kind")
     if theta < 0.0:
         raise DomainError("derivative probe must satisfy theta >= 0")

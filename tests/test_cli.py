@@ -132,6 +132,28 @@ class TestExitCodes:
         assert err["error"] == "config"
         assert err["field"] == "model.pi"
 
+    @pytest.mark.parametrize("command", [
+        ["sample"], ["simulate"], ["population"], ["verify", "thm1"],
+        ["verify", "rescue"], ["verify", "all"]])
+    def test_negative_sym2_truth_is_config_error(self, tmp_path, capsys,
+                                                 command):
+        # The pair is labelled by sign: component 1 sits at +theta*, so a
+        # negative truth is refused up front, not by a later numeric check.
+        bad = write_cfg(tmp_path, "model.kind = sym2\nmodel.theta_star = -1\n"
+                        "data.total_samples = 10\n")
+        rc = main(command + ["--config", bad, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "model.theta_star"
+
+    def test_negative_sym2_start_is_allowed(self, tmp_path):
+        cfg = write_cfg(tmp_path, SYM2_CFG.replace("em.theta0 = 3.0",
+                                                   "em.theta0 = -3.0"))
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                   "--set", "data.total_samples=2000"])
+        assert rc == 0
+
     def test_numeric_error_exit_3(self, tmp_path, capsys):
         # One labeled sample cannot support two components.
         cfg = write_cfg(tmp_path, """

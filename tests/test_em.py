@@ -89,7 +89,20 @@ class TestQValue:
         thetas = [MixtureParams(star.pi, star.theta + d) for d in (0.0, 0.3, -0.7)]
         offsets = [q_value(spec, ds, th, star) - q_value(GMM, ds, th, star)
                    for th in thetas]
-        np.testing.assert_allclose(offsets, offsets[0], atol=1e-12)
+        # One surrogate formula for every kind: the constant is 0.
+        np.testing.assert_allclose(offsets, 0.0, atol=1e-12)
+
+    def test_poisson_labeled_only_is_complete_data_loglik(self):
+        # The weight constants log pi_k enter for an expfam kind as well.
+        kind = ModelKind.expfam(poisson_spec())
+        star = MixtureParams([0.3, 0.7], [0.2, 1.5])
+        ds = sample_dataset(kind, star, SampleConfig(seed=4, m=25, n=0))
+        theta = MixtureParams([0.3, 0.7], [0.5, 1.2])
+        direct = math.fsum(
+            math.log(theta.pi[x]) + theta.theta[x] * y
+            - math.exp(theta.theta[x]) - math.lgamma(y + 1.0)
+            for x, y in zip(ds.labeled_x, ds.labeled_y)) / ds.m
+        assert q_value(kind, ds, theta, theta) == pytest.approx(direct, abs=1e-12)
 
 
 class TestMStepGmm:
@@ -167,6 +180,24 @@ class TestMStepSym2:
     def test_single_unlabeled_origin(self):
         ds = Dataset([], [], [0.0])
         assert m_step_sym2(ds, 2.0) == 0.0
+
+    def test_direct_summation_oracle(self):
+        # The tied value summed directly: (S_1 - S_0) / (m + n), with a
+        # label for the component at -theta flipping the sign of its y.
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            star = MixtureParams.symmetric(float(rng.uniform(0.2, 3.0)))
+            m, n = int(rng.integers(0, 60)), int(rng.integers(1, 200))
+            ds = sample_dataset(SYM2, star, SampleConfig(
+                seed=int(rng.integers(0, 2 ** 32)), m=m, n=n))
+            theta_t = float(rng.uniform(-3.0, 3.0))
+            q = responsibilities(SYM2, MixtureParams.symmetric(theta_t),
+                                 ds.unlabeled_y)
+            direct = math.fsum(
+                [y if x == 1 else -y for x, y in zip(ds.labeled_x, ds.labeled_y)]
+                + [(q[i, 1] - q[i, 0]) * ds.unlabeled_y[i] for i in range(n)]
+            ) / (m + n)
+            assert m_step_sym2(ds, theta_t) == pytest.approx(direct, abs=1e-12)
 
     def test_sign_symmetry_exact(self):
         # Negating observations and swapping labels produces a dataset the

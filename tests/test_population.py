@@ -154,8 +154,10 @@ class TestPopMGamma:
                 assert abs(value - pm.theta_star.theta[k]) <= 2e-10
 
     def test_sym2_two_code_paths_agree(self):
-        # The tied scalar update must match the generic two-component ratio
-        # evaluated on the same mixture (independent code route).
+        # Both kinds run the one tie rule; only the tie differs.  At a
+        # symmetric probe under a symmetric truth the untied gmm update is
+        # itself symmetric (E[q_0] = E[q_1], E[q_0 Y] = -E[q_1 Y]), so the
+        # tied value (n_1 - n_0) / (d_0 + d_1) equals the untied n_k / d_k.
         star_pair = MixtureParams.symmetric(1.0)
         probe = MixtureParams.symmetric(2.0)
         pm_sym = PopulationModel.sym2(1.0, 0.5)
@@ -165,12 +167,21 @@ class TestPopMGamma:
                 pop_m_gamma(pm_gmm, probe, k), abs=1e-9)
 
     def test_sym2_convex_combination_identity(self):
-        pm = PopulationModel.sym2(1.0, 0.5)
-        pm0 = pm.with_gamma(0.0)
-        probe = MixtureParams.symmetric(2.0)
-        lhs = pop_m_gamma(pm, probe, 1)
-        rhs = 0.5 * pop_m0(pm0, probe, 1) + 0.5 * 1.0
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        # The tied update mixes E[q_k t(Y)] and E[q_k] with the labeled
+        # moments; for the pair E[q_0 + q_1] = 1, so it is the convex
+        # combination (1 - gamma) M_0 + gamma theta* up to quadrature error.
+        rng = np.random.default_rng(11)
+        cases = [(1.0, 2.0, 0.5)] + [
+            (float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.05, 4.0)),
+             float(rng.uniform(0.0, 0.95))) for _ in range(6)]
+        for star, probe_value, gamma in cases:
+            pm = PopulationModel.sym2(star, gamma)
+            pm0 = pm.with_gamma(0.0)
+            probe = MixtureParams.symmetric(probe_value)
+            for k, sign in ((0, -1.0), (1, 1.0)):
+                lhs = pop_m_gamma(pm, probe, k)
+                rhs = (1.0 - gamma) * pop_m0(pm0, probe, k) + gamma * sign * star
+                assert lhs == pytest.approx(rhs, abs=1e-12), (star, probe, gamma)
 
     def test_gamma_one_rejected(self):
         with pytest.raises(DomainError):
