@@ -5,7 +5,13 @@
 
 Exit codes (frozen interface): 0 success, 2 configuration error, 3 numeric
 failure, 4 a verified inequality failed.  Errors are emitted as one JSON
-object on stderr.  All file writes are whole-file atomic (temp + rename).
+object on stderr.  All file writes are whole-file atomic (temp + rename); a
+write that fails (say, the output path is a directory) leaves no temporary
+file behind and exits 2 with ``field: "output.directory"``.
+
+Each call builds the argument parser of its one command only;
+:func:`build_parser` is the parser of all of them, and ``main`` parses the
+same namespace as it does.
 """
 
 from __future__ import annotations
@@ -72,16 +78,21 @@ def _jsonify(obj):
 
 def _write_via(path: str, writer) -> None:
     """Whole-file atomic write: ``writer(tmp)`` fills a temporary file in
-    the destination directory, which is then renamed over ``path``."""
+    the destination directory, which is then renamed over ``path``.  On
+    failure the temporary file is removed; an ``OSError`` is raised again
+    naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssem-tmp-")
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssem-tmp-")
+        os.close(fd)
         writer(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -230,9 +241,11 @@ def cmd_verify(cfg: RunConfig, which: str, out_dir: str) -> int:
     return EXIT_OK if pass_all else EXIT_VIOLATION
 
 
-def _emit_error(kind: str, exc: Exception) -> None:
+def _emit_error(kind: str, exc: Exception, field: str = "") -> None:
+    """One JSON error object on stderr; ``field`` names the config key at
+    fault when ``exc`` carries none."""
     payload = {"error": kind, "type": type(exc).__name__, "message": str(exc)}
-    field = getattr(exc, "field", "")
+    field = getattr(exc, "field", "") or field
     if field:
         payload["field"] = field
     iteration = getattr(exc, "iteration", None)
@@ -241,25 +254,46 @@ def _emit_error(kind: str, exc: Exception) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+COMMANDS = ("simulate", "population", "sample", "verify")
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """The arguments of ``command``, declared once for both parsers."""
+    if command == "verify":
+        parser.add_argument("which", choices=VERIFY_TARGETS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--set", dest="assignments", action="append",
+                        default=[], metavar="KEY=VALUE")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command: ``ssem <command> ...``."""
     parser = argparse.ArgumentParser(
         prog="ssem",
         description="Semi-supervised EM simulator and rate-bound verifier")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "population", "sample", "verify"):
-        cmd = sub.add_parser(name)
-        if name == "verify":
-            cmd.add_argument("which", choices=VERIFY_TARGETS)
-        cmd.add_argument("--config", required=True)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--set", dest="assignments", action="append",
-                         default=[], metavar="KEY=VALUE")
+    for name in COMMANDS:
+        _add_options(sub.add_parser(name), name)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, built for the one command named
+    in ``argv[0]``: a command line runs one command, and the parser of all
+    of them costs most of a millisecond to build.  A missing or unknown
+    command goes to the full parser, which reports it (exit 2)."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog=f"ssem {argv[0]}")
+    _add_options(parser, argv[0])
+    return parser.parse_args(argv[1:],
+                             namespace=argparse.Namespace(command=argv[0]))
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         raw = load_config_file(args.config)
         raw = apply_overrides(raw, args.assignments)
@@ -290,6 +324,9 @@ def main(argv=None) -> int:
     except SsemError as exc:
         _emit_error("numeric", exc)
         return EXIT_NUMERIC
+    except OSError as exc:  # an artifact could not be written
+        _emit_error("config", exc, field="output.directory")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

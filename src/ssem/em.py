@@ -190,17 +190,19 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
 
 def _update(kind: ModelKind, S: np.ndarray, N: np.ndarray,
             theta_t: MixtureParams) -> MixtureParams:
-    """Maximizer of the surrogate built from ``(S, N)``: component k from
-    :meth:`ModelKind.tied_update` on ``(S_j, N_j)``.  Untied, that maps the
-    mean ``S_k / N_k`` to its parameter; for ``sym2`` it is the tied value
-    ``(S_1 - S_0) / (N_0 + N_1)``.  Raises :class:`EmptyComponent` when the
-    mass ``sum a_j^2 N_j`` underflows: no labeled support and negligible
-    responsibility mass."""
+    """Maximizer of the surrogate built from ``(S, N)``: the components of
+    each tie group from one :meth:`ModelKind.tied_update` on ``(S_j,
+    N_j)``.  Untied, that maps the mean ``S_k / N_k`` to its parameter; for
+    ``sym2`` it is the tied value ``(S_1 - S_0) / (N_0 + N_1)``.  Raises
+    :class:`EmptyComponent` when the mass ``sum a_j^2 N_j`` underflows: no
+    labeled support and negligible responsibility mass."""
     S, N = S.tolist(), N.tolist()
-    return MixtureParams(theta_t.pi, [
-        kind.tied_update(k, lambda j: (S[j], N[j]), x0,
-                         _EMPTY_DENOMINATOR, EmptyComponent)
-        for k, x0 in enumerate(theta_t.theta.tolist())])
+    theta: dict[int, float] = {}
+    for k, x0 in enumerate(theta_t.theta.tolist()):
+        if k not in theta:
+            theta.update(kind.tied_update(k, lambda j: (S[j], N[j]), x0,
+                                          _EMPTY_DENOMINATOR, EmptyComponent))
+    return theta_t.with_theta([theta[k] for k in range(theta_t.K)])
 
 
 def _carrier_sum(kind: ModelKind, data,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -223,9 +223,9 @@ class MixtureParams:
     __slots__ = ("pi", "theta")
 
     def __init__(self, pi, theta):
-        pi = np.asarray(pi, dtype=float).copy()
-        theta = np.asarray(theta, dtype=float).copy()
-        if pi.ndim != 1 or theta.ndim != 1 or pi.shape != theta.shape:
+        pi = np.array(pi, dtype=float)
+        theta = np.array(theta, dtype=float)
+        if pi.ndim != 1 or theta.shape != pi.shape:
             raise DomainError("pi and theta must be 1-d vectors of equal length")
         if pi.size < 1:
             raise DomainError("mixture needs at least one component")
@@ -235,12 +235,28 @@ class MixtureParams:
             raise DomainError(f"all mixture weights must be positive, got {pi}")
         if abs(pi.sum() - 1.0) > 1e-12:
             raise DomainError(f"mixture weights must sum to 1, got sum={pi.sum()!r}")
+        pi.setflags(write=False)
+        self._set(pi, theta)
+
+    def _set(self, pi: np.ndarray, theta: np.ndarray) -> None:
+        """Store the checked, read-only ``pi`` and a new ``theta`` array of
+        its shape, after checking that ``theta`` is finite."""
         if not np.isfinite(theta).all():
             raise DomainError(f"component parameters must be finite, got {theta}")
-        pi.setflags(write=False)
         theta.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "theta", theta)
+
+    def with_theta(self, theta) -> "MixtureParams":
+        """These weights with component parameters ``theta``.  Only
+        ``theta`` is checked: the weights were when ``self`` was built, and
+        the new parameters share them."""
+        theta = np.array(theta, dtype=float)
+        if theta.shape != self.pi.shape:
+            raise DomainError("pi and theta must be 1-d vectors of equal length")
+        new = object.__new__(MixtureParams)
+        new._set(self.pi, theta)
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("MixtureParams is immutable")
@@ -320,12 +336,15 @@ class ModelKind:
         return _SYM2_TIE if self.tag == "sym2" else ((k, 1.0),)
 
     def tied_update(self, k: int, moments: Callable, x0: float,
-                    floor: float, error: type) -> float:
-        """Component k's parameter from per-component moments: with
-        ``moments(j) = (num_j, den_j)``, the mass-weighted sum of t(y) and
-        the mass, ``n = sum a_j num_j`` and ``d = sum a_j^2 den_j`` over
-        :meth:`tie`, and ``theta_k = a_k * theta_from_mean(n / d)``, from
-        ``x0``, the previous ``theta_k``.
+                    floor: float, error: type) -> tuple[tuple[int, float], ...]:
+        """The parameters of component k and of every component tied to it,
+        as pairs ``(j, theta_j)`` in :meth:`tie` order, from per-component
+        moments: with ``moments(j) = (num_j, den_j)``, the mass-weighted sum
+        of t(y) and the mass, ``n = sum a_j num_j`` and ``d = sum a_j^2
+        den_j`` over the tie, the free parameter ``phi =
+        theta_from_mean(n / d)``, from ``a_k * x0`` (``x0`` is the previous
+        ``theta_k``), and ``theta_j = a_j * phi``.  So the tie group is
+        solved once, whichever of its components asks.
 
         This maximizes ``sum_j theta_j num_j - alpha(theta_j) den_j`` under
         the tie (McLachlan & Krishnan, *The EM Algorithm and Extensions*,
@@ -342,7 +361,8 @@ class ModelKind:
                 a_k = a
         if abs(d) < floor:
             raise error(f"component {k}: denominator {d:.3e} below {floor:g}")
-        return a_k * self.theta_from_mean(n / d, x0=a_k * x0)
+        phi = self.theta_from_mean(n / d, x0=a_k * x0)
+        return tuple((j, a * phi) for j, a in self.tie(k))
 
     def check_params(self, params: MixtureParams) -> None:
         if self.tag == "sym2":
@@ -375,32 +395,53 @@ class ModelKind:
         k by ``offset * a_k``, so every component for the untied kinds and
         ``(-theta, theta)`` to ``(-theta - offset, theta + offset)`` for
         ``sym2``."""
-        shifted = MixtureParams(params.pi, [
+        shifted = params.with_theta([
             th + offset * dict(self.tie(k))[k]
             for k, th in enumerate(params.theta.tolist())])
         self.check_params(shifted)
         return shifted
 
 
-def _natural_logits(family: ExpFamilySpec, theta: np.ndarray, log_pi,
-                    y: np.ndarray) -> np.ndarray:
-    """(K, N) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``: the
-    component log densities without the carrier ``h(y)``, which every
-    component shares.  ``y`` must already be 1-d float."""
-    logits = np.multiply.outer(theta, np.asarray(family.t(y), dtype=float))
-    logits += (log_pi - np.asarray(family.alpha(theta), dtype=float))[:, None]
-    return logits
+class LogitTerms(NamedTuple):
+    """The parts of the natural-form logits that do not depend on y, for
+    one checked parameter vector: the family, ``theta`` and the offsets
+    ``log_pi_k - alpha(theta_k)``.  Build them with :meth:`of` once and
+    pass them to :func:`responsibility_rows` for every point set."""
+
+    family: ExpFamilySpec
+    theta: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, kind: ModelKind, params: MixtureParams,
+           log_pi=None) -> "LogitTerms":
+        """The terms of ``params``, after checking them.  ``log_pi``
+        replaces ``log(pi)`` (0 gives the component log densities)."""
+        kind.check_params(params)
+        family = kind.family
+        if log_pi is None:
+            log_pi = np.log(params.pi)
+        return cls(family, params.theta,
+                   log_pi - np.asarray(family.alpha(params.theta), dtype=float))
+
+    def logits(self, y: np.ndarray) -> np.ndarray:
+        """(K, N) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``: the
+        component log densities without the carrier ``h(y)``, which every
+        component shares.  ``y`` must already be 1-d float."""
+        logits = np.multiply.outer(self.theta,
+                                   np.asarray(self.family.t(y), dtype=float))
+        logits += self.offsets[:, None]
+        return logits
 
 
 def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
     """log p(y | component k; theta).  Vectorized over ``y``."""
-    kind.check_params(params)
+    terms = LogitTerms.of(kind, params, log_pi=0.0)
     if not 0 <= k < params.K:
         raise DomainError(f"component index {k} out of range for K={params.K}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    family = kind.family
-    out = (_natural_logits(family, params.theta, 0.0, y_arr)[k]
-           + np.asarray(family.log_carrier(y_arr), dtype=float))
+    out = (terms.logits(y_arr)[k]
+           + np.asarray(terms.family.log_carrier(y_arr), dtype=float))
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
@@ -418,12 +459,11 @@ def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
     plus the log-sum-exp of the natural-form logits, taken as the column
     max plus the log of the max-shifted exponentials' sum, so nothing
     overflows for |theta|, |y| up to 50."""
-    kind.check_params(params)
+    terms = LogitTerms.of(kind, params)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    family = kind.family
-    logits = _natural_logits(family, params.theta, np.log(params.pi), y_arr)
+    logits = terms.logits(y_arr)
     top = _shifted_exp(logits)
-    out = (np.asarray(family.log_carrier(y_arr), dtype=float)
+    out = (np.asarray(terms.family.log_carrier(y_arr), dtype=float)
            + (np.log(logits.sum(axis=0)) + top))
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
@@ -431,11 +471,16 @@ def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
 def log_responsibilities(kind: ModelKind, params: MixtureParams,
                          y: np.ndarray) -> np.ndarray:
     """(N, K) matrix of log posterior component probabilities."""
-    kind.check_params(params)
-    logits = _natural_logits(kind.family, params.theta, np.log(params.pi),
-                             np.asarray(y, dtype=float))
+    logits = LogitTerms.of(kind, params).logits(np.asarray(y, dtype=float))
     logits -= logits.max(axis=0)
     return (logits - np.log(np.exp(logits).sum(axis=0))).T
+
+
+def _normalized_exp(logits: np.ndarray) -> np.ndarray:
+    """In place on (K, N) logits: the posterior probabilities."""
+    _shifted_exp(logits)
+    logits /= logits.sum(axis=0)
+    return logits
 
 
 def responsibilities(kind: ModelKind, params: MixtureParams,
@@ -447,12 +492,16 @@ def responsibilities(kind: ModelKind, params: MixtureParams,
     The logits are linear in ``t(y)`` (``h(y)`` cancels), so no ``y**2``
     is ever formed; one max shift keeps every exponent <= 0.
     """
-    kind.check_params(params)
-    q = _natural_logits(kind.family, params.theta, np.log(params.pi),
-                        np.asarray(y, dtype=float))
-    _shifted_exp(q)
-    q /= q.sum(axis=0)
-    return q.T
+    terms = LogitTerms.of(kind, params)
+    return _normalized_exp(terms.logits(np.asarray(y, dtype=float))).T
+
+
+def responsibility_rows(terms: LogitTerms, y: np.ndarray) -> np.ndarray:
+    """``responsibilities(kind, params, y).T``, the same bits, from
+    ``terms = LogitTerms.of(kind, params)`` and a 1-d float ``y``: a caller
+    that evaluates one parameter vector at many point sets (a population
+    integrand) checks it and computes its offsets once."""
+    return _normalized_exp(terms.logits(y))
 
 
 def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -44,10 +44,11 @@ from . import quadrature
 from .em import Trajectory
 from .errors import DegenerateDenominator, DomainError
 from .model import (
+    LogitTerms,
     MixtureParams,
     ModelKind,
     marginal_log_density,
-    responsibilities,
+    responsibility_rows,
 )
 
 _DEGENERATE_DENOMINATOR = 1e-12
@@ -104,6 +105,13 @@ class PopulationModel:
                       for k in range(star.K)),
                 tuple(star.pi.tolist()))
 
+    @cached_property
+    def _truth_key(self) -> tuple:
+        """Everything of this model that an integral under its truth
+        depends on: the first part of every :class:`IntegralMemo` key."""
+        return (self.kind, self.theta_star.theta.tobytes(),
+                self.theta_star.pi.tobytes(), self.scheme)
+
 
 def _component_scales(pm: PopulationModel) -> tuple[np.ndarray, np.ndarray]:
     """Component means and standard deviations under the truth."""
@@ -156,15 +164,10 @@ def _remembered(key: tuple, compute: Callable[[], object]):
     memo = _memo.get()
     if memo is None:
         return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
-def _truth_key(pm: PopulationModel) -> tuple:
-    """Everything of ``pm`` that an integral under its truth depends on."""
-    return (pm.kind, pm.theta_star.theta.tobytes(), pm.theta_star.pi.tobytes(),
-            pm.scheme)
+    value = memo.get(key)  # no computed value is None
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 class _TruthGrid(NamedTuple):
@@ -206,7 +209,7 @@ def expect(pm: PopulationModel,
     ``(M, n)``, giving an ``(M,)`` array whose every entry meets the
     tolerance.  The points may be read-only.
     """
-    grid = _remembered(("grid",) + _truth_key(pm), lambda: _TruthGrid.of(pm))
+    grid = _remembered(("grid",) + pm._truth_key, lambda: _TruthGrid.of(pm))
     if grid.panels is None:
         value = np.sum(np.asarray(f(grid.nodes), dtype=float) * grid.density,
                        axis=-1)
@@ -238,29 +241,36 @@ class PopulationStep:
     Build it with :meth:`at`; every population update at the probe reads
     from it, whatever the labeled fraction.  Inside an :class:`IntegralMemo`
     the moments at a probe are integrated once for every ``pm`` with the
-    same truth and scheme.
+    same truth and scheme.  Each tie group's update at a labeled fraction
+    is solved once per step.
     """
 
     pm: PopulationModel
     theta: MixtureParams
     e_q: np.ndarray
     e_qt: np.ndarray
+    _solved: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def at(cls, pm: PopulationModel, theta: MixtureParams) -> "PopulationStep":
         """All 2K moments at probe ``theta`` from one vector integral."""
         pm.kind.check_params(theta)
 
-        def moments(y):
-            q = responsibilities(pm.kind, theta, y).T
-            return np.concatenate([q, q * _statistic(pm, y)])
-
         def integral():
+            # theta is checked and its logit offsets computed once, not
+            # once per integrand call.
+            terms = LogitTerms.of(pm.kind, theta)
+
+            def moments(y):
+                q = responsibility_rows(terms, y)
+                return np.concatenate([q, q * _statistic(pm, y)])
+
             values = expect(pm, moments)
             values.setflags(write=False)
             return values
 
-        values = _remembered(("moments",) + _truth_key(pm)
+        values = _remembered(("moments",) + pm._truth_key
                              + (theta.theta.tobytes(), theta.pi.tobytes()),
                              integral)
         return cls(pm, theta, values[:theta.K], values[theta.K:])
@@ -277,19 +287,24 @@ class PopulationStep:
         """Component k of the update at labeled fraction ``gamma``:
         :meth:`ModelKind.tied_update` on the moments mixed with weight
         gamma, ``num_j = (1 - gamma) E[q_j t(Y)] + gamma pi_j
-        alpha'(theta*_j)`` and ``den_j = (1 - gamma) E[q_j] + gamma pi_j``.
-        Raises :class:`DegenerateDenominator` for this component alone when
-        ``|sum a_j^2 den_j| < 1e-12``."""
-        labeled_t, labeled_q = self.pm._labeled_moments
-        e_qt, e_q = self.e_qt, self.e_q
+        alpha'(theta*_j)`` and ``den_j = (1 - gamma) E[q_j] + gamma pi_j``,
+        once per tie group and gamma.  Raises
+        :class:`DegenerateDenominator` for this component's tie group alone
+        when ``|sum a_j^2 den_j| < 1e-12``."""
+        key = (k, gamma)
+        if key not in self._solved:
+            labeled_t, labeled_q = self.pm._labeled_moments
+            e_qt, e_q = self.e_qt, self.e_q
 
-        def moments(j):
-            return ((1.0 - gamma) * float(e_qt[j]) + gamma * labeled_t[j],
-                    (1.0 - gamma) * float(e_q[j]) + gamma * labeled_q[j])
+            def moments(j):
+                return ((1.0 - gamma) * float(e_qt[j]) + gamma * labeled_t[j],
+                        (1.0 - gamma) * float(e_q[j]) + gamma * labeled_q[j])
 
-        return self.pm.kind.tied_update(k, moments, float(self.theta.theta[k]),
-                                        _DEGENERATE_DENOMINATOR,
-                                        DegenerateDenominator)
+            for j, theta_j in self.pm.kind.tied_update(
+                    k, moments, float(self.theta.theta[k]),
+                    _DEGENERATE_DENOMINATOR, DegenerateDenominator):
+                self._solved[(j, gamma)] = theta_j
+        return self._solved[key]
 
 
 def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
@@ -338,7 +353,7 @@ def dm0_dtheta_sym2(pm: PopulationModel, theta: float) -> float:
         z = np.exp(-2.0 * np.abs(y) * theta)
         return 4.0 * y * y * z / (1.0 + z) ** 2
 
-    return _remembered(("dm0",) + _truth_key(pm) + (float(theta).hex(),),
+    return _remembered(("dm0",) + pm._truth_key + (float(theta).hex(),),
                        lambda: expect(pm, integrand))
 
 
@@ -350,16 +365,16 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
     surrogate column stays empty.
     """
     pm.kind.check_params(theta0)
+    star = pm.theta_star.theta
     traj = Trajectory(iterates=[theta0])
-    traj.errors.append(float(np.max(np.abs(theta0.theta - pm.theta_star.theta))))
+    traj.errors.append(float(np.abs(theta0.theta - star).max()))
     current = theta0
     for _ in range(max_iters):
         step = PopulationStep.at(pm, current)
-        nxt = MixtureParams(current.pi,
-                            [step.m_gamma(k) for k in range(current.K)])
+        nxt = current.with_theta([step.m_gamma(k) for k in range(current.K)])
         traj.iterates.append(nxt)
-        traj.errors.append(float(np.max(np.abs(nxt.theta - pm.theta_star.theta))))
-        delta = float(np.max(np.abs(nxt.theta - current.theta)))
+        traj.errors.append(float(np.abs(nxt.theta - star).max()))
+        delta = float(np.abs(nxt.theta - current.theta).max())
         current = nxt
         if delta < tol:
             traj.converged = True

@@ -25,6 +25,7 @@ internal ordering.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,9 +78,9 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class Panels(NamedTuple):
-    """A split of ``[a, b]`` into panels ``[lo_i, hi_i]`` and their Kronrod
-    nodes.  :meth:`uniform` is the split ``integrate`` makes from a panel
-    count."""
+    """A split of ``[a, b]`` into panels ``[lo_i, hi_i]``, in ascending
+    order, and their Kronrod nodes.  :meth:`uniform` is the split
+    ``integrate`` makes from a panel count."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -102,18 +103,27 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
     half = 0.5 * (hi - lo)
     fx = np.asarray(f(nodes), dtype=float)
     fx = fx.reshape(fx.shape[:-1] + (lo.size, _XK.size))
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         raise QuadratureFailure("integrand returned a non-finite value")
     resk = fx @ _WK
-    resg = fx[..., _GAUSS_IDX] @ _WG
-    values = resk * half
-    raw = np.abs(resk - resg) * half
+    raw = resk - fx[..., _GAUSS_IDX] @ _WG
+    np.abs(raw, out=raw)
+    raw *= half
     # Scale of |f - mean| over the panel; damps the raw Gauss/Kronrod gap the
     # same way QUADPACK does so smooth panels are not over-reported.
-    resasc = (np.abs(fx - 0.5 * resk[..., None]) @ _WK) * half
-    scaled = resasc * np.minimum(1.0, (200.0 * raw / np.maximum(resasc, _TINY)) ** 1.5)
-    errors = np.where(resasc > 0.0, scaled, raw)
-    return values, errors
+    # ``fx`` may be the integrand's own array, so it is not written to.
+    dev = fx - 0.5 * resk[..., None]
+    np.abs(dev, out=dev)
+    resasc = dev @ _WK
+    resasc *= half
+    resk *= half  # the Kronrod estimate of each panel's integral
+    ratio = np.maximum(resasc, _TINY)
+    np.divide(200.0 * raw, ratio, out=ratio)
+    ratio **= 1.5
+    np.minimum(ratio, 1.0, out=ratio)
+    ratio *= resasc
+    errors = np.where(resasc > 0.0, ratio, raw)
+    return resk, errors
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -133,7 +143,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     :class:`Panels` spanning ``[a, b]``, whose ``nodes`` array is then the
     argument of the first call to ``f``.
     """
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"invalid integration interval [{a}, {b}]")
     if abs_tol <= 0.0:
         raise ValueError("abs_tol must be positive")
@@ -149,7 +159,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     min_width = (b - a) * 1e-15
 
     while True:
-        total_error = float(np.max(errors.sum(axis=-1)))
+        total_error = float(errors.sum(axis=-1).max())
         if total_error <= abs_tol:
             break
         if lo.size >= max_subdivisions:
@@ -171,9 +181,17 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         values = np.concatenate([values[..., ~split], new_values], axis=-1)
         errors = np.concatenate([errors[..., ~split], new_errors], axis=-1)
 
-    order = np.argsort(lo, kind="stable")
-    value = values[..., order].sum(axis=-1)
-    error = errors[..., order].sum(axis=-1)
+    if lo.size == start.lo.size:
+        # No panel was split, so the panels are already in ascending order.
+        # Summing the F-ordered copy adds each output's panels one after the
+        # other, as the sum over the reordered (F-ordered) copy below does:
+        # the same bits.
+        value = np.asfortranarray(values).sum(axis=-1)
+        error = np.asfortranarray(errors).sum(axis=-1)
+    else:
+        order = np.argsort(lo, kind="stable")
+        value = values[..., order].sum(axis=-1)
+        error = errors[..., order].sum(axis=-1)
     if value.ndim == 0:
         return float(value), float(error)
     return value, error

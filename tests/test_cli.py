@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ssem
-from ssem.cli import main
+from ssem import cli
+from ssem.cli import build_parser, main
 from ssem.config import (
     apply_overrides,
     build_run_config,
@@ -192,6 +193,25 @@ em.theta0 = 0.0, 0.5
         assert err["error"] == "config"
         assert err["field"] == "data.gamma"
 
+    @pytest.mark.parametrize("command, artifact", [
+        (["verify", "lemma3"], "verify_lemma3.json"),
+        (["simulate", "--set", "data.total_samples=200"], "dataset.csv"),
+    ], ids=["verify", "simulate"])
+    def test_failed_artifact_write_is_config_error(self, tmp_path, capsys,
+                                                   command, artifact):
+        # The artifact's path is taken by a directory, so the rename fails.
+        cfg = write_cfg(tmp_path, SYM2_CFG)
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        rc = main(command + ["--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "output.directory"
+        assert err["type"] == "IsADirectoryError"
+        assert str(out / artifact) in err["message"]
+        assert sorted(p.name for p in out.iterdir()) == [artifact]
+
     def test_violation_exit_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.kind = sym2\nmodel.theta_star = 1.0\n")
         rc = main(["verify", "thm3-3", "--config", cfg, "--out", str(tmp_path),
@@ -199,6 +219,61 @@ em.theta0 = 0.0, 0.5
         assert rc == 4
         payload = json.loads((tmp_path / "verify_thm3-3.json").read_text())
         assert payload["pass_all"] is False
+
+
+class TestArgumentParsing:
+    """``main`` builds the parser of its one command; it must parse what the
+    parser of every command, :func:`build_parser`, parses."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "a.cfg"],
+        ["population", "--config", "a.cfg", "--out", "d"],
+        ["sample", "--out", "d", "--config", "a.cfg", "--seed", "18446744073709551615"],
+        ["simulate", "--config", "a.cfg", "--set", "data.gamma=0.1",
+         "--set", "em.tol=1e-9", "--seed", "-3"],
+        ["verify", "all", "--config", "a.cfg"],
+        ["verify", "--config", "a.cfg", "thm3-3", "--set", "x=1, 2",
+         "--out", "d", "--set", "x=3"],
+        ["verify", "lemma3", "--conf", "a.cfg", "--seed", "0"],
+        ["population", "--config=a.cfg", "--set=a=b"],
+    ])
+    def test_same_namespace_as_full_parser(self, argv):
+        assert cli._parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate", "--config", "a.cfg"],
+        ["--config", "a.cfg", "simulate"],
+        ["verify", "--config", "a.cfg"],
+        ["verify", "thm9", "--config", "a.cfg"],
+        ["simulate"],
+        ["population", "--out", "d"],
+        ["sample", "--config", "a.cfg", "--seed", "1.5"],
+        ["simulate", "--config", "a.cfg", "--bogus"],
+    ], ids=["empty", "unknown-command", "option-first", "verify-no-target",
+            "verify-bad-target", "no-config", "no-config-with-out",
+            "non-integer-seed", "unknown-option"])
+    def test_usage_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: ssem" in capsys.readouterr().err
+
+    def test_assignments_do_not_leak_between_calls(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(raw, assignments):
+            seen.append(list(assignments))
+            return apply_overrides(raw, assignments)
+
+        monkeypatch.setattr(cli, "apply_overrides", recording)
+        cfg = write_cfg(tmp_path, SYM2_CFG.replace("100000", "40"))
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path),
+                     "--set", "data.total_samples=50"]) == 0
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert seen == [["data.total_samples=50"], []]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["m"] + summary["n"] == 40
 
 
 class TestSimulate:

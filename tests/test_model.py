@@ -191,6 +191,20 @@ class TestMixtureParams:
         with pytest.raises(ValueError):
             params.theta[0] = 1.0
 
+    def test_with_theta_shares_weights_and_checks_theta(self):
+        params = MixtureParams([0.2, 0.8], [0.0, 1.0])
+        source = [2.0, -3.0]
+        moved = params.with_theta(source)
+        assert moved.pi is params.pi
+        assert moved == MixtureParams([0.2, 0.8], [2.0, -3.0])
+        source[0] = 9.0  # the new theta is a copy, read-only
+        assert moved.theta.tolist() == [2.0, -3.0]
+        with pytest.raises(ValueError):
+            moved.theta[0] = 1.0
+        for bad in ([1.0], [[1.0, 2.0]], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(DomainError):
+                params.with_theta(bad)
+
     def test_sym2_scalar_roundtrip(self):
         assert MixtureParams.symmetric(1.25).sym2_scalar() == 1.25
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from ssem.model import (
 )
 from ssem.population import (
     PopulationModel,
+    PopulationStep,
     QuadratureScheme,
     c_theta,
     dm0_dtheta_sym2,
@@ -333,3 +334,74 @@ class TestIntegralCount:
 
         rate_bound_item3(1.0, 0.0, 3.0)
         assert len(calls) == 2
+
+
+class TestTieRuleCount:
+    """A step solves each tie group once per labeled fraction, whichever
+    components ask and how often."""
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        import ssem.model
+
+        counter = []
+        original = ssem.model.invert_alpha_prime
+
+        def counting(*args, **kwargs):
+            counter.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ssem.model, "invert_alpha_prime", counting)
+        return counter
+
+    def test_sym2_one_inversion_per_gamma(self, inversions):
+        step = PopulationStep.at(PopulationModel.sym2(1.5, 0.3),
+                                 MixtureParams.symmetric(2.5))
+        m0 = [step.m0(k) for k in (0, 1)]
+        assert len(inversions) == 1
+        mg = [step.m_gamma(k) for k in (1, 0)]
+        assert len(inversions) == 2
+        for _ in range(2):
+            assert [step.m0(k) for k in (0, 1)] == m0
+            assert [step.m_gamma(k) for k in (1, 0)] == mg
+        assert len(inversions) == 2
+        assert m0[0] == -m0[1] and mg[1] == -mg[0]
+        assert np.signbit(m0[0]) and not np.signbit(m0[1])
+
+    def test_gmm3_one_inversion_per_component(self, inversions):
+        step = PopulationStep.at(PopulationModel(GMM, GMM3, 0.3),
+                                 MixtureParams(GMM3.pi, [-2.4, 0.3, 2.5]))
+        for _ in range(2):
+            for k in range(3):
+                step.m_gamma(k)
+        assert len(inversions) == 3
+        for k in range(3):
+            step.m0(k)
+        assert len(inversions) == 6
+
+    def test_population_em_one_inversion_per_sym2_step(self, inversions):
+        traj = run_population_em(PopulationModel.sym2(1.5, 0.3),
+                                 MixtureParams.symmetric(3.0))
+        assert traj.n_steps > 1
+        assert len(inversions) == traj.n_steps
+
+    def test_same_bits_as_one_rule_per_component(self):
+        # The value a group member reads is the one the tie rule computes
+        # for that component on its own.
+        for pm, probe in [
+                (PopulationModel.sym2(1.5, 0.3), MixtureParams.symmetric(2.5)),
+                (PopulationModel(GMM, GMM3, 0.3),
+                 MixtureParams(GMM3.pi, [-2.4, 0.3, 2.5]))]:
+            step = PopulationStep.at(pm, probe)
+            for gamma, read in ((0.0, step.m0), (pm.gamma, step.m_gamma)):
+                labeled_t, labeled_q = pm._labeled_moments
+
+                def moments(j):
+                    return ((1.0 - gamma) * float(step.e_qt[j]) + gamma * labeled_t[j],
+                            (1.0 - gamma) * float(step.e_q[j]) + gamma * labeled_q[j])
+
+                for k in range(probe.K):
+                    alone = dict(pm.kind.tied_update(
+                        k, moments, float(probe.theta[k]), 1e-12,
+                        DegenerateDenominator))[k]
+                    assert read(k) == alone

@@ -120,3 +120,100 @@ def test_deterministic_bits():
     a = integrate(f, -12, 13, abs_tol=1e-11)
     b = integrate(f, -12, 13, abs_tol=1e-11)
     assert a == b
+
+
+def _reference_estimates(f, lo, hi, nodes):
+    """The per-panel estimates as computed before the in-place rewrite."""
+    from ssem.quadrature import _GAUSS_IDX, _TINY, _WG, _WK, _XK
+
+    half = 0.5 * (hi - lo)
+    fx = np.asarray(f(nodes), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + (lo.size, _XK.size))
+    resk = fx @ _WK
+    resg = fx[..., _GAUSS_IDX] @ _WG
+    values = resk * half
+    raw = np.abs(resk - resg) * half
+    resasc = (np.abs(fx - 0.5 * resk[..., None]) @ _WK) * half
+    scaled = resasc * np.minimum(1.0, (200.0 * raw / np.maximum(resasc, _TINY)) ** 1.5)
+    return values, np.where(resasc > 0.0, scaled, raw)
+
+
+def reference_integrate(f, a, b, abs_tol, initial_panels):
+    """``integrate`` as it was before the no-split fast path: every result
+    is summed over the panels reordered by ``argsort``."""
+    from ssem.quadrature import _kronrod_nodes
+
+    lo, hi = initial_panels.lo, initial_panels.hi
+    values, errors = _reference_estimates(f, lo, hi, initial_panels.nodes)
+    while float(np.max(errors.sum(axis=-1))) > abs_tol:
+        split = (errors.reshape(-1, lo.size) > abs_tol / (2.0 * lo.size)).any(axis=0)
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_values, new_errors = _reference_estimates(
+            f, new_lo, new_hi, _kronrod_nodes(new_lo, new_hi))
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
+        values = np.concatenate([values[..., ~split], new_values], axis=-1)
+        errors = np.concatenate([errors[..., ~split], new_errors], axis=-1)
+    order = np.argsort(lo, kind="stable")
+    value = values[..., order].sum(axis=-1)
+    error = errors[..., order].sum(axis=-1)
+    if value.ndim == 0:
+        return float(value), float(error)
+    return value, error
+
+
+class TestReferenceBits:
+    """``integrate`` returns the bits of the reference algorithm above, both
+    when the starting panels already meet the tolerance (the fast path: no
+    reordering) and when panels are split."""
+
+    @staticmethod
+    def vector(x):
+        # Posterior-moment-like rows of very different scales, so the order
+        # of the panel sums shows in the last bit.
+        q = 1.0 / (1.0 + np.exp(-2.0 * x))
+        w = gaussian_pdf(x - 0.4)
+        return np.stack([q * w, (1.0 - q) * w, q * x * w, 1e-9 * x ** 3 * w,
+                         1e6 * gaussian_pdf(x + 1.0) * w])
+
+    @staticmethod
+    def scalar(x):
+        return np.tanh(x) * gaussian_pdf(x - 0.7) + 1e-7 * x ** 2
+
+    @pytest.mark.parametrize("which", ["scalar", "vector"])
+    @pytest.mark.parametrize("counts, abs_tol, refined", [
+        ((60, 200), 1e-12, False),
+        ((8, 25), 1e-13, True),
+    ], ids=["starting-panels", "refined"])
+    def test_same_value_and_error_bits(self, which, counts, abs_tol, refined):
+        f = getattr(self, which)
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        for count in counts:
+            panels = Panels.uniform(-12.0, 13.0, count)
+            calls.clear()
+            got = integrate(counted, -12.0, 13.0, abs_tol=abs_tol,
+                            initial_panels=panels)
+            assert (len(calls) > 1) == refined
+            want = reference_integrate(f, -12.0, 13.0, abs_tol, panels)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert type(got[0]) is type(want[0])
+
+    def test_data_tells_the_sum_orders_apart(self):
+        # The reason the fast path sums an F-ordered copy: a plain pairwise
+        # row sum of the same panel values differs in the last bit.
+        panels = Panels.uniform(-12.0, 13.0, 200)
+        values, _ = integrate(self.vector, -12.0, 13.0, abs_tol=1e-3,
+                              initial_panels=panels)
+        panel_values, _ = _reference_estimates(self.vector, panels.lo,
+                                               panels.hi, panels.nodes)
+        reordered = panel_values[..., np.arange(200)]
+        assert np.array_equal(values, reordered.sum(axis=-1))
+        assert not np.array_equal(values, panel_values.sum(axis=-1))
