@@ -44,6 +44,7 @@ from .model import MixtureParams
 from .population import (
     PopulationModel,
     PopulationStep,
+    QuadratureScheme,
     dm0_dtheta_sym2,
     run_population_em,
 )
@@ -66,8 +67,42 @@ def beta_theoretical(c: float, pi_k: float, gamma: float) -> float:
     return c / (pi_k * gamma / (1.0 - gamma) + c)
 
 
+def _check(name: str, probe, lhs, rhs, passed, applicable=None) -> dict:
+    """One check entry ``{name, probe, lhs, rhs, pass}``: the relation that
+    ``name`` states between ``lhs`` and ``rhs`` at ``probe``.
+    ``applicable`` is added only when given; an entry without it counts."""
+    entry = {"name": name, "probe": probe, "lhs": lhs, "rhs": rhs,
+             "pass": bool(passed)}
+    if applicable is not None:
+        entry["applicable"] = bool(applicable)
+    return entry
+
+
+def all_pass(checks: list[dict]) -> bool:
+    """The pass rule of every verifier: each applicable check passes.
+    Entries marked not applicable are reported but never fail."""
+    return all(c["pass"] for c in checks if c.get("applicable", True))
+
+
 def _fixed_point_guard(pm: PopulationModel) -> float:
     return 100.0 * pm.scheme.abs_tol
+
+
+def _theorem1_ratio(step: PopulationStep, k: int) -> tuple[float, float, float]:
+    """``(M_0, M_gamma, |M_gamma - theta*_k| / |M_0 - theta*_k|)`` for
+    component k at the step's probe.
+
+    Raises :class:`ProbeTooCloseToFixedPoint` when the unlabeled update is
+    within quadrature noise of the truth and the ratio is ill-defined.
+    """
+    m0 = step.m0(k)
+    star_k = float(step.pm.theta_star.theta[k])
+    denom = abs(m0 - star_k)
+    if denom <= _fixed_point_guard(step.pm):
+        raise ProbeTooCloseToFixedPoint(
+            f"|M0 - theta*| = {denom:.3e} within the quadrature floor")
+    mg = step.m_gamma(k)
+    return m0, mg, abs(mg - star_k) / denom
 
 
 def contraction_ratio(pm: PopulationModel, theta_probe: MixtureParams,
@@ -77,13 +112,7 @@ def contraction_ratio(pm: PopulationModel, theta_probe: MixtureParams,
     Raises :class:`ProbeTooCloseToFixedPoint` when the unlabeled update is
     within quadrature noise of the truth and the ratio is ill-defined.
     """
-    star_k = float(pm.theta_star.theta[k])
-    step = PopulationStep.at(pm, theta_probe)
-    denom = abs(step.m0(k) - star_k)
-    if denom <= _fixed_point_guard(pm):
-        raise ProbeTooCloseToFixedPoint(
-            f"|M0 - theta*| = {denom:.3e} within the quadrature floor")
-    return abs(step.m_gamma(k) - star_k) / denom
+    return _theorem1_ratio(PopulationStep.at(pm, theta_probe), k)[2]
 
 
 @dataclass
@@ -114,28 +143,19 @@ class ContractionReport:
 
     @property
     def pass_all(self) -> bool:
-        return all(r.bound_satisfied for r in self.results if not r.skipped)
+        return all_pass(self.checks())
 
     def checks(self) -> list[dict]:
         out = []
         for r in self.results:
             name = f"thm1/ratio_le_beta[k={r.component}]"
             if r.skipped:
-                out.append({"name": name + " (skipped: probe at fixed point)",
-                            "probe": r.probe_theta, "lhs": None, "rhs": None,
-                            "pass": True})
+                out.append(_check(name + " (skipped: probe at fixed point)",
+                                  r.probe_theta, None, None, True))
             else:
-                out.append({"name": name, "probe": r.probe_theta,
-                            "lhs": r.ratio_empirical, "rhs": r.beta_theory,
-                            "pass": bool(r.bound_satisfied)})
+                out.append(_check(name, r.probe_theta, r.ratio_empirical,
+                                  r.beta_theory, r.bound_satisfied))
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma, "theta_star": self.theta_star, "pi": self.pi,
-            "probes": self.probes, "pass_all": self.pass_all,
-            "results": [vars(r) for r in self.results],
-        }
 
 
 def verify_theorem1(pm: PopulationModel,
@@ -150,7 +170,6 @@ def verify_theorem1(pm: PopulationModel,
     if pm.kind.tag == "expfam":
         raise DomainError("verify_theorem1 covers the Gaussian kinds; "
                           "use verify_theorem2 for exponential families")
-    guard = _fixed_point_guard(pm)
     report = ContractionReport(
         gamma=pm.gamma,
         theta_star=pm.theta_star.theta.tolist(),
@@ -160,17 +179,16 @@ def verify_theorem1(pm: PopulationModel,
         step = PopulationStep.at(pm, probe)
         for k in range(pm.theta_star.K):
             row = ProbeResult(i, k, probe.theta.tolist())
-            star_k = float(pm.theta_star.theta[k])
-            m0 = step.m0(k)
-            dist0 = abs(m0 - star_k)
-            if dist0 <= guard:
+            report.results.append(row)
+            try:
+                m0, _, row.ratio_empirical = _theorem1_ratio(step, k)
+            except ProbeTooCloseToFixedPoint:
                 row.skipped = True
-                report.results.append(row)
                 continue
-            mg = step.m_gamma(k)
-            c = float(step.e_q[k])
-            row.ratio_empirical = abs(mg - star_k) / dist0
-            row.beta_theory = beta_theoretical(c, float(pm.theta_star.pi[k]),
+            star_k = float(pm.theta_star.theta[k])
+            dist0 = abs(m0 - star_k)
+            row.beta_theory = beta_theoretical(step.c(k),
+                                               float(pm.theta_star.pi[k]),
                                                pm.gamma)
             probe_dist = abs(float(probe.theta[k]) - star_k)
             row.kappa_empirical = (dist0 / probe_dist if probe_dist > 0.0
@@ -179,7 +197,6 @@ def verify_theorem1(pm: PopulationModel,
             row.eta = m0 / star_k if abs(star_k) > 0.0 else math.nan
             row.bound_satisfied = (row.ratio_empirical
                                    <= row.beta_theory + THEOREM_SLACK)
-            report.results.append(row)
     return report
 
 
@@ -199,10 +216,6 @@ class Theorem2Series:
     taylor_slope: float = math.nan
     slope_ok: bool = True
 
-    @property
-    def passed(self) -> bool:
-        return self.monotone and (self.taylor_exact or self.slope_ok)
-
 
 @dataclass
 class Theorem2Report:
@@ -212,7 +225,7 @@ class Theorem2Report:
 
     @property
     def pass_all(self) -> bool:
-        return all(s.passed for s in self.series)
+        return all_pass(self.checks())
 
     def checks(self) -> list[dict]:
         out = []
@@ -220,21 +233,16 @@ class Theorem2Report:
             tag = f"[k={s.component},side={'+' if s.side > 0 else '-'}]"
             worst = max((s.gaps[i + 1] - s.gaps[i] for i in range(len(s.gaps) - 1)),
                         default=0.0)
-            out.append({"name": f"thm2/gap_monotone{tag}", "probe": s.epsilons,
-                        "lhs": worst, "rhs": 0.0, "pass": bool(s.monotone)})
+            out.append(_check(f"thm2/gap_monotone{tag}", s.epsilons, worst,
+                              0.0, s.monotone))
             if s.taylor_exact:
-                out.append({"name": f"thm2/taylor_exact{tag}", "probe": s.epsilons,
-                            "lhs": max(s.taylor_residuals, default=0.0),
-                            "rhs": 0.0, "pass": True})
+                out.append(_check(f"thm2/taylor_exact{tag}", s.epsilons,
+                                  max(s.taylor_residuals, default=0.0), 0.0,
+                                  True))
             else:
-                out.append({"name": f"thm2/taylor_slope{tag}", "probe": s.epsilons,
-                            "lhs": s.taylor_slope, "rhs": 2.0,
-                            "pass": bool(s.slope_ok)})
+                out.append(_check(f"thm2/taylor_slope{tag}", s.epsilons,
+                                  s.taylor_slope, 2.0, s.slope_ok))
         return out
-
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "theta_star": self.theta_star,
-                "pass_all": self.pass_all, "series": [vars(s) for s in self.series]}
 
 
 def verify_theorem2(pm: PopulationModel, epsilons: list[float],
@@ -251,7 +259,6 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
     if pm.kind.tag != "expfam":
         raise NotExpFam(f"verify_theorem2 requires an expfam kind, got {pm.kind.tag}")
     spec = pm.kind.spec
-    guard = _fixed_point_guard(pm)
     eps_sorted = sorted((float(e) for e in epsilons), reverse=True)
     report = Theorem2Report(gamma=pm.gamma,
                             theta_star=pm.theta_star.theta.tolist())
@@ -259,19 +266,18 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
         # Every component's series shares the probes theta* + side * eps.
         steps = [(eps, PopulationStep.at(
                       pm, pm.kind.shift(pm.theta_star, side * eps)))
-                 for eps in eps_sorted if eps > guard]
+                 for eps in eps_sorted if eps > _fixed_point_guard(pm)]
         for k in range(pm.theta_star.K):
             series = Theorem2Series(component=k, side=side)
             star_k = float(pm.theta_star.theta[k])
             ap_star = float(spec.alpha_prime(star_k))
             fisher_star = float(spec.alpha_second(star_k))
             for eps, step in steps:
-                m0 = step.m0(k)
-                if abs(m0 - star_k) <= guard:
+                try:
+                    _, mg, ratio = _theorem1_ratio(step, k)
+                except ProbeTooCloseToFixedPoint:
                     continue
-                mg = step.m_gamma(k)
-                ratio = abs(mg - star_k) / abs(m0 - star_k)
-                beta = beta_theoretical(float(step.e_q[k]),
+                beta = beta_theoretical(step.c(k),
                                         float(pm.theta_star.pi[k]), pm.gamma)
                 resid = abs(float(spec.alpha_prime(mg)) - ap_star
                             - (mg - star_k) * fisher_star)
@@ -310,24 +316,15 @@ class RateBoundReport:
 
     def checks(self) -> list[dict]:
         suffix = "" if self.applicable else " (not applicable)"
-        return [{"name": f"thm3-{self.item}/theta_star={self.theta_star:g}{suffix}",
-                 "probe": self.extras.get("theta_probe"),
-                 "lhs": self.measured_kappa,
-                 "rhs": self.bound_value / max(1.0 - self.gamma, 1e-300),
-                 "pass": bool(self.passed),
-                 "applicable": bool(self.applicable)}]
-
-    def to_dict(self) -> dict:
-        return vars(self)
-
-
-def _sym2_model(theta_star, gamma, scheme):
-    kwargs = {} if scheme is None else {"scheme": scheme}
-    return PopulationModel.sym2(float(theta_star), float(gamma), **kwargs)
+        return [_check(f"thm3-{self.item}/theta_star={self.theta_star:g}{suffix}",
+                       self.extras.get("theta_probe"), self.measured_kappa,
+                       self.bound_value / max(1.0 - self.gamma, 1e-300),
+                       self.passed, applicable=self.applicable)]
 
 
 def rate_bound_item1(theta_star: float, gamma: float,
-                     scheme=None) -> RateBoundReport:
+                     scheme: QuadratureScheme = QuadratureScheme()
+                     ) -> RateBoundReport:
     """Derivative bound ``(1 - gamma) * 4 / (theta*^2 e^2)``.
 
     Applicable when ``theta* > (2/e) sqrt(1 - gamma)`` (the unscaled
@@ -335,7 +332,7 @@ def rate_bound_item1(theta_star: float, gamma: float,
     derivative respects ``4 / (theta*^2 e^2)`` and, if applicable, the
     gamma-scaled rate is an actual contraction.
     """
-    pm = _sym2_model(theta_star, gamma, scheme)
+    pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
     measured = dm0_dtheta_sym2(pm, float(theta_star))
     kappa_bound = 4.0 / (theta_star ** 2 * math.e ** 2)
     applicable = theta_star > (2.0 / math.e) * math.sqrt(1.0 - gamma)
@@ -351,11 +348,12 @@ def rate_bound_item1(theta_star: float, gamma: float,
 
 
 def rate_bound_item2(theta_star: float, gamma: float,
-                     scheme=None) -> RateBoundReport:
+                     scheme: QuadratureScheme = QuadratureScheme()
+                     ) -> RateBoundReport:
     """Tail-split derivative bound for ``theta* > 2``:
     ``(1-gamma) * 4 [ (1/(theta*^2 e^2)) e^{-9 theta*^2/32}
                       + (theta*^2/16) e^{-theta*^2/2} ]``."""
-    pm = _sym2_model(theta_star, gamma, scheme)
+    pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
     measured = dm0_dtheta_sym2(pm, float(theta_star))
     kappa_bound = 4.0 * (
         math.exp(-9.0 * theta_star ** 2 / 32.0) / (theta_star ** 2 * math.e ** 2)
@@ -391,7 +389,8 @@ def unlabeled_pull_sym2(pm: PopulationModel, theta: float) -> float:
 
 
 def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
-                     scheme=None) -> RateBoundReport:
+                     scheme: QuadratureScheme = QuadratureScheme()
+                     ) -> RateBoundReport:
     """Gradient-smoothness bound for probes beyond ``theta* + 1``.
 
     Checks, by quadrature, that ``2 |f(theta) - f(theta*)|`` (with
@@ -409,7 +408,7 @@ def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
     if theta_probe <= theta_star + 1.0:
         raise ProbeOutsideRegime(
             f"probe {theta_probe} must exceed theta* + 1 = {theta_star + 1.0}")
-    pm = _sym2_model(theta_star, gamma, scheme)
+    pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
     const = (2.0 / (9.0 * theta_star ** 2 * _SQRT_2PI)
              * math.exp(-theta_star ** 2 / 2.0))
     applicable = theta_star > 0.5
@@ -467,6 +466,18 @@ def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
         raise SsemError(f"tail sandwich violated at t={t}: "
                         f"{lower} <= {tail} <= {upper}")
     return lower, upper, tail
+
+
+def lemma3_checks(tail_grid: list[float]) -> list[dict]:
+    """Both strict bounds of :func:`gaussian_tail_sandwich` at each ``t``."""
+    out = []
+    for t in tail_grid:
+        lower, upper, tail = gaussian_tail_sandwich(t)
+        out += [_check(f"lemma3/lower_lt_tail[t={t:g}]", t, lower, tail,
+                       lower < tail),
+                _check(f"lemma3/tail_lt_upper[t={t:g}]", t, tail, upper,
+                       tail < upper)]
+    return out
 
 
 def _step_ratios(traj: Trajectory, theta_star: MixtureParams,
@@ -533,21 +544,17 @@ class RescueReport:
 
     @property
     def pass_all(self) -> bool:
-        return all(self.ratio_ok.values())
+        return all_pass(self.checks())
 
     def checks(self) -> list[dict]:
-        out = [{"name": f"rescue/status={self.status}", "probe": self.kappa_probe,
-                "lhs": self.kappa_measured, "rhs": 1.0, "pass": True}]
+        out = [_check(f"rescue/status={self.status}", self.kappa_probe,
+                      self.kappa_measured, 1.0, True)]
         for key, ok in self.ratio_ok.items():
             ratios = self.step_ratios[key]
-            out.append({"name": f"rescue/step_ratio_le_beta_kappa[gamma={key}]",
-                        "probe": None,
-                        "lhs": max(ratios) if ratios else None,
-                        "rhs": self.ratio_bounds[key], "pass": bool(ok)})
+            out.append(_check(f"rescue/step_ratio_le_beta_kappa[gamma={key}]",
+                              None, max(ratios) if ratios else None,
+                              self.ratio_bounds[key], ok))
         return out
-
-    def to_dict(self) -> dict:
-        return vars(self)
 
 
 def demonstrate_rescue(pm: PopulationModel,
@@ -597,7 +604,7 @@ def demonstrate_rescue(pm: PopulationModel,
         kappa = max(kappa, dm0_dtheta_sym2(pm0, pm.theta_star.sym2_scalar()))
 
     probe_best = step_best.theta
-    c_best = float(step_best.e_q[k_best])
+    c_best = step_best.c(k_best)
     pi_k = float(pm.theta_star.pi[k_best])
     x = c_best * (kappa - 1.0) / pi_k
     gamma_min = x / (1.0 + x)

@@ -8,6 +8,7 @@ The full key list is documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -182,6 +183,18 @@ def _as_float_list(value) -> list[float]:
     return [float(value)]
 
 
+def _grid(rule: str, ok):
+    """Converter for a list of floats each of which passes ``ok``;
+    ``rule`` states the constraint in the error."""
+    def convert(value):
+        values = _as_float_list(value)
+        for v in values:
+            if not ok(v):
+                raise ValueError(f"each value must be {rule}, got {v}")
+        return values
+    return convert
+
+
 @dataclass
 class RunConfig:
     """Validated, structured view over the flat config dict."""
@@ -269,14 +282,20 @@ def build_run_config(raw: dict) -> RunConfig:
         seed=get("data.seed", _integer, 0),
         allocation=get("data.allocation", _choice(*ALLOCATIONS), "proportional"),
         out_dir=get("output.directory", str, "."),
-        probe_offsets=get("verify.probe_offsets", _as_float_list,
+        probe_offsets=get("verify.probe_offsets",
+                          _grid("finite", math.isfinite),
                           (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),
         epsilons=get("verify.epsilons", _as_float_list, (0.2, 0.1, 0.05, 0.025)),
-        item3_probe_offsets=get("verify.item3_probe_offsets", _as_float_list,
+        item3_probe_offsets=get("verify.item3_probe_offsets",
+                                _grid("finite and > 1",
+                                      lambda v: 1.0 < v < math.inf),
                                 (1.01, 2.0, 4.0)),
-        theta_star_grid=get("verify.theta_stars", _as_float_list,
+        theta_star_grid=get("verify.theta_stars",
+                            _grid("finite and > 0, with a nonzero square",
+                                  lambda v: 0.0 < v < math.inf and v * v > 0.0),
                             (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)),
-        tail_grid=get("verify.tail_grid", _as_float_list,
+        tail_grid=get("verify.tail_grid",
+                      _grid("finite and > 0", lambda v: 0.0 < v < math.inf),
                       (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
     for key in raw:
         if key not in raw.keys_read:

@@ -468,14 +468,6 @@ def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
     return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
 
 
-def log_responsibilities(kind: ModelKind, params: MixtureParams,
-                         y: np.ndarray) -> np.ndarray:
-    """(N, K) matrix of log posterior component probabilities."""
-    logits = LogitTerms.of(kind, params).logits(np.asarray(y, dtype=float))
-    logits -= logits.max(axis=0)
-    return (logits - np.log(np.exp(logits).sum(axis=0))).T
-
-
 def _normalized_exp(logits: np.ndarray) -> np.ndarray:
     """In place on (K, N) logits: the posterior probabilities."""
     _shifted_exp(logits)

@@ -229,6 +229,15 @@ def expect(pm: PopulationModel,
     return value
 
 
+def _component(pm: PopulationModel, k: int) -> int:
+    """``k``, if it indexes a component of ``pm``; else :class:`DomainError`
+    (a negative index would silently read from the end)."""
+    if not 0 <= k < pm.theta_star.K:
+        raise DomainError(f"component index {k} out of range for "
+                          f"K={pm.theta_star.K}")
+    return k
+
+
 def _statistic(pm: PopulationModel, y: np.ndarray) -> np.ndarray:
     return np.asarray(pm.kind.family.t(y), dtype=float)
 
@@ -242,7 +251,8 @@ class PopulationStep:
     from it, whatever the labeled fraction.  Inside an :class:`IntegralMemo`
     the moments at a probe are integrated once for every ``pm`` with the
     same truth and scheme.  Each tie group's update at a labeled fraction
-    is solved once per step.
+    is solved once per step.  The accessors take a component index in
+    ``range(K)`` and raise :class:`DomainError` for any other.
     """
 
     pm: PopulationModel
@@ -275,6 +285,10 @@ class PopulationStep:
                              integral)
         return cls(pm, theta, values[:theta.K], values[theta.K:])
 
+    def c(self, k: int) -> float:
+        """``E[q_k]`` at the probe."""
+        return float(self.e_q[_component(self.pm, k)])
+
     def m0(self, k: int) -> float:
         """Component k of the unlabeled-only update ``M_0``."""
         return self._update(k, 0.0)
@@ -292,7 +306,8 @@ class PopulationStep:
         :class:`DegenerateDenominator` for this component's tie group alone
         when ``|sum a_j^2 den_j| < 1e-12``."""
         key = (k, gamma)
-        if key not in self._solved:
+        if key not in self._solved:  # every solved key has a valid k
+            _component(self.pm, k)
             labeled_t, labeled_q = self.pm._labeled_moments
             e_qt, e_q = self.e_qt, self.e_q
 
@@ -309,7 +324,7 @@ class PopulationStep:
 
 def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
     """Expected responsibility E[q(Y; theta_k)] under the truth."""
-    return float(PopulationStep.at(pm, theta).e_q[k])
+    return PopulationStep.at(pm, theta).c(k)
 
 
 def pop_m0(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
@@ -335,9 +350,7 @@ def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
     Gaussian kinds return theta*_k directly; exponential families invert the
     mean function at the conditional mean of the sufficient statistic.
     """
-    if not 0 <= k < pm.theta_star.K:
-        raise DomainError(f"component index {k} out of range")
-    star_k = float(pm.theta_star.theta[k])
+    star_k = float(pm.theta_star.theta[_component(pm, k)])
     return pm.kind.theta_from_mean(pm.kind.family.alpha_prime(star_k), x0=star_k)
 
 

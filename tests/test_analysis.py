@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from ssem.analysis import (
+    ContractionReport,
+    ProbeResult,
+    RescueReport,
+    Theorem2Report,
+    Theorem2Series,
+    all_pass,
     beta_theoretical,
     contraction_ratio,
     demonstrate_rescue,
@@ -84,6 +90,12 @@ class TestContractionRatio:
         ratio = contraction_ratio(pm, probe, 1)
         beta = beta_theoretical(c_theta(pm, probe, 1), 0.5, 0.5)
         assert ratio <= beta + 1e-6
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_component_out_of_range(self, k):
+        pm = PopulationModel(GMM, GMM2, 0.5)
+        with pytest.raises(DomainError, match="out of range"):
+            contraction_ratio(pm, MixtureParams([0.5, 0.5], [-2.0, 2.0]), k)
 
     def test_probe_at_fixed_point_rejected(self):
         pm = PopulationModel.sym2(1.5, 0.5)
@@ -395,3 +407,45 @@ class TestDemonstrateRescue:
         report = demonstrate_rescue(pm, probe_offsets=[0.5, 1.2, 4.0])
         assert math.isfinite(report.kappa_measured)
         assert report.step_ratios
+
+
+class TestPassRule:
+    def test_non_applicable_checks_never_fail(self):
+        checks = [{"name": "a", "pass": True},
+                  {"name": "b", "pass": False, "applicable": False}]
+        assert all_pass(checks)
+        assert not all_pass(checks + [{"name": "c", "pass": False,
+                                       "applicable": True}])
+
+    def series(self, **fields):
+        return Theorem2Report(0.1, [0.5], [Theorem2Series(
+            0, +1, epsilons=[0.2, 0.1], gaps=[0.1, 0.2], **fields)])
+
+    def test_thm2_non_monotone_fails(self):
+        assert not self.series(monotone=False, taylor_exact=True).pass_all
+
+    def test_thm2_slope_fails_unless_taylor_exact(self):
+        assert not self.series(taylor_slope=1.0, slope_ok=False).pass_all
+        assert self.series(taylor_slope=1.0, slope_ok=True).pass_all
+
+    def test_thm2_taylor_exact_ignores_slope(self):
+        report = self.series(taylor_exact=True, slope_ok=False)
+        assert report.pass_all
+        assert [c["name"] for c in report.checks()][1].startswith(
+            "thm2/taylor_exact")
+
+    def test_thm1_skipped_row_passes(self):
+        report = ContractionReport(0.1, [1.5], [0.5], [[1.5]], [
+            ProbeResult(0, 0, [1.5], skipped=True, bound_satisfied=False)])
+        assert report.pass_all
+        report.results.append(ProbeResult(0, 1, [1.5], bound_satisfied=False))
+        assert not report.pass_all
+
+    def test_rescue_status_always_passes(self):
+        report = RescueReport("gmm", [0.0], 1.5, 0, [1.0], 0.5, 0.3, True,
+                              "rescued")
+        assert report.pass_all
+        report.step_ratios["0.1"] = [0.9]
+        report.ratio_bounds["0.1"] = 0.8
+        report.ratio_ok["0.1"] = False
+        assert not report.pass_all

@@ -109,6 +109,21 @@ class TestExitCodes:
         ("verify.item3_probe_offsets = abc", "verify.item3_probe_offsets"),
         ("verify.theta_stars = abc", "verify.theta_stars"),
         ("verify.tail_grid = abc", "verify.tail_grid"),
+        # Grid values the verifiers cannot use are refused up front, not by
+        # a numeric failure (or a ZeroDivisionError) in the target.
+        ("verify.theta_stars = 0", "verify.theta_stars"),
+        ("verify.theta_stars = 1e-200", "verify.theta_stars"),  # square is 0
+        ("verify.theta_stars = -1", "verify.theta_stars"),
+        ("verify.theta_stars = 1, inf", "verify.theta_stars"),
+        ("verify.theta_stars = nan", "verify.theta_stars"),
+        ("verify.tail_grid = 0", "verify.tail_grid"),
+        ("verify.tail_grid = 1, nan", "verify.tail_grid"),
+        ("verify.tail_grid = inf", "verify.tail_grid"),
+        ("verify.item3_probe_offsets = 0.5", "verify.item3_probe_offsets"),
+        ("verify.item3_probe_offsets = 1", "verify.item3_probe_offsets"),
+        ("verify.item3_probe_offsets = 2, inf", "verify.item3_probe_offsets"),
+        ("verify.probe_offsets = nan", "verify.probe_offsets"),
+        ("verify.probe_offsets = 0.5, -inf", "verify.probe_offsets"),
         ("data.total_samples = 1.5", "data.total_samples"),
         ("data.seed = 1.5", "data.seed"),
         ("model.pi = 1", "model.pi"),
@@ -471,6 +486,33 @@ class TestVerifyCommand:
                      "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "verify_rescue.json").read_text())
         assert any("no_rescue_needed" in c["name"] for c in payload["checks"])
+
+
+GMM3_POP = ("model.kind = gmm\nmodel.theta_star = -3, 0, 3\n"
+            "model.pi = 0.3, 0.4, 0.3\n")
+ENTRY_KEYS = ["name", "probe", "lhs", "rhs", "pass"]
+
+
+class TestVerifyArtifact:
+    @pytest.mark.parametrize("text, which", [
+        (SYM2_POP, w) for w in ("thm1", "thm3-1", "thm3-2", "thm3-3",
+                                "lemma3", "rescue", "all")] + [
+        (GMM3_POP, w) for w in ("thm1", "lemma3", "rescue", "all")] + [
+        (POISSON_POP, w) for w in ("thm2", "lemma3", "rescue", "all")])
+    def test_pass_rule_and_entry_format(self, tmp_path, text, which):
+        cfg = write_cfg(tmp_path, text + "data.gamma = 0.1\n")
+        rc = main(["verify", which, "--config", cfg, "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / f"verify_{which}.json").read_text())
+        checks = payload["checks"]
+        assert checks
+        # Entries marked not applicable are reported but never fail.
+        rule = all(c["pass"] for c in checks if c.get("applicable", True))
+        assert payload["pass_all"] is rule
+        assert rc == (0 if rule else 4)
+        for check in checks:
+            extra = ["applicable"] if check["name"].startswith("thm3-") else []
+            assert list(check) == ENTRY_KEYS + extra, check["name"]
+            assert isinstance(check["pass"], bool)
 
 
 class TestSampleCommand:

@@ -19,7 +19,6 @@ from ssem.model import (
     exponential_spec,
     gaussian_spec,
     invert_alpha_prime,
-    log_responsibilities,
     marginal_log_density,
     poisson_spec,
     responsibilities,
@@ -331,11 +330,3 @@ class TestInvertAlphaPrime:
 def test_support_validation():
     with pytest.raises(ValueError):
         Support("complex")
-
-
-def test_log_responsibilities_match_exp():
-    params = MixtureParams([0.2, 0.8], [-1.0, 2.0])
-    y = np.linspace(-4, 4, 9)
-    np.testing.assert_allclose(
-        np.exp(log_responsibilities(GMM, params, y)),
-        responsibilities(GMM, params, y), atol=1e-15)

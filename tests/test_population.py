@@ -131,6 +131,20 @@ class TestPopM0:
             pop_m0(pm, probe, 1)
 
 
+class TestComponentIndex:
+    @pytest.mark.parametrize("op", [pop_m0, pop_m_gamma, c_theta],
+                             ids=["pop_m0", "pop_m_gamma", "c_theta"])
+    @pytest.mark.parametrize("pm, probe", [
+        (PopulationModel(GMM, GMM3, 0.3), GMM3.with_theta([-1.5, 0.5, 2.5])),
+        (PopulationModel.sym2(1.5, 0.3), MixtureParams.symmetric(2.0)),
+    ], ids=["gmm3", "sym2"])
+    def test_out_of_range_is_domain_error(self, op, pm, probe):
+        # -1 must not read component K-1, nor K raise a bare IndexError.
+        for k in (-1, probe.K):
+            with pytest.raises(DomainError, match="out of range"):
+                op(pm, probe, k)
+
+
 class TestPopMGamma:
     def test_gamma_zero_is_bitwise_m0(self):
         pm = PopulationModel(GMM, GMM3, 0.0)
