@@ -378,16 +378,6 @@ def _upper_tail(t: float) -> float:
     return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
-def unlabeled_pull_sym2(pm: PopulationModel, theta: float) -> float:
-    """``-E[q(Y; theta) Y]``: the unlabeled gradient term whose Lipschitz
-    constant drives the smoothness rate bound.  Equals half the scalar
-    unlabeled-only update."""
-    if pm.kind.tag != "sym2":
-        raise DomainError("unlabeled_pull_sym2 requires the sym2 kind")
-    step = PopulationStep.at(pm, MixtureParams.symmetric(float(theta)))
-    return -float(step.e_qt[0])
-
-
 def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
                      scheme: QuadratureScheme = QuadratureScheme()
                      ) -> RateBoundReport:
@@ -397,7 +387,8 @@ def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
     ``f(theta) = -E[q(Y; theta) Y]``) stays below the constant
     ``(2 / (9 theta*^2 sqrt(2 pi))) e^{-theta*^2 / 2}`` and below that
     constant times ``|theta - theta*|``, and that the unlabeled update
-    contracts accordingly.
+    contracts accordingly.  ``M_0 = 2 f`` fixes the truth, so ``f(theta*)
+    = theta*/2`` is taken from the fixed point, not integrated.
 
     The constant omits the boundary term ``2 (phi(theta*) - theta*
     (1 - Phi(theta*)))`` that a full accounting of the half-line integrals
@@ -417,8 +408,7 @@ def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
     # f(theta_probe) and M_0(theta_probe) = 2 f(theta_probe) share one step.
     step = PopulationStep.at(pm, MixtureParams.symmetric(float(theta_probe)))
     f_probe = -float(step.e_qt[0])
-    f_star = unlabeled_pull_sym2(pm, float(theta_star))
-    smooth_lhs = 2.0 * abs(f_probe - f_star)
+    smooth_lhs = 2.0 * abs(f_probe - 0.5 * theta_star)
     m0 = step.m0(1)
     contraction_lhs = abs(m0 - theta_star)
 
@@ -487,9 +477,7 @@ def _step_ratios(traj: Trajectory, theta_star: MixtureParams,
 
     The errors are ``traj.errors``; they are computed against
     ``theta_star`` only when the run recorded none."""
-    errs = np.array(traj.errors or [
-        float(np.max(np.abs(p.theta - theta_star.theta)))
-        for p in traj.iterates])
+    errs = np.array(traj.errors or traj.errors_to(theta_star))
     ratios = [float(errs[t + 1] / errs[t])
               for t in range(len(errs) - 1) if errs[t] > floor]
     return int(np.count_nonzero(errs > floor)), ratios
@@ -575,7 +563,6 @@ def demonstrate_rescue(pm: PopulationModel,
     """
     offsets = (np.linspace(0.25, 3.0, 8) if probe_offsets is None
                else np.asarray(probe_offsets, dtype=float))
-    pm0 = pm.with_gamma(0.0)
     guard = _fixed_point_guard(pm)
 
     kappa, k_best, step_best = -math.inf, 0, None
@@ -584,7 +571,7 @@ def demonstrate_rescue(pm: PopulationModel,
             probe = pm.kind.shift(pm.theta_star, off)
         except DomainError:  # the probe leaves the natural domain
             continue
-        step = PopulationStep.at(pm0, probe)
+        step = PopulationStep.at(pm, probe)
         for k in range(pm.theta_star.K):
             star_k = float(pm.theta_star.theta[k])
             probe_dist = abs(float(step.theta.theta[k]) - star_k)
@@ -601,7 +588,7 @@ def demonstrate_rescue(pm: PopulationModel,
     if pm.kind.tag == "sym2":
         # Concave increasing update: the secants grow toward the derivative
         # at the fixed point, which is the actual supremum.
-        kappa = max(kappa, dm0_dtheta_sym2(pm0, pm.theta_star.sym2_scalar()))
+        kappa = max(kappa, dm0_dtheta_sym2(pm, pm.theta_star.sym2_scalar()))
 
     probe_best = step_best.theta
     c_best = step_best.c(k_best)

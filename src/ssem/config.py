@@ -184,10 +184,13 @@ def _as_float_list(value) -> list[float]:
 
 
 def _grid(rule: str, ok):
-    """Converter for a list of floats each of which passes ``ok``;
-    ``rule`` states the constraint in the error."""
+    """Converter for a non-empty list of floats each of which passes
+    ``ok``; ``rule`` states the constraint in the error.  An empty grid is
+    refused: its target would pass with no checks."""
     def convert(value):
         values = _as_float_list(value)
+        if not values:
+            raise ValueError("the grid must not be empty")
         for v in values:
             if not ok(v):
                 raise ValueError(f"each value must be {rule}, got {v}")
@@ -285,7 +288,9 @@ def build_run_config(raw: dict) -> RunConfig:
         probe_offsets=get("verify.probe_offsets",
                           _grid("finite", math.isfinite),
                           (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),
-        epsilons=get("verify.epsilons", _as_float_list, (0.2, 0.1, 0.05, 0.025)),
+        epsilons=get("verify.epsilons",
+                     _grid("finite and > 0", lambda v: 0.0 < v < math.inf),
+                     (0.2, 0.1, 0.05, 0.025)),
         item3_probe_offsets=get("verify.item3_probe_offsets",
                                 _grid("finite and > 1",
                                       lambda v: 1.0 < v < math.inf),
@@ -297,6 +302,15 @@ def build_run_config(raw: dict) -> RunConfig:
         tail_grid=get("verify.tail_grid",
                       _grid("finite and > 0", lambda v: 0.0 < v < math.inf),
                       (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
+    # The test of rate_bound_item3, in floats: an offset just above 1 can
+    # round onto theta* + 1.
+    for star in cfg.theta_star_grid:
+        for off in cfg.item3_probe_offsets:
+            if not star + off > star + 1.0:
+                raise ConfigError(
+                    f"probe theta* + {off!r} = {star + off!r} must exceed "
+                    f"theta* + 1 = {star + 1.0!r}",
+                    field="verify.item3_probe_offsets")
     for key in raw:
         if key not in raw.keys_read:
             raise ConfigError(f"unknown key {key} (no {tag} run reads it)",

@@ -100,6 +100,39 @@ class Trajectory:
     def final(self) -> MixtureParams:
         return self.iterates[-1]
 
+    @classmethod
+    def iterate(cls, step, theta0: MixtureParams, max_iters: int, tol: float,
+                theta_star: MixtureParams | None = None) -> "Trajectory":
+        """The one EM loop: ``theta <- step(theta)`` from ``theta0`` until a
+        step moves every parameter by less than ``tol`` (``converged``) or
+        ``max_iters`` steps have run.  ``step`` returns the next iterate and
+        its surrogate value or None; an exception from step t (from 0)
+        propagates with ``iteration = t``.  Errors against ``theta_star``
+        are recorded when it is given."""
+        traj = cls(iterates=[theta0])
+        for t in range(max_iters):
+            try:
+                nxt, q = step(traj.final)
+            except Exception as exc:
+                exc.iteration = t
+                raise
+            delta = float(np.max(np.abs(nxt.theta - traj.final.theta)))
+            traj.iterates.append(nxt)
+            if q is not None:
+                traj.q_values.append(q)
+            if delta < tol:
+                traj.converged = True
+                break
+        if theta_star is not None:
+            traj.errors = traj.errors_to(theta_star)
+        return traj
+
+    def errors_to(self, theta_star: MixtureParams) -> list[float]:
+        """The max-norm distance ``max_k |theta_t,k - theta*_k|`` of every
+        iterate to ``theta_star``."""
+        return [float(np.max(np.abs(p.theta - theta_star.theta)))
+                for p in self.iterates]
+
     def write_csv(self, path) -> None:
         """Rows ``iter,theta_1..theta_K,q_value,err``; q_value is empty on
         row 0 and whenever the surrogate was not recorded, err is empty when
@@ -114,10 +147,6 @@ class Trajectory:
                            if t > 0 and t - 1 < len(self.q_values) else "")
                 row.append(f"{self.errors[t]:.17g}" if t < len(self.errors) else "")
                 fh.write(",".join(row) + "\n")
-
-
-def _max_error(params: MixtureParams, theta_star: MixtureParams) -> float:
-    return float(np.max(np.abs(params.theta - theta_star.theta)))
 
 
 def _block_rows(K: int) -> int:
@@ -299,9 +328,6 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
     only a run with ``record_trajectory=False`` goes on to the E-steps.
     """
     kind.check_params(theta0)
-    traj = Trajectory(iterates=[theta0])
-    if theta_star is not None:
-        traj.errors.append(_max_error(theta0, theta_star))
     total = data.m + data.n
     try:
         labeled = _labeled_statistics(kind, data, theta0.K)
@@ -311,23 +337,12 @@ def run_em(kind: ModelKind, data, theta0: MixtureParams, cfg: EmConfig,
     except (DomainError, NumericOverflow) as exc:
         exc.iteration = 0
         raise
-    current = theta0
-    for t in range(cfg.max_iters):
-        try:
-            S, N = _sufficient_statistics(kind, current, labeled, unlabeled)
-            nxt = _update(kind, S, N, current)
-            if cfg.record_trajectory:
-                traj.q_values.append(
-                    _surrogate(kind, nxt, S, N, total, carrier_sum))
-        except Exception as exc:
-            exc.iteration = t
-            raise
-        traj.iterates.append(nxt)
-        if theta_star is not None:
-            traj.errors.append(_max_error(nxt, theta_star))
-        delta = float(np.max(np.abs(nxt.theta - current.theta)))
-        current = nxt
-        if delta < cfg.tol:
-            traj.converged = True
-            break
-    return traj
+
+    def step(theta_t):
+        S, N = _sufficient_statistics(kind, theta_t, labeled, unlabeled)
+        nxt = _update(kind, S, N, theta_t)
+        return nxt, (_surrogate(kind, nxt, S, N, total, carrier_sum)
+                     if cfg.record_trajectory else None)
+
+    return Trajectory.iterate(step, theta0, cfg.max_iters, cfg.tol,
+                              theta_star)

@@ -375,21 +375,13 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
     """Iterate ``theta <- M_gamma(theta)`` from ``theta0``.
 
     Errors against ``theta_star`` are recorded exactly per iterate; the
-    surrogate column stays empty.
+    surrogate column stays empty.  A step that fails carries its index as
+    ``iteration``.
     """
     pm.kind.check_params(theta0)
-    star = pm.theta_star.theta
-    traj = Trajectory(iterates=[theta0])
-    traj.errors.append(float(np.abs(theta0.theta - star).max()))
-    current = theta0
-    for _ in range(max_iters):
-        step = PopulationStep.at(pm, current)
-        nxt = current.with_theta([step.m_gamma(k) for k in range(current.K)])
-        traj.iterates.append(nxt)
-        traj.errors.append(float(np.abs(nxt.theta - star).max()))
-        delta = float(np.abs(nxt.theta - current.theta).max())
-        current = nxt
-        if delta < tol:
-            traj.converged = True
-            break
-    return traj
+
+    def step(theta):
+        at = PopulationStep.at(pm, theta)
+        return theta.with_theta([at.m_gamma(k) for k in range(theta.K)]), None
+
+    return Trajectory.iterate(step, theta0, max_iters, tol, pm.theta_star)

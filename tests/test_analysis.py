@@ -21,7 +21,6 @@ from ssem.analysis import (
     rate_bound_item1,
     rate_bound_item2,
     rate_bound_item3,
-    unlabeled_pull_sym2,
     verify_theorem1,
     verify_theorem2,
 )
@@ -64,6 +63,12 @@ class TestBetaTheoretical:
     def test_rejects_gamma_one(self):
         with pytest.raises(DomainError):
             beta_theoretical(0.5, 0.5, 1.0)
+
+    @pytest.mark.parametrize("c, pi_k", [(0.0, 0.5), (-0.1, 0.5), (0.5, 0.0),
+                                         (0.5, -0.2)])
+    def test_rejects_nonpositive_c_or_weight(self, c, pi_k):
+        with pytest.raises(DomainError):
+            beta_theoretical(c, pi_k, 0.3)
 
 
 class TestContractionRatio:
@@ -267,11 +272,14 @@ class TestRateBoundItem3:
         assert not report.applicable
         assert report.passed  # vacuous
 
-    def test_pull_fixed_point_identity(self):
-        # -E[q(Y; theta*) Y] = theta*/2: the scalar update at the truth is
-        # twice the pull and equals theta*.
-        pm = PopulationModel.sym2(1.5, 0.0)
-        assert unlabeled_pull_sym2(pm, 1.5) == pytest.approx(0.75, abs=1e-10)
+    @pytest.mark.parametrize("star", [0.8, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_pull_fixed_point_identity(self, star):
+        # -E[q_0(Y; theta*) Y] = theta*/2: the scalar update at the truth is
+        # twice the pull and equals theta*, so rate_bound_item3 takes
+        # f(theta*) from the fixed point instead of integrating it.
+        pm = PopulationModel.sym2(star, 0.0)
+        step = PopulationStep.at(pm, MixtureParams.symmetric(star))
+        assert -float(step.e_qt[0]) == pytest.approx(star / 2.0, abs=1e-10)
 
     @pytest.mark.parametrize("star", [0.6, 1.0, 2.0])
     @pytest.mark.parametrize("offset", [1.01, 2.0, 4.0])

@@ -19,6 +19,8 @@ from ssem.config import (
 )
 from ssem.errors import ConfigError
 
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
 SYM2_CFG = """
 # symmetric pair run
 model.kind = sym2
@@ -130,6 +132,20 @@ class TestExitCodes:
         ("model.pi = a, b", "model.pi"),
         ("em.max_iter = 2", "em.max_iter"),
         ("model.family = poisson", "model.family"),
+        # An empty grid would pass vacuously: zero checks, exit 0.
+        ("verify.probe_offsets = ,", "verify.probe_offsets"),
+        ("verify.epsilons = ,", "verify.epsilons"),
+        ("verify.item3_probe_offsets = ,", "verify.item3_probe_offsets"),
+        ("verify.theta_stars = ,", "verify.theta_stars"),
+        ("verify.tail_grid = ,", "verify.tail_grid"),
+        # A Theorem-2 radius is a distance from the truth.
+        ("verify.epsilons = nan", "verify.epsilons"),
+        ("verify.epsilons = -0.1, 0", "verify.epsilons"),
+        ("verify.epsilons = 0", "verify.epsilons"),
+        ("verify.epsilons = 0.1, inf", "verify.epsilons"),
+        # 5 + 1.0000000000000002 rounds to 6.0 = theta* + 1.
+        ("verify.theta_stars = 5\nverify.item3_probe_offsets = 1.0000000000000002",
+         "verify.item3_probe_offsets"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, line, field):
         bad = write_cfg(tmp_path, GMM_CFG + line + "\n")
@@ -227,6 +243,26 @@ em.theta0 = 0.0, 0.5
         assert str(out / artifact) in err["message"]
         assert sorted(p.name for p in out.iterdir()) == [artifact]
 
+    def test_population_step_failure_carries_iteration(self, tmp_path, capsys):
+        rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
+                   "--out", str(tmp_path),
+                   "--set", "quadrature.abs_tol=1e-18",
+                   "--set", "quadrature.max_subdivisions=8"])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert err["type"] == "QuadratureFailure"
+        assert err["iteration"] == 0
+
+    def test_rescue_without_usable_probe_exits_3(self, tmp_path, capsys):
+        # Offset 0 puts the only probe on the truth, inside the guard.
+        rc = main(["verify", "rescue", "--config", str(CONFIGS / "sym2.cfg"),
+                   "--out", str(tmp_path), "--set", "verify.probe_offsets=0"])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert err["type"] == "ProbeTooCloseToFixedPoint"
+
     def test_violation_exit_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "model.kind = sym2\nmodel.theta_star = 1.0\n")
         rc = main(["verify", "thm3-3", "--config", cfg, "--out", str(tmp_path),
@@ -234,6 +270,23 @@ em.theta0 = 0.0, 0.5
         assert rc == 4
         payload = json.loads((tmp_path / "verify_thm3-3.json").read_text())
         assert payload["pass_all"] is False
+
+
+class TestStrictJson:
+    def test_non_finite_config_value_is_written_as_null(self, tmp_path):
+        # em.tol = inf is a valid stop rule (one step), but has no JSON
+        # spelling; the summary must stay strict JSON.
+        rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
+                   "--out", str(tmp_path), "--set", "em.tol=inf"])
+        assert rc == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["config"]["em.tol"] is None
+        assert summary["iterations"] == 1
 
 
 class TestArgumentParsing:

@@ -9,6 +9,7 @@ import pytest
 from ssem import em
 from ssem.em import (
     EmConfig,
+    Trajectory,
     m_step,
     m_step_expfam,
     m_step_gmm,
@@ -528,6 +529,25 @@ class TestGroupedEStep:
         row_by_row = em._carrier_sum(kind, ds, (uy, None))
         assert em._carrier_sum(kind, ds, em._unlabeled(ds)) == pytest.approx(
             row_by_row, rel=1e-14)
+
+
+class TestIterate:
+    """The one EM loop that sample and population EM both run."""
+
+    STAR = MixtureParams([0.5, 0.5], [-1.0, 1.0])
+
+    def halve(self, theta):
+        # Halves the distance to STAR; records no surrogate.
+        return theta.with_theta((theta.theta + self.STAR.theta) / 2.0), None
+
+    def test_stops_on_tol_with_errors(self):
+        traj = Trajectory.iterate(self.halve, MixtureParams([0.5, 0.5], [-5.0, 3.0]),
+                                  max_iters=50, tol=1e-3, theta_star=self.STAR)
+        # Step t moves by 4 / 2^(t+1); the first below 1e-3 is t = 12.
+        assert traj.converged and traj.n_steps == 12
+        assert traj.errors == [4.0 / 2.0 ** t for t in range(13)]
+        assert traj.errors == traj.errors_to(self.STAR)
+        assert traj.q_values == []
 
 
 class TestTrajectoryCsv:

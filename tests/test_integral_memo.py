@@ -57,12 +57,13 @@ def _verify(tmp_path, cfg, which):
 
 
 class TestIntegralsPerCommand:
-    # thm3-2 reads thm3-1's derivatives, thm3-3 integrates f(theta*) once
-    # per theta*, and the rescue reads thm1's probe moments, thm3-1's
-    # derivative at theta* and its own probe moments at its first steps.
+    # thm3-2 reads thm3-1's derivatives, thm3-3 integrates one step per
+    # probe (f(theta*) = theta*/2 needs none), and the rescue reads thm1's
+    # probe moments, thm3-1's derivative at theta* and its own probe
+    # moments at its first steps.
     @pytest.mark.parametrize("cfg, which, rc, integrals", [
-        ("sym2.cfg", "all", 4, 60),
-        ("sym2.cfg", "thm3-3", 4, 24),
+        ("sym2.cfg", "all", 4, 54),
+        ("sym2.cfg", "thm3-3", 4, 18),
         ("gmm3.cfg", "rescue", 0, 54),
         ("sym2.cfg", "thm3-2", 0, 6),
     ], ids=["sym2-all", "sym2-thm3-3", "gmm3-rescue", "sym2-thm3-2"])
