@@ -1,7 +1,10 @@
 """End-to-end command, config, and artifact checks."""
 
+import errno
 import json
 import math
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -43,9 +46,32 @@ data.seed = 11
 em.theta0 = -0.5, 1.5
 """
 
+# One labeled sample cannot support two components: EM fails at iteration 0.
+EMPTY_COMPONENT_CFG = """
+model.kind = gmm
+model.pi = 0.5, 0.5
+model.theta_star = -1.0, 1.0
+data.gamma = 1
+data.total_samples = 1
+data.seed = 1
+em.theta0 = 0.0, 0.5
+"""
+
+
 SYM2_POP = "model.kind = sym2\nmodel.theta_star = 1.5\n"
 POISSON_POP = ("model.kind = expfam\nmodel.family = poisson\n"
                "model.theta_star = 0.5, 2.0\nmodel.pi = 0.5, 0.5\n")
+
+
+SIMULATE_PHASES = ["sample", "write_dataset", "em", "write_trajectory"]
+# ``cli._FORK_WRITE_ROWS`` values that put simulate's dataset writer in this
+# process or in a child, whatever the dataset size.
+INLINE, CHILD = sys.maxsize, 0
+
+
+def force_writer(monkeypatch, fork_rows):
+    if fork_rows is not None:
+        monkeypatch.setattr(cli, "_FORK_WRITE_ROWS", fork_rows)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -187,16 +213,7 @@ class TestExitCodes:
         assert rc == 0
 
     def test_numeric_error_exit_3(self, tmp_path, capsys):
-        # One labeled sample cannot support two components.
-        cfg = write_cfg(tmp_path, """
-model.kind = gmm
-model.pi = 0.5, 0.5
-model.theta_star = -1.0, 1.0
-data.gamma = 1
-data.total_samples = 1
-data.seed = 1
-em.theta0 = 0.0, 0.5
-""")
+        cfg = write_cfg(tmp_path, EMPTY_COMPONENT_CFG)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
@@ -224,13 +241,18 @@ em.theta0 = 0.0, 0.5
         assert err["error"] == "config"
         assert err["field"] == "data.gamma"
 
-    @pytest.mark.parametrize("command, artifact", [
-        (["verify", "lemma3"], "verify_lemma3.json"),
-        (["simulate", "--set", "data.total_samples=200"], "dataset.csv"),
-    ], ids=["verify", "simulate"])
+    @pytest.mark.parametrize("command, artifact, fork_rows", [
+        (["verify", "lemma3"], "verify_lemma3.json", None),
+        (["simulate", "--set", "data.total_samples=200"], "dataset.csv",
+         INLINE),
+        (["simulate", "--set", "data.total_samples=200"], "dataset.csv",
+         CHILD),
+    ], ids=["verify", "simulate", "simulate-child"])
     def test_failed_artifact_write_is_config_error(self, tmp_path, capsys,
-                                                   command, artifact):
+                                                   monkeypatch, command,
+                                                   artifact, fork_rows):
         # The artifact's path is taken by a directory, so the rename fails.
+        force_writer(monkeypatch, fork_rows)
         cfg = write_cfg(tmp_path, SYM2_CFG)
         out = tmp_path / "out"
         (out / artifact).mkdir(parents=True)
@@ -372,12 +394,141 @@ class TestSimulate:
                 != (out_b / "dataset.csv").read_bytes())
 
 
+def simulate_artifacts(out, config, fork_rows, monkeypatch, *sets):
+    """Run ``simulate`` with the dataset writer forced in or out of this
+    process; return the exit code and the names in ``out``."""
+    force_writer(monkeypatch, fork_rows)
+    argv = ["simulate", "--config", config, "--out", str(out)]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    rc = main(argv)
+    return rc, sorted(p.name for p in out.iterdir())
+
+
+def failing_writer(exc):
+    def save_dataset_csv(dataset, path):
+        with open(path, "w") as fh:
+            fh.write("kind,x,y\n")
+        raise exc
+
+    return save_dataset_csv
+
+
+class TestDatasetWriterProcess:
+    """``simulate`` writes ``dataset.csv`` in a child process while EM runs
+    once the writer formats ``_FORK_WRITE_ROWS`` rows or more."""
+
+    @pytest.mark.parametrize("config", ["gmm3.cfg", "sym2.cfg",
+                                        "poisson2.cfg"])
+    def test_child_writes_the_inline_bytes(self, tmp_path, monkeypatch,
+                                           config):
+        runs = {}
+        for name, rows in (("inline", INLINE), ("child", CHILD)):
+            out = tmp_path / name
+            rc, names = simulate_artifacts(
+                out, str(CONFIGS / config), rows, monkeypatch,
+                "data.total_samples=20000", "data.seed=3")
+            assert rc == 0
+            assert names == ["dataset.csv", "summary.json", "trajectory.csv"]
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary.pop("dataset_writer")["process"] == name
+            for key in ("wall_time_s", "timings_s"):
+                del summary[key]
+            del summary["config"]["output.directory"]
+            runs[name] = (summary, *((out / f).read_bytes() for f in
+                                     ("dataset.csv", "trajectory.csv")))
+        assert runs["child"] == runs["inline"]
+
+    @pytest.mark.parametrize("config, process", [
+        (SYM2_CFG, "child"),
+        (GMM_CFG, "inline"),
+        (POISSON_POP + "data.gamma = 0.1\ndata.total_samples = 200000\n"
+         "data.seed = 0\nem.theta0 = 0, 2.5\n", "inline"),
+    ], ids=["sym2", "gmm", "poisson"])
+    def test_process_follows_formatted_rows(self, tmp_path, config, process):
+        # Rows formatted one by one: all 100,000 rows of the continuous
+        # sym2 sample and 2,000 of the gmm one, but only the distinct rows
+        # of the 200,000-row Poisson sample.
+        cfg = write_cfg(tmp_path, config)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["dataset_writer"]["process"] == process
+
+    @pytest.mark.parametrize("code, type_name", [
+        (errno.EACCES, "PermissionError"),
+        (errno.ENOSPC, "OSError"),
+    ])
+    def test_child_write_error_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       code, type_name):
+        monkeypatch.setattr(cli, "save_dataset_csv", failing_writer(
+            OSError(code, os.strerror(code))))
+        out = tmp_path / "out"
+        rc, names = simulate_artifacts(out, write_cfg(tmp_path, GMM_CFG),
+                                       CHILD, monkeypatch)
+        assert rc == 2
+        assert names == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "output.directory"
+        assert err["type"] == type_name
+        assert os.strerror(code) in err["message"]
+        assert str(out / "dataset.csv") in err["message"]
+
+    @pytest.mark.parametrize("fail", ["raise", "signal"])
+    def test_child_failure_without_errno_exits_2(self, tmp_path, capsys,
+                                                 monkeypatch, fail):
+        if fail == "raise":
+            writer = failing_writer(ValueError("not an OSError"))
+        else:
+            def writer(dataset, path):
+                os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(cli, "save_dataset_csv", writer)
+        out = tmp_path / "out"
+        rc, names = simulate_artifacts(out, write_cfg(tmp_path, GMM_CFG),
+                                       CHILD, monkeypatch)
+        assert rc == 2
+        assert names == []
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "output.directory"
+        assert err["type"] == "ChildProcessError"
+        assert ("status 255" if fail == "raise" else "signal 9") in err["message"]
+
+    def test_em_failure_during_the_write_commits_the_dataset(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, EMPTY_COMPONENT_CFG)
+        written = {}
+        for name, rows in (("inline", INLINE), ("child", CHILD)):
+            rc, names = simulate_artifacts(tmp_path / name, cfg, rows,
+                                           monkeypatch)
+            assert rc == 3
+            assert names == ["dataset.csv"]
+            err = json.loads(capsys.readouterr().err)
+            assert (err["type"], err["iteration"]) == ("EmptyComponent", 0)
+            written[name] = (tmp_path / name / "dataset.csv").read_bytes()
+        assert written["child"] == written["inline"]
+        assert written["child"].count(b"\n") == 2
+
+    def test_failed_write_takes_precedence_over_em_failure(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "save_dataset_csv", failing_writer(
+            OSError(errno.EACCES, os.strerror(errno.EACCES))))
+        rc, names = simulate_artifacts(
+            tmp_path / "out", write_cfg(tmp_path, EMPTY_COMPONENT_CFG),
+            CHILD, monkeypatch)
+        assert rc == 2
+        assert names == []
+        assert json.loads(capsys.readouterr().err)["type"] == "PermissionError"
+
+
 class TestPhaseTimings:
-    @pytest.mark.parametrize("command, phases", [
-        ("simulate", ["sample", "write_dataset", "em", "write_trajectory"]),
-        ("population", ["em", "write_trajectory"]),
-    ], ids=["simulate", "population"])
-    def test_phases_fit_in_wall_time(self, tmp_path, command, phases):
+    @pytest.mark.parametrize("command, phases, fork_rows", [
+        ("simulate", SIMULATE_PHASES, INLINE),
+        ("simulate", SIMULATE_PHASES, CHILD),
+        ("population", ["em", "write_trajectory"], None),
+    ], ids=["simulate", "simulate-child", "population"])
+    def test_phases_fit_in_wall_time(self, tmp_path, monkeypatch, command,
+                                     phases, fork_rows):
+        force_writer(monkeypatch, fork_rows)
         cfg = write_cfg(tmp_path, GMM_CFG)
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -385,6 +536,12 @@ class TestPhaseTimings:
         assert list(timings) == phases
         assert all(t >= 0.0 for t in timings.values())
         assert sum(timings.values()) <= summary["wall_time_s"]
+        if command == "simulate":
+            writer = summary["dataset_writer"]
+            assert list(writer) == ["process", "cpu_s"]
+            assert writer["process"] == ("child" if fork_rows == CHILD
+                                         else "inline")
+            assert writer["cpu_s"] >= 0.0
 
     @pytest.mark.parametrize("which, targets", [
         ("all", ["thm1", "thm3-1", "thm3-2", "thm3-3", "lemma3", "rescue"]),

@@ -20,6 +20,7 @@ from ssem.model import MixtureParams, ModelKind, poisson_spec
 from ssem.sampling import (
     Dataset,
     SampleConfig,
+    formatted_rows,
     integer_table,
     load_dataset_csv,
     sample_dataset,
@@ -377,6 +378,58 @@ class TestDatasetAndCsv:
         save_dataset_csv(ds, got)
         reference_save_dataset_csv(ds, want)
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fractional", [False, True],
+                             ids=["integer", "fractional"])
+    @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
+    def test_labeled_pairs_bytes_match_reference_writer(self, m, fractional,
+                                                        tmp_path):
+        # Integer-valued labeled rows, so the writer joins formatted
+        # distinct (x, y) rows: repeated pairs, the same value under
+        # several labels, signed zeros, large labels and exponent-form
+        # values.  One fractional value sends all labeled rows back to the
+        # per-row template.
+        rng = np.random.default_rng(m)
+        x = rng.integers(0, 3, m)
+        y = rng.integers(-5, 5, m).astype(float)
+        special = [(0, -0.0), (0, 0.0), (2 ** 63 - 1, 3.0), (1, 1e22),
+                   (2, -(2.0 ** 60)), (1, MAX)]
+        k = min(m, len(special))
+        at = rng.choice(m, k, replace=False)
+        x[at] = [p[0] for p in special[:k]]
+        y[at] = [p[1] for p in special[:k]]
+        if fractional:
+            y[rng.integers(m)] = 0.5
+        ds = Dataset(x, y, rng.standard_normal(7))
+        rows = {(a, b.tobytes()) for a, b in zip(x.tolist(), y)}
+        assert formatted_rows(ds) == (m if fractional else len(rows)) + 7
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_dataset_csv(ds, got)
+        reference_save_dataset_csv(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_poisson_formatted_rows_are_distinct_rows(self):
+        kind = ModelKind.expfam(poisson_spec())
+        ds = sample_dataset(kind, MixtureParams([0.5, 0.5], [0.5, 2.0]),
+                            SampleConfig(seed=0, m=20_000, n=180_000))
+        pairs = np.unique(np.stack([ds.labeled_x, ds.labeled_y]), axis=1)
+        values = np.unique(ds.unlabeled_y)
+        assert formatted_rows(ds) == pairs.shape[1] + values.size < 200
+
+    @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1),
+                                      INTEGER_VALUES)),
+           unlabeled=st.lists(OBSERVATIONS))
+    @example(labeled=[(0, -0.0), (0, 0.0), (1, 0.0), (0, -0.0)],
+             unlabeled=[0.5])
+    @settings(max_examples=200, deadline=None)
+    def test_integer_labeled_roundtrip_bit_identical(self, labeled, unlabeled,
+                                                     tmp_path_factory):
+        # All-integer labeled rows: the writer's distinct-pair path.
+        assume(labeled)
+        ds = Dataset([x for x, _ in labeled], [y for _, y in labeled], unlabeled)
+        path = tmp_path_factory.mktemp("roundtrip") / "ds.csv"
+        save_dataset_csv(ds, path)
+        assert_bit_identical(load_dataset_csv(path), ds)
 
     @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1), OBSERVATIONS)),
            unlabeled=st.lists(OBSERVATIONS))
