@@ -10,8 +10,10 @@ sufficient statistics; the M-step and the surrogate are O(K) in them.  The
 labeled part of those statistics does not depend on the iterate and is
 computed once per run.
 
-The E-step walks the unlabeled data in fixed-size blocks, in order, so its
-working set stays in cache and its memory is O(K * block).  Each block's
+The E-step builds one :class:`ssem.model.LogitTerms` per pass and walks the
+unlabeled data in fixed-size blocks, in order, calling the responsibility
+kernel :func:`ssem.model.posterior` once per block, so its working set
+stays in cache and its memory is O(K * block).  Each block's
 sums (NumPy pairwise sums and one BLAS dot product per component) are
 accumulated in that fixed block order, so results are bitwise reproducible
 run to run.
@@ -36,9 +38,10 @@ import numpy as np
 from .errors import DomainError, EmptyComponent, NumericOverflow
 from .model import (
     ExpFamilySpec,
+    LogitTerms,
     MixtureParams,
     ModelKind,
-    responsibilities,
+    posterior,
 )
 
 _EMPTY_DENOMINATOR = 1e-300  # subnormal boundary: below this a component is empty
@@ -190,20 +193,20 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
     :func:`_labeled_statistics` plus, per component, the
     responsibility-weighted sum of t(y) over the unlabeled points and the
     responsibility mass.  ``unlabeled`` is :func:`_unlabeled`; with counts
-    ``c``, distinct value ``v`` adds ``q(v) c t(v)`` and ``q(v) c``.  The
-    values are taken in blocks of :func:`_block_rows`, so the ``(K, rows)``
-    responsibilities stay in cache; each block's sums are added in order.
+    ``c``, distinct value ``v`` adds ``q(v) c t(v)`` and ``q(v) c``.
+    ``theta_t`` is checked and its :class:`LogitTerms` built once; the
+    values are taken in blocks of :func:`_block_rows`, one
+    :func:`posterior` call each, so the ``(K, rows)`` responsibilities
+    stay in cache; each block's sums are added in order.
     Raises :class:`NumericOverflow` when a logit ``theta_k t(y)`` or a sum
     overflows.
     """
-    kind.check_params(theta_t)
     S, N = labeled[0].copy(), labeled[1].copy()
-    (y, counts), t, rows = unlabeled, kind.family.t, _block_rows(theta_t.K)
+    (y, counts), rows = unlabeled, _block_rows(theta_t.K)
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = LogitTerms.of(kind, theta_t)  # alpha(theta) may overflow too
         for lo in range(0, y.size, rows):
-            block = y[lo:lo + rows]
-            q = responsibilities(kind, theta_t, block).T
-            ty = np.asarray(t(block), dtype=float)
+            q, ty = posterior(terms, y[lo:lo + rows])
             if counts is None:
                 S += q @ ty
                 N += q.sum(axis=1)

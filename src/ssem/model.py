@@ -12,6 +12,13 @@ weights pi_k:
 Responsibilities are the posterior component probabilities under the current
 parameters (mixture weights included) and are always computed in log space
 with a max shift; a positive logit difference is never exponentiated.
+:func:`posterior` is the one place they are computed: it maps a
+:class:`LogitTerms`, built once per parameter vector (one per E-step pass
+or population step), and 1-d points to the (K, n) responsibilities and
+``t(y)``.  The sample E-step and the population step both call it, and the
+public per-point reads (:func:`responsibilities`, :func:`responsibility`,
+:func:`component_log_density`, :func:`marginal_log_density`) are shaped
+like ``y``.
 
 Everything here is a pure function of immutable values and safe to call
 concurrently.
@@ -405,8 +412,9 @@ class ModelKind:
 class LogitTerms(NamedTuple):
     """The parts of the natural-form logits that do not depend on y, for
     one checked parameter vector: the family, ``theta`` and the offsets
-    ``log_pi_k - alpha(theta_k)``.  Build them with :meth:`of` once and
-    pass them to :func:`responsibility_rows` for every point set."""
+    ``log_pi_k - alpha(theta_k)``.  Build them with :meth:`of` once per
+    parameter vector and pass them to :func:`posterior` for every point
+    set: one E-step pass or one population step builds one."""
 
     family: ExpFamilySpec
     theta: np.ndarray
@@ -424,25 +432,15 @@ class LogitTerms(NamedTuple):
         return cls(family, params.theta,
                    log_pi - np.asarray(family.alpha(params.theta), dtype=float))
 
-    def logits(self, y: np.ndarray) -> np.ndarray:
-        """(K, N) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``: the
-        component log densities without the carrier ``h(y)``, which every
-        component shares.  ``y`` must already be 1-d float."""
-        logits = np.multiply.outer(self.theta,
-                                   np.asarray(self.family.t(y), dtype=float))
+    def logits(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (K, n) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``
+        and the ``t(y)`` it is built from.  The logits are the component
+        log densities without the carrier ``h(y)``, which every component
+        shares.  ``y`` must already be 1-d float."""
+        ty = np.asarray(self.family.t(y), dtype=float)
+        logits = np.multiply.outer(self.theta, ty)
         logits += self.offsets[:, None]
-        return logits
-
-
-def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
-    """log p(y | component k; theta).  Vectorized over ``y``."""
-    terms = LogitTerms.of(kind, params, log_pi=0.0)
-    if not 0 <= k < params.K:
-        raise DomainError(f"component index {k} out of range for K={params.K}")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = (terms.logits(y_arr)[k]
-           + np.asarray(terms.family.log_carrier(y_arr), dtype=float))
-    return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
+        return logits, ty
 
 
 def _shifted_exp(logits: np.ndarray) -> np.ndarray:
@@ -454,61 +452,96 @@ def _shifted_exp(logits: np.ndarray) -> np.ndarray:
     return top
 
 
-def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
-    """log of the pi-weighted component density sum: the carrier ``h(y)``
-    plus the log-sum-exp of the natural-form logits, taken as the column
-    max plus the log of the max-shifted exponentials' sum, so nothing
-    overflows for |theta|, |y| up to 50."""
-    terms = LogitTerms.of(kind, params)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    logits = terms.logits(y_arr)
-    top = _shifted_exp(logits)
-    out = (np.asarray(terms.family.log_carrier(y_arr), dtype=float)
-           + (np.log(logits.sum(axis=0)) + top))
-    return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
+def posterior(terms: LogitTerms,
+              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The responsibility kernel: the C-contiguous (K, n) posterior
+    probabilities ``q`` at the 1-d float points ``y`` under ``terms``, and
+    ``t(y)``.  Each column of ``q`` sums to 1.
 
-
-def _normalized_exp(logits: np.ndarray) -> np.ndarray:
-    """In place on (K, N) logits: the posterior probabilities."""
+    Every responsibility in ssem comes from here: the sample E-step
+    contracts ``q`` with ``t(y)`` and the counts, the population step
+    integrates the rows ``[q, q t(y)]``, and :func:`responsibilities` and
+    :func:`responsibility` read ``q``.  The logits are linear in ``t(y)``
+    (``h(y)`` cancels), so no ``y**2`` is ever formed; one max shift keeps
+    every exponent <= 0.
+    """
+    logits, ty = terms.logits(y)
     _shifted_exp(logits)
     logits /= logits.sum(axis=0)
-    return logits
+    return logits, ty
+
+
+def _at_points(read: Callable, y):
+    """``read`` at ``y``: it gets the points flattened to 1-d float and
+    returns one entry per point along its last axis, which is reshaped to
+    ``y``'s shape.  A scalar ``y`` with one value per point gives a float."""
+    y = np.asarray(y, dtype=float)
+    out = read(y.reshape(-1))
+    out = out.reshape(out.shape[:-1] + y.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _component_index(k: int, K: int) -> int:
+    """``k``, if it indexes one of ``K`` components; else
+    :class:`DomainError` (a negative index would silently read from the
+    end).  The one index check of the per-component reads here and in
+    :mod:`ssem.population`."""
+    if not 0 <= k < K:
+        raise DomainError(f"component index {k} out of range for K={K}")
+    return k
+
+
+def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
+    """log p(y | component k; theta), shaped like ``y``."""
+    terms = LogitTerms.of(kind, params, log_pi=0.0)
+    _component_index(k, params.K)
+    return _at_points(
+        lambda pts: (terms.logits(pts)[0][k]
+                     + np.asarray(terms.family.log_carrier(pts), dtype=float)),
+        y)
+
+
+def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
+    """log of the pi-weighted component density sum, shaped like ``y``:
+    the carrier ``h(y)`` plus the log-sum-exp of the natural-form logits,
+    taken as the column max plus the log of the max-shifted exponentials'
+    sum, so nothing overflows for |theta|, |y| up to 50."""
+    terms = LogitTerms.of(kind, params)
+
+    def read(pts):
+        logits = terms.logits(pts)[0]
+        top = _shifted_exp(logits)
+        return (np.asarray(terms.family.log_carrier(pts), dtype=float)
+                + (np.log(logits.sum(axis=0)) + top))
+
+    return _at_points(read, y)
 
 
 def responsibilities(kind: ModelKind, params: MixtureParams,
                      y: np.ndarray) -> np.ndarray:
-    """(N, K) posterior probabilities; rows sum to 1.
+    """Posterior probabilities of shape ``y.shape + (K,)``; each point's
+    K values sum to 1.
 
-    The result is the transposed view of a C-contiguous (K, N) array, so
-    ``responsibilities(...).T`` holds one contiguous row per component.
-    The logits are linear in ``t(y)`` (``h(y)`` cancels), so no ``y**2``
-    is ever formed; one max shift keeps every exponent <= 0.
+    For a 1-d ``y`` the (N, K) result is the transposed view of the
+    C-contiguous (K, N) :func:`posterior`, so ``responsibilities(...).T``
+    holds one contiguous row per component.
     """
     terms = LogitTerms.of(kind, params)
-    return _normalized_exp(terms.logits(np.asarray(y, dtype=float))).T
-
-
-def responsibility_rows(terms: LogitTerms, y: np.ndarray) -> np.ndarray:
-    """``responsibilities(kind, params, y).T``, the same bits, from
-    ``terms = LogitTerms.of(kind, params)`` and a 1-d float ``y``: a caller
-    that evaluates one parameter vector at many point sets (a population
-    integrand) checks it and computes its offsets once."""
-    return _normalized_exp(terms.logits(y))
+    return np.moveaxis(_at_points(lambda pts: posterior(terms, pts)[0], y),
+                       0, -1)
 
 
 def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):
-    """Posterior probability of component ``k`` given ``y``.
+    """Posterior probability of component ``k`` given ``y``, shaped like
+    ``y``.
 
     For the ``sym2`` pair ``(-phi, +phi)``, ``k=0`` is the component at
     ``-phi`` and the value is the logistic ``1 / (1 + exp(2*y*phi))``; the
     tied M-step weighs an unlabeled ``y`` by ``q_1 - q_0 = tanh(y*phi)``.
     """
-    kind.check_params(params)
-    if not 0 <= k < params.K:
-        raise DomainError(f"component index {k} out of range for K={params.K}")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = responsibilities(kind, params, y_arr)[:, k]
-    return float(out[0]) if np.isscalar(y) or np.ndim(y) == 0 else out
+    terms = LogitTerms.of(kind, params)
+    _component_index(k, params.K)
+    return _at_points(lambda pts: posterior(terms, pts)[0][k], y)
 
 
 # np.errstate as a decorator builds no context manager per call: 0.7 rather

@@ -9,8 +9,13 @@ pi_k * alpha_prime(theta*_k)`, which is `pi_k * theta*_k` for Gaussians).
 The only unlabeled quantities an operator evaluation needs are the 2K
 responsibility moments ``E[q_k]`` and ``E[q_k t(Y)]`` at the probe.  They do
 not depend on gamma, and :meth:`PopulationStep.at` computes all of them with
-one vector integral whose every output meets ``scheme.abs_tol`` on its own;
-``M_0``, ``M_gamma`` and ``c_k`` at that probe are then read from the step.
+one vector integral of the rows ``[q, q t(y)]`` from the responsibility
+kernel :func:`ssem.model.posterior`, whose every output meets
+``scheme.abs_tol`` on its own; ``M_0``, ``M_gamma`` and ``c_k`` at that
+probe are then read from the step.  These are the sample E-step's
+statistics under the truth in place of the sample: on an integer support
+the sum of :func:`expect` is the grouped E-step with the truth's mass as
+the counts.
 
 Inside ``with IntegralMemo():`` (the CLI opens one per command) each
 distinct integral is computed once: the moments at a probe, the sym2
@@ -47,8 +52,9 @@ from .model import (
     LogitTerms,
     MixtureParams,
     ModelKind,
+    _component_index,
     marginal_log_density,
-    responsibility_rows,
+    posterior,
 )
 
 _DEGENERATE_DENOMINATOR = 1e-12
@@ -229,19 +235,6 @@ def expect(pm: PopulationModel,
     return value
 
 
-def _component(pm: PopulationModel, k: int) -> int:
-    """``k``, if it indexes a component of ``pm``; else :class:`DomainError`
-    (a negative index would silently read from the end)."""
-    if not 0 <= k < pm.theta_star.K:
-        raise DomainError(f"component index {k} out of range for "
-                          f"K={pm.theta_star.K}")
-    return k
-
-
-def _statistic(pm: PopulationModel, y: np.ndarray) -> np.ndarray:
-    return np.asarray(pm.kind.family.t(y), dtype=float)
-
-
 @dataclass(frozen=True)
 class PopulationStep:
     """The unlabeled responsibility moments at one probe: ``e_q[k] =
@@ -268,13 +261,13 @@ class PopulationStep:
         pm.kind.check_params(theta)
 
         def integral():
-            # theta is checked and its logit offsets computed once, not
-            # once per integrand call.
+            # One LogitTerms per step: theta is checked and its logit
+            # offsets computed once, not once per integrand call.
             terms = LogitTerms.of(pm.kind, theta)
 
             def moments(y):
-                q = responsibility_rows(terms, y)
-                return np.concatenate([q, q * _statistic(pm, y)])
+                q, ty = posterior(terms, y)
+                return np.concatenate([q, q * ty])
 
             values = expect(pm, moments)
             values.setflags(write=False)
@@ -287,7 +280,7 @@ class PopulationStep:
 
     def c(self, k: int) -> float:
         """``E[q_k]`` at the probe."""
-        return float(self.e_q[_component(self.pm, k)])
+        return float(self.e_q[_component_index(k, self.pm.theta_star.K)])
 
     def m0(self, k: int) -> float:
         """Component k of the unlabeled-only update ``M_0``."""
@@ -307,7 +300,7 @@ class PopulationStep:
         when ``|sum a_j^2 den_j| < 1e-12``."""
         key = (k, gamma)
         if key not in self._solved:  # every solved key has a valid k
-            _component(self.pm, k)
+            _component_index(k, self.pm.theta_star.K)
             labeled_t, labeled_q = self.pm._labeled_moments
             e_qt, e_q = self.e_qt, self.e_q
 
@@ -350,7 +343,7 @@ def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
     Gaussian kinds return theta*_k directly; exponential families invert the
     mean function at the conditional mean of the sufficient statistic.
     """
-    star_k = float(pm.theta_star.theta[_component(pm, k)])
+    star_k = float(pm.theta_star.theta[_component_index(k, pm.theta_star.K)])
     return pm.kind.theta_from_mean(pm.kind.family.alpha_prime(star_k), x0=star_k)
 
 

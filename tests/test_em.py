@@ -19,11 +19,13 @@ from ssem.em import (
 )
 from ssem.errors import DomainError, EmptyComponent, NumericOverflow
 from ssem.model import (
+    LogitTerms,
     MixtureParams,
     ModelKind,
     exponential_spec,
     gaussian_spec,
     poisson_spec,
+    posterior,
     responsibilities,
 )
 from ssem.sampling import Dataset, SampleConfig, sample_dataset
@@ -390,21 +392,21 @@ class TestBlockedEStep:
         assert err.value.iteration == 0
 
     def test_work_counts_per_iteration(self, monkeypatch):
-        # One E-step pass per iteration, in ceil(n / B) calls; the labeled
-        # statistics once per run.
+        # One E-step pass per iteration, in ceil(n / B) kernel calls; the
+        # labeled statistics once per run.
         calls, rows, labeled_calls = [], [], []
 
-        def counting_responsibilities(kind, params, y):
+        def counting_posterior(terms, y):
             calls.append(1)
             rows.append(np.size(y))
-            return responsibilities(kind, params, y)
+            return posterior(terms, y)
 
         def counting_labeled(*args):
             labeled_calls.append(1)
             return labeled_statistics(*args)
 
         labeled_statistics = em._labeled_statistics
-        monkeypatch.setattr(em, "responsibilities", counting_responsibilities)
+        monkeypatch.setattr(em, "posterior", counting_posterior)
         monkeypatch.setattr(em, "_labeled_statistics", counting_labeled)
         kind, theta = BLOCK_KINDS["gmm"]
         B = em._block_rows(theta.K)
@@ -415,6 +417,24 @@ class TestBlockedEStep:
         assert sum(rows) == ds.n * traj.n_steps
         assert len(calls) == math.ceil(ds.n / B) * traj.n_steps
         assert len(labeled_calls) == 1
+
+    def test_logit_terms_built_once_per_pass(self, monkeypatch):
+        # The parameters are checked and their logit offsets computed once
+        # per E-step pass, not once per block.
+        built = []
+        of = LogitTerms.of.__func__
+
+        def counting_of(cls, *args, **kwargs):
+            built.append(1)
+            return of(cls, *args, **kwargs)
+
+        monkeypatch.setattr(LogitTerms, "of", classmethod(counting_of))
+        kind, theta = BLOCK_KINDS["gmm"]
+        ds = block_dataset("gmm", 2 * em._block_rows(theta.K) + 3)
+        traj = run_em(kind, ds, MixtureParams(theta.pi, theta.theta + 0.4),
+                      EmConfig(max_iters=4, tol=1e-300))
+        assert traj.n_steps == 4
+        assert len(built) == traj.n_steps
 
 
 def far_tail_case(name, far, n=51):
@@ -495,11 +515,11 @@ class TestGroupedEStep:
     def test_integer_sample_passes_distinct_values_per_iteration(self, monkeypatch):
         rows = []
 
-        def counting_responsibilities(kind, params, y):
+        def counting_posterior(terms, y):
             rows.append(np.size(y))
-            return responsibilities(kind, params, y)
+            return posterior(terms, y)
 
-        monkeypatch.setattr(em, "responsibilities", counting_responsibilities)
+        monkeypatch.setattr(em, "posterior", counting_posterior)
         kind, theta = BLOCK_KINDS["poisson"]
         ds = block_dataset("poisson", 3 * em._block_rows(theta.K))
         distinct = np.unique(ds.unlabeled_y).size

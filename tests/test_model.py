@@ -174,6 +174,54 @@ class TestResponsibility:
                 np.testing.assert_allclose(qa, qb, atol=1e-12)
 
 
+class TestPointShape:
+    """Every per-point read is shaped like ``y``: on an n-d ``y`` it equals
+    its values on the flattened points, reshaped; a scalar gives a float
+    (``responsibilities`` adds a trailing axis of K)."""
+
+    PARAMS = {
+        "K2": MixtureParams([0.3, 0.7], [-1.0, 1.0]),
+        "K3": MixtureParams([0.2, 0.5, 0.3], [-2.0, 0.0, 1.5]),
+    }
+    READS = {
+        "responsibility": lambda p, y: responsibility(GMM, p, y, 0),
+        "component_log_density": lambda p, y: component_log_density(GMM, 1, p, y),
+        "marginal_log_density": lambda p, y: marginal_log_density(GMM, p, y),
+        "responsibilities": lambda p, y: responsibilities(GMM, p, y),
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2, 1, 3), (1, 6)])
+    def test_nd_points_equal_flat_values_reshaped(self, read, name, shape):
+        f, params = self.READS[read], self.PARAMS[name]
+        y = np.linspace(-2.5, 2.5, 6)
+        y[0] = 0.0
+        flat = f(params, y)
+        got = f(params, y.reshape(shape))
+        np.testing.assert_array_equal(got, flat.reshape(shape + flat.shape[1:]))
+        for i, idx in enumerate(np.ndindex(shape)):
+            np.testing.assert_array_equal(got[idx], f(params, y[i]))
+
+    def test_two_by_three_example(self):
+        # At y = 0 the logits differ only by log pi, so q_0 = pi_0.
+        y = np.array([[0.0, 1.0, 2.0], [-1.0, -2.0, 3.0]])
+        q = responsibility(GMM, self.PARAMS["K2"], y, 0)
+        assert q.shape == (2, 3)
+        assert q[0, 0] == pytest.approx(0.3, rel=1e-14)
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_scalar_point(self, read):
+        params = self.PARAMS["K3"]
+        value = self.READS[read](params, 0.5)
+        if read == "responsibilities":
+            assert value.shape == (3,)
+            np.testing.assert_array_equal(
+                value, responsibilities(GMM, params, np.array([0.5]))[0])
+        else:
+            assert type(value) is float
+
+
 class TestMixtureParams:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DomainError):

@@ -285,6 +285,30 @@ class TestFiniteSampleConsistency:
         se = math.sqrt(ds.m * lab.var() + ds.n * unl.var()) / total
         assert abs(estimate - target) < 4 * se
 
+    @pytest.mark.parametrize("probe", [(0.8, 1.7), (0.0, 2.5), (1.2, 3.0)])
+    def test_grouped_sample_estep_is_population_moments(self, probe):
+        # On an integer support the population moments are a sum over the
+        # truth's support points: the grouped sample E-step with no labels,
+        # the truth's mass in place of the counts.
+        from ssem import em
+        from ssem.population import _TruthGrid
+
+        pm = PopulationModel(ModelKind.expfam(poisson_spec()),
+                             MixtureParams([0.5, 0.5], [0.5, 2.0]), 0.1)
+        theta = MixtureParams(pm.theta_star.pi, probe)
+        grid = _TruthGrid.of(pm)
+        S, N = em._sufficient_statistics(
+            pm.kind, theta, (np.zeros(2), np.zeros(2)),
+            (grid.nodes, grid.density))
+        step = PopulationStep.at(pm, theta)
+        q = responsibilities(pm.kind, theta, grid.nodes)
+        for k in range(2):
+            for got, want, terms in (
+                    (S[k], step.e_qt[k], q[:, k] * grid.nodes * grid.density),
+                    (N[k], step.e_q[k], q[:, k] * grid.density)):
+                scale = math.fsum(np.abs(terms).tolist())
+                assert abs(got - want) <= 16 * np.finfo(float).eps * scale
+
 
 class TestPopulationEm:
     def test_failing_first_step_carries_iteration_0(self):
