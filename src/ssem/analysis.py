@@ -26,6 +26,7 @@ runs at 1e-10 absolute tolerance, leaving ample margin under the 1e-6
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,6 @@ from .errors import (
     NotExpFam,
     ProbeOutsideRegime,
     ProbeTooCloseToFixedPoint,
-    SsemError,
     TrajectoryTooShort,
 )
 from .em import Trajectory
@@ -84,8 +84,10 @@ def all_pass(checks: list[dict]) -> bool:
     return all(c["pass"] for c in checks if c.get("applicable", True))
 
 
-def _fixed_point_guard(pm: PopulationModel) -> float:
-    return 100.0 * pm.scheme.abs_tol
+def fixed_point_guard(scheme: QuadratureScheme) -> float:
+    """The distance from the truth within which an update under ``scheme``
+    is quadrature noise: a Theorem-1 ratio there is ill-defined."""
+    return 100.0 * scheme.abs_tol
 
 
 def _theorem1_ratio(step: PopulationStep, k: int) -> tuple[float, float, float]:
@@ -98,7 +100,7 @@ def _theorem1_ratio(step: PopulationStep, k: int) -> tuple[float, float, float]:
     m0 = step.m0(k)
     star_k = float(step.pm.theta_star.theta[k])
     denom = abs(m0 - star_k)
-    if denom <= _fixed_point_guard(step.pm):
+    if denom <= fixed_point_guard(step.pm.scheme):
         raise ProbeTooCloseToFixedPoint(
             f"|M0 - theta*| = {denom:.3e} within the quadrature floor")
     mg = step.m_gamma(k)
@@ -266,7 +268,7 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
         # Every component's series shares the probes theta* + side * eps.
         steps = [(eps, PopulationStep.at(
                       pm, pm.kind.shift(pm.theta_star, side * eps)))
-                 for eps in eps_sorted if eps > _fixed_point_guard(pm)]
+                 for eps in eps_sorted if eps > fixed_point_guard(pm.scheme)]
         for k in range(pm.theta_star.K):
             series = Theorem2Series(component=k, side=side)
             star_k = float(pm.theta_star.theta[k])
@@ -437,6 +439,13 @@ def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
         })
 
 
+def tail_sandwich_defined(t: float) -> bool:
+    """Whether :func:`gaussian_tail_sandwich` accepts ``t``: t > 0 with
+    phi(t) a normal float (t <= 37.6).  Beyond, phi(t) is subnormal or 0
+    and the bounds compare rounded-off values."""
+    return t > 0.0 and _phi(t) >= sys.float_info.min
+
+
 def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
     """Two-sided bounds on the standard normal upper tail probability:
 
@@ -444,18 +453,14 @@ def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
 
     with the tail computed through the complementary error function.
     Returns ``(lower, upper, phi_tail)``.  The lower bound is vacuous
-    (negative) for t < 1.
+    (negative) for t < 1.  Raises :class:`DomainError` unless
+    :func:`tail_sandwich_defined` accepts ``t``.
     """
-    if not t > 0.0:
-        raise DomainError("tail sandwich requires t > 0")
+    if not tail_sandwich_defined(t):
+        raise DomainError(f"tail sandwich requires t > 0 with phi(t) a "
+                          f"normal float, got t={t}")
     density = _phi(t)
-    lower = (1.0 / t - 1.0 / t ** 3) * density
-    upper = density / t
-    tail = _upper_tail(t)
-    if t >= 1.0 and not lower <= tail <= upper:
-        raise SsemError(f"tail sandwich violated at t={t}: "
-                        f"{lower} <= {tail} <= {upper}")
-    return lower, upper, tail
+    return (1.0 / t - 1.0 / t ** 3) * density, density / t, _upper_tail(t)
 
 
 def lemma3_checks(tail_grid: list[float]) -> list[dict]:
@@ -563,7 +568,7 @@ def demonstrate_rescue(pm: PopulationModel,
     """
     offsets = (np.linspace(0.25, 3.0, 8) if probe_offsets is None
                else np.asarray(probe_offsets, dtype=float))
-    guard = _fixed_point_guard(pm)
+    guard = fixed_point_guard(pm.scheme)
 
     kappa, k_best, step_best = -math.inf, 0, None
     for off in offsets:

@@ -11,6 +11,11 @@ file behind and exits 2 with ``field: "output.directory"``.  ``simulate``
 may write ``dataset.csv`` in a forked child process while it runs EM (see
 :func:`cmd_simulate`); the same rules hold.
 
+``verify <target>`` runs the checks of one target on the config's model;
+``VERIFIERS`` lists the model kinds each target checks.  ``verify all``
+runs every target that lists the config's kind, and a target named for a
+kind it does not list exits 2 with ``field: "model.kind"``.
+
 Each call builds the argument parser of its one command only;
 :func:`build_parser` is the parser of all of them, and ``main`` parses the
 same namespace as it does.
@@ -58,9 +63,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VIOLATION = 4
-
-VERIFY_TARGETS = ("thm1", "thm2", "thm3-1", "thm3-2", "thm3-3",
-                  "lemma3", "rescue", "all")
 
 
 def _jsonify(obj):
@@ -267,48 +269,52 @@ def cmd_population(cfg: RunConfig, out_dir: str) -> int:
     return _finish_run(cfg, out_dir, traj, start, timings)
 
 
-def _verify_checks(cfg: RunConfig, which: str) -> list[dict]:
-    if which == "thm1":
-        return verify_theorem1(cfg.population_model(), [
-            cfg.kind.shift(cfg.theta_star, off)
-            for off in cfg.probe_offsets]).checks()
-    if which == "thm2":
-        return verify_theorem2(cfg.population_model(), cfg.epsilons).checks()
-    if which == "lemma3":
-        return lemma3_checks(cfg.tail_grid)
-    if which == "rescue":
-        return demonstrate_rescue(cfg.population_model(),
-                                  probe_offsets=cfg.probe_offsets).checks()
-    if which == "thm3-3":
-        reports = [rate_bound_item3(star, cfg.population_gamma(), star + off,
-                                    cfg.scheme)
-                   for star in cfg.theta_star_grid
-                   for off in cfg.item3_probe_offsets]
-    elif which in ("thm3-1", "thm3-2"):
-        bound = rate_bound_item1 if which == "thm3-1" else rate_bound_item2
-        reports = [bound(star, cfg.population_gamma(), cfg.scheme)
-                   for star in cfg.theta_star_grid]
-    else:
-        raise ConfigError(f"unknown verify target {which!r}", field="verify")
+def _checks_of(reports) -> list[dict]:
     return [check for report in reports for check in report.checks()]
 
 
+# Each verify target: the model kinds it checks, and its check entries for a
+# config of one of them.  The paper's local result (thm2) covers
+# exponential families, its contraction bound (thm1) the Gaussian kinds,
+# and its rate bounds (thm3-*) the symmetric pair, on their own theta* grid.
+# ``verify all`` runs, in this order, every target that lists the kind.
+VERIFIERS = {
+    "thm1": (("gmm", "sym2"), lambda cfg: verify_theorem1(
+        cfg.population_model(), [cfg.kind.shift(cfg.theta_star, off)
+                                 for off in cfg.probe_offsets]).checks()),
+    "thm2": (("expfam",), lambda cfg: verify_theorem2(
+        cfg.population_model(), cfg.epsilons).checks()),
+    "thm3-1": (("sym2",), lambda cfg: _checks_of(
+        rate_bound_item1(star, cfg.population_gamma(), cfg.scheme)
+        for star in cfg.theta_star_grid)),
+    "thm3-2": (("sym2",), lambda cfg: _checks_of(
+        rate_bound_item2(star, cfg.population_gamma(), cfg.scheme)
+        for star in cfg.theta_star_grid)),
+    "thm3-3": (("sym2",), lambda cfg: _checks_of(
+        rate_bound_item3(star, cfg.population_gamma(), star + off, cfg.scheme)
+        for star in cfg.theta_star_grid for off in cfg.item3_probe_offsets)),
+    "lemma3": (("gmm", "sym2", "expfam"),
+               lambda cfg: lemma3_checks(cfg.tail_grid)),
+    "rescue": (("gmm", "sym2", "expfam"), lambda cfg: demonstrate_rescue(
+        cfg.population_model(), probe_offsets=cfg.probe_offsets).checks()),
+}
+
+
 def cmd_verify(cfg: RunConfig, which: str, out_dir: str) -> int:
-    if which == "all":
-        targets = [w for w in VERIFY_TARGETS if w != "all"]
-        # thm1 applies to the Gaussian kinds, thm2 to exponential families,
-        # and thm3-* to the symmetric pair (on their own theta* grid).
-        skip = {"thm1"} if cfg.kind.tag == "expfam" else {"thm2"}
-        if cfg.kind.tag != "sym2":
-            skip |= {"thm3-1", "thm3-2", "thm3-3"}
-        targets = [t for t in targets if t not in skip]
-    else:
-        targets = [which]
+    """Run ``which`` (or, for ``all``, every target that checks the
+    config's kind); a target that does not check it is a configuration
+    error, raised before any integral."""
+    targets = {target: run for target, (kinds, run) in VERIFIERS.items()
+               if which in (target, "all") and cfg.kind.tag in kinds}
+    if not targets:
+        raise ConfigError(
+            f"verify {which} checks {'/'.join(VERIFIERS[which][0])} models, "
+            f"not {cfg.kind.tag}", field="model.kind")
     checks: list[dict] = []
     timings: dict = {}
-    for target in targets:
+    for target, run in targets.items():
         with _timed(timings, target):
-            checks += _verify_checks(cfg, target)
+            checks += run(cfg)
     pass_all = all_pass(checks)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -340,7 +346,7 @@ COMMANDS = ("simulate", "population", "sample", "verify")
 def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     """The arguments of ``command``, declared once for both parsers."""
     if command == "verify":
-        parser.add_argument("which", choices=VERIFY_TARGETS)
+        parser.add_argument("which", choices=[*VERIFIERS, "all"])
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+from .analysis import fixed_point_guard, tail_sandwich_defined
 from .em import EmConfig
 from .errors import ConfigError
 from .model import BUILTIN_FAMILIES, MixtureParams, ModelKind
@@ -65,21 +66,6 @@ def parse_config_text(text: str) -> dict:
 def load_config_file(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, (list, tuple)):
-        return ", ".join(_format_value(v) for v in value)
-    return str(value)
-
-
-def format_config(cfg: dict) -> str:
-    """Render a flat config dict back to parseable text."""
-    return "".join(f"{k} = {_format_value(v)}\n" for k, v in cfg.items())
 
 
 def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
@@ -300,7 +286,8 @@ def build_run_config(raw: dict) -> RunConfig:
                                   lambda v: 0.0 < v < math.inf and v * v > 0.0),
                             (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)),
         tail_grid=get("verify.tail_grid",
-                      _grid("finite and > 0", lambda v: 0.0 < v < math.inf),
+                      _grid("> 0 with phi(t) a normal float (t <= 37.6)",
+                            tail_sandwich_defined),
                       (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
     # The test of rate_bound_item3, in floats: an offset just above 1 can
     # round onto theta* + 1.
@@ -311,6 +298,14 @@ def build_run_config(raw: dict) -> RunConfig:
                     f"probe theta* + {off!r} = {star + off!r} must exceed "
                     f"theta* + 1 = {star + 1.0!r}",
                     field="verify.item3_probe_offsets")
+    # Theorem 2 fits its Taylor slope to the radii beyond the fixed-point
+    # guard; with fewer than two the series passes with nothing measured.
+    guard = fixed_point_guard(cfg.scheme)
+    if sum(eps > guard for eps in cfg.epsilons) < 2:
+        raise ConfigError(
+            f"at least two radii must exceed the fixed-point guard {guard:g} "
+            f"(set by quadrature.abs_tol), got {cfg.epsilons}",
+            field="verify.epsilons")
     for key in raw:
         if key not in raw.keys_read:
             raise ConfigError(f"unknown key {key} (no {tag} run reads it)",

@@ -329,6 +329,11 @@ class TestTailSandwich:
         with pytest.raises(DomainError):
             gaussian_tail_sandwich(0.0)
 
+    def test_requires_normal_phi(self):
+        # phi(39) is subnormal: the bounds would compare rounded-off values.
+        with pytest.raises(DomainError):
+            gaussian_tail_sandwich(39.0)
+
 
 class TestEmpiricalRate:
     def test_population_rate_below_derivative_bound(self):

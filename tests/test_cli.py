@@ -17,12 +17,19 @@ from ssem.cli import build_parser, main
 from ssem.config import (
     apply_overrides,
     build_run_config,
-    format_config,
+    load_config_file,
     parse_config_text,
 )
 from ssem.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+# The targets ``verify all`` runs on each config's model kind, in order;
+# every other target refuses it.
+KIND_TARGETS = {
+    "gmm3.cfg": ["thm1", "lemma3", "rescue"],
+    "sym2.cfg": ["thm1", "thm3-1", "thm3-2", "thm3-3", "lemma3", "rescue"],
+    "poisson2.cfg": ["thm2", "lemma3", "rescue"],
+}
 
 SYM2_CFG = """
 # symmetric pair run
@@ -61,6 +68,8 @@ em.theta0 = 0.0, 0.5
 SYM2_POP = "model.kind = sym2\nmodel.theta_star = 1.5\n"
 POISSON_POP = ("model.kind = expfam\nmodel.family = poisson\n"
                "model.theta_star = 0.5, 2.0\nmodel.pi = 0.5, 0.5\n")
+GMM3_POP = ("model.kind = gmm\nmodel.theta_star = -3, 0, 3\n"
+            "model.pi = 0.3, 0.4, 0.3\n")
 
 
 SIMULATE_PHASES = ["sample", "write_dataset", "em", "write_trajectory"]
@@ -80,17 +89,19 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def config_text(raw):
+    """Config text for a flat dict of the values the parser returns."""
+    def text(value):
+        return ", ".join(map(str, value)) if isinstance(value, list) else value
+    return "".join(f"{key} = {text(value)}\n" for key, value in raw.items())
+
+
 class TestConfigParsing:
     def test_types_and_comments(self):
         cfg = parse_config_text(
             "a.b = 3\nc = 1.5\nd = true\ne = x, 2, 2.5 # trailing\nf = name\n")
         assert cfg == {"a.b": 3, "c": 1.5, "d": True,
                        "e": ["x", 2, 2.5], "f": "name"}
-
-    def test_format_roundtrip(self):
-        raw = parse_config_text(SYM2_CFG)
-        again = parse_config_text(format_config(raw))
-        assert again == raw
 
     def test_overrides(self):
         raw = apply_overrides({"a": 1}, ["a=2", "b.c=0.5, 0.5"])
@@ -543,13 +554,16 @@ class TestPhaseTimings:
                                          else "inline")
             assert writer["cpu_s"] >= 0.0
 
-    @pytest.mark.parametrize("which, targets", [
-        ("all", ["thm1", "thm3-1", "thm3-2", "thm3-3", "lemma3", "rescue"]),
-        ("lemma3", ["lemma3"]),
-    ], ids=["all", "lemma3"])
-    def test_verify_times_each_target_in_run_order(self, tmp_path, which,
-                                                   targets):
-        cfg = write_cfg(tmp_path, SYM2_POP + "data.gamma = 0.1\n")
+    @pytest.mark.parametrize("text, which, targets", [
+        (SYM2_POP, "all",
+         ["thm1", "thm3-1", "thm3-2", "thm3-3", "lemma3", "rescue"]),
+        (SYM2_POP, "lemma3", ["lemma3"]),
+        (GMM3_POP, "all", KIND_TARGETS["gmm3.cfg"]),
+        (POISSON_POP, "all", KIND_TARGETS["poisson2.cfg"]),
+    ], ids=["all", "lemma3", "all-gmm", "all-expfam"])
+    def test_verify_times_each_target_in_run_order(self, tmp_path, text,
+                                                   which, targets):
+        cfg = write_cfg(tmp_path, text + "data.gamma = 0.1\n")
         main(["verify", which, "--config", cfg, "--out", str(tmp_path)])
         payload = json.loads((tmp_path / f"verify_{which}.json").read_text())
         assert list(payload["timings_s"]) == targets
@@ -697,9 +711,63 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "verify_rescue.json").read_text())
         assert any("no_rescue_needed" in c["name"] for c in payload["checks"])
 
+    @pytest.mark.parametrize("config", list(KIND_TARGETS))
+    @pytest.mark.parametrize("which", list(cli.VERIFIERS))
+    def test_target_of_another_kind_is_config_error(self, tmp_path, capsys,
+                                                    config, which):
+        # A target checks only the model kinds it lists; named for another
+        # kind it is refused before any integral and writes nothing.
+        kind = build_run_config(load_config_file(CONFIGS / config)).kind.tag
+        listed = which in KIND_TARGETS[config]
+        assert (kind in cli.VERIFIERS[which][0]) is listed
+        if listed:
+            return  # run by TestVerifyArtifact
+        rc = main(["verify", which, "--config", str(CONFIGS / config),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"], err["field"]) == (
+            "config", "ConfigError", "model.kind")
+        assert not (tmp_path / f"verify_{which}.json").exists()
 
-GMM3_POP = ("model.kind = gmm\nmodel.theta_star = -3, 0, 3\n"
-            "model.pi = 0.3, 0.4, 0.3\n")
+    @pytest.mark.parametrize("config, command, assignment, field", [
+        ("sym2.cfg", ["verify", "lemma3"], "verify.tail_grid=1,39",
+         "verify.tail_grid"),
+        ("poisson2.cfg", ["verify", "thm2"], "verify.epsilons=1e-9",
+         "verify.epsilons"),
+        ("poisson2.cfg", ["verify", "thm2"], "verify.epsilons=0.2",
+         "verify.epsilons"),
+        ("gmm3.cfg", ["simulate"], "verify.epsilons=0.2", "verify.epsilons"),
+    ], ids=["tail-phi-subnormal", "radii-inside-guard", "one-radius",
+            "simulate-one-radius"])
+    def test_grid_that_measures_nothing_is_config_error(
+            self, tmp_path, capsys, config, command, assignment, field):
+        # phi(39) is subnormal, so the lemma-3 bounds compare rounded-off
+        # values; Theorem 2 fits its slope to two radii or more beyond the
+        # fixed-point guard 100 * quadrature.abs_tol.
+        rc = main(command + ["--config", str(CONFIGS / config),
+                             "--out", str(tmp_path), "--set", assignment])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", field)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tail_grid_at_normal_phi_passes(self, tmp_path):
+        rc = main(["verify", "lemma3", "--config", str(CONFIGS / "sym2.cfg"),
+                   "--out", str(tmp_path), "--set", "verify.tail_grid=1,37.5"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "verify_lemma3.json").read_text())
+        assert [c["pass"] for c in payload["checks"]] == [True] * 4
+
+    def test_radius_inside_guard_is_dropped(self, tmp_path):
+        rc = main(["verify", "thm2", "--config", str(CONFIGS / "poisson2.cfg"),
+                   "--out", str(tmp_path),
+                   "--set", "verify.epsilons=0.2, 0.1, 1e-9"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "verify_thm2.json").read_text())
+        assert {tuple(c["probe"]) for c in payload["checks"]} == {(0.2, 0.1)}
+
+
 ENTRY_KEYS = ["name", "probe", "lhs", "rhs", "pass"]
 
 
@@ -754,7 +822,7 @@ class TestReproducibility:
         # Round-trip: the embedded config reproduces identical CSV bytes.
         embedded = dict(summary["config"])
         embedded.pop("output.directory", None)
-        cfg2 = write_cfg(tmp_path, format_config(embedded), name="embed.cfg")
+        cfg2 = write_cfg(tmp_path, config_text(embedded), name="embed.cfg")
         out_b = tmp_path / "rerun"
         assert main(["simulate", "--config", cfg2, "--out", str(out_b)]) == 0
         for name in ("dataset.csv", "trajectory.csv"):
