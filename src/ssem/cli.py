@@ -283,7 +283,7 @@ VERIFIERS = {
         cfg.population_model(), [cfg.kind.shift(cfg.theta_star, off)
                                  for off in cfg.probe_offsets]).checks()),
     "thm2": (("expfam",), lambda cfg: verify_theorem2(
-        cfg.population_model(), cfg.epsilons).checks()),
+        cfg.population_model(), cfg.theorem2_radii()).checks()),
     "thm3-1": (("sym2",), lambda cfg: _checks_of(
         rate_bound_item1(star, cfg.population_gamma(), cfg.scheme)
         for star in cfg.theta_star_grid)),

@@ -118,6 +118,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _sample_count(value) -> int:
+    """``value`` as an int below 2^63, the most samples numpy can index."""
+    value = _integer(value)
+    if value >= 2 ** 63:
+        raise ValueError(f"must be below 2^63, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    """``value``, if it was written ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _choice(*options):
     def convert(value):
         if value not in options:
@@ -140,7 +155,8 @@ def _weights(k: int):
         if len(pi) != k:
             raise ValueError(f"model.pi has {len(pi)} entries but "
                              f"model.theta_star has {k}")
-        if any(p <= 0.0 for p in pi) or abs(sum(pi) - 1.0) > 1e-12:
+        # Written so that a NaN weight fails.
+        if not (all(p > 0.0 for p in pi) and abs(sum(pi) - 1.0) <= 1e-12):
             raise ValueError(f"model.pi must be positive and sum to 1, got {pi}")
         return pi
     return convert
@@ -182,6 +198,15 @@ def _grid(rule: str, ok):
                 raise ValueError(f"each value must be {rule}, got {v}")
         return values
     return convert
+
+
+def _radii(value) -> list[float]:
+    """Converter for ``verify.epsilons``: two or more finite radii > 0.
+    How many of them Theorem 2 can use is :meth:`RunConfig.theorem2_radii`."""
+    radii = _grid("finite and > 0", lambda v: 0.0 < v < math.inf)(value)
+    if len(radii) < 2:
+        raise ValueError(f"at least two radii are needed, got {radii}")
+    return radii
 
 
 @dataclass
@@ -229,6 +254,19 @@ class RunConfig:
                 "the verify targets need gamma < 1", field="data.gamma")
         return self.gamma
 
+    def theorem2_radii(self) -> list[float]:
+        """``verify.epsilons`` for Theorem 2, which fits its Taylor slope to
+        the radii beyond the fixed-point guard ``100 *
+        quadrature.abs_tol``; with fewer than two there the series passes
+        with nothing measured, so that is a configuration error here."""
+        guard = fixed_point_guard(self.scheme)
+        if sum(eps > guard for eps in self.epsilons) < 2:
+            raise ConfigError(
+                f"at least two radii must exceed the fixed-point guard "
+                f"{guard:g} (set by quadrature.abs_tol), got {self.epsilons}",
+                field="verify.epsilons")
+        return self.epsilons
+
     def population_model(self) -> PopulationModel:
         return PopulationModel(self.kind, self.theta_star,
                                self.population_gamma(), self.scheme)
@@ -262,21 +300,20 @@ def build_run_config(raw: dict) -> RunConfig:
         theta0=get("em.theta0", lambda v: kind.params(v, lambda k: star.pi),
                    raw["model.theta_star"]),
         em=_section(raw, "em", EmConfig, {
-            "max_iters": _integer, "tol": float, "record_trajectory": bool}),
+            "max_iters": _integer, "tol": float,
+            "record_trajectory": _boolean}),
         scheme=_section(raw, "quadrature", QuadratureScheme, {
             "abs_tol": float, "range_sigma": float,
             "max_subdivisions": _integer}),
         gamma=get("data.gamma", _unit_interval, 0.0),
-        total_samples=get("data.total_samples", _integer, 0),
+        total_samples=get("data.total_samples", _sample_count, 0),
         seed=get("data.seed", _integer, 0),
         allocation=get("data.allocation", _choice(*ALLOCATIONS), "proportional"),
         out_dir=get("output.directory", str, "."),
         probe_offsets=get("verify.probe_offsets",
                           _grid("finite", math.isfinite),
                           (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),
-        epsilons=get("verify.epsilons",
-                     _grid("finite and > 0", lambda v: 0.0 < v < math.inf),
-                     (0.2, 0.1, 0.05, 0.025)),
+        epsilons=get("verify.epsilons", _radii, (0.2, 0.1, 0.05, 0.025)),
         item3_probe_offsets=get("verify.item3_probe_offsets",
                                 _grid("finite and > 1",
                                       lambda v: 1.0 < v < math.inf),
@@ -298,14 +335,6 @@ def build_run_config(raw: dict) -> RunConfig:
                     f"probe theta* + {off!r} = {star + off!r} must exceed "
                     f"theta* + 1 = {star + 1.0!r}",
                     field="verify.item3_probe_offsets")
-    # Theorem 2 fits its Taylor slope to the radii beyond the fixed-point
-    # guard; with fewer than two the series passes with nothing measured.
-    guard = fixed_point_guard(cfg.scheme)
-    if sum(eps > guard for eps in cfg.epsilons) < 2:
-        raise ConfigError(
-            f"at least two radii must exceed the fixed-point guard {guard:g} "
-            f"(set by quadrature.abs_tol), got {cfg.epsilons}",
-            field="verify.epsilons")
     for key in raw:
         if key not in raw.keys_read:
             raise ConfigError(f"unknown key {key} (no {tag} run reads it)",

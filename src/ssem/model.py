@@ -238,9 +238,10 @@ class MixtureParams:
             raise DomainError("mixture needs at least one component")
         # ndarray methods rather than np.any/np.all, whose Python wrappers
         # cost about 1 us a call; population EM builds thousands of these.
-        if (pi <= 0.0).any():
+        # Both tests are written so that a NaN weight fails them.
+        if not (pi > 0.0).all():
             raise DomainError(f"all mixture weights must be positive, got {pi}")
-        if abs(pi.sum() - 1.0) > 1e-12:
+        if not abs(pi.sum() - 1.0) <= 1e-12:
             raise DomainError(f"mixture weights must sum to 1, got sum={pi.sum()!r}")
         pi.setflags(write=False)
         self._set(pi, theta)
@@ -380,10 +381,16 @@ class ModelKind:
     def check_truth(self, params: MixtureParams) -> None:
         """:meth:`check_params` for a ground truth.  A ``sym2`` truth must
         also have ``theta >= 0``: its components are told apart by sign,
-        component 1 being the one at ``+theta``."""
+        component 1 being the one at ``+theta``.  Every component mean
+        ``alpha'(theta_k)`` must be finite (a Poisson log-mean of 1e308 is
+        not), since the population operators integrate around it."""
         self.check_params(params)
         if self.tag == "sym2" and params.sym2_scalar() < 0.0:
             raise DomainError("symmetric-pair ground truth must have theta >= 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = np.asarray(self.family.alpha_prime(params.theta), dtype=float)
+        if not np.isfinite(means).all():
+            raise DomainError(f"component means {means} of the truth are not finite")
 
     def params(self, value, weights: Callable) -> MixtureParams:
         """Checked parameters from a config value: one scalar for ``sym2``

@@ -6,21 +6,23 @@ All expectations are taken under the true marginal mixture with parameters
 are available in closed form (`E[1{X=k}] = pi_k`, `E[1{X=k} t(Y)] =
 pi_k * alpha_prime(theta*_k)`, which is `pi_k * theta*_k` for Gaussians).
 
-The only unlabeled quantities an operator evaluation needs are the 2K
-responsibility moments ``E[q_k]`` and ``E[q_k t(Y)]`` at the probe.  They do
-not depend on gamma, and :meth:`PopulationStep.at` computes all of them with
-one vector integral of the rows ``[q, q t(y)]`` from the responsibility
-kernel :func:`ssem.model.posterior`, whose every output meets
-``scheme.abs_tol`` on its own; ``M_0``, ``M_gamma`` and ``c_k`` at that
-probe are then read from the step.  These are the sample E-step's
-statistics under the truth in place of the sample: on an integer support
-the sum of :func:`expect` is the grouped E-step with the truth's mass as
-the counts.
+Every integral taken here under the truth is a moment of the
+responsibility kernel :func:`ssem.model.posterior` at a probe, and goes
+through one helper, ``_kernel_integral``.  An operator evaluation needs the
+2K moments ``E[q_k]`` and ``E[q_k t(Y)]``.  They do not depend on gamma,
+and :meth:`PopulationStep.at` computes all of them with one vector integral
+of the rows ``[q, q t(y)]``, whose every output meets ``scheme.abs_tol`` on
+its own; ``M_0``, ``M_gamma`` and ``c_k`` at that probe are then read from
+the step.  These are the sample E-step's statistics under the truth in
+place of the sample: on an integer support the sum of :func:`expect` is the
+grouped E-step with the truth's mass as the counts.  The sym2 derivative
+:func:`dm0_dtheta_sym2` is the row ``4 q_0 q_1 t(y)^2`` at ``(-theta,
+theta)``.
 
 Inside ``with IntegralMemo():`` (the CLI opens one per command) each
-distinct integral is computed once: the moments at a probe, the sym2
-derivative, and the truth's quadrature grid are remembered until the block
-exits.  Outside one, every call integrates afresh.
+distinct integral is computed once: each kernel moment, and the truth's
+quadrature grid, are remembered until the block exits.  Outside one, every
+call integrates afresh.
 
 Continuous supports are integrated with the adaptive Gauss-Kronrod rule on
 a truncated interval (``range_sigma`` standard deviations beyond the
@@ -59,6 +61,12 @@ from .model import (
 
 _DEGENERATE_DENOMINATOR = 1e-12
 
+# The floating-point state of the sample E-step, as a decorator (reentrant,
+# one state per call): a truth or probe far enough out overflows, and the
+# non-finite values it leaves are refused by the checks downstream
+# (DomainError, QuadratureFailure, MeanOutOfRange), not warned about.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class QuadratureScheme:
@@ -69,10 +77,10 @@ class QuadratureScheme:
     max_subdivisions: int = 1 << 16
 
     def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.range_sigma < 8.0:
-            raise ValueError("range_sigma below 8 truncates non-negligible mass")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not 8.0 <= self.range_sigma < math.inf:
+            raise ValueError("range_sigma must be finite and >= 8")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -119,20 +127,18 @@ class PopulationModel:
                 self.theta_star.pi.tobytes(), self.scheme)
 
 
-def _component_scales(pm: PopulationModel) -> tuple[np.ndarray, np.ndarray]:
-    """Component means and standard deviations under the truth."""
+def _truncation(pm: PopulationModel) -> tuple[float, float]:
+    """The range ``range_sigma`` standard deviations beyond the outermost
+    component means of the truth, cut to the family's support.  Raises
+    :class:`DomainError` when its width is not a finite float."""
     spec, theta = pm.kind.family, pm.theta_star.theta
     means = np.asarray(spec.alpha_prime(theta), dtype=float)
-    sds = np.sqrt(np.asarray(spec.alpha_second(theta), dtype=float))
-    return means, sds
-
-
-def _truncation(pm: PopulationModel) -> tuple[float, float]:
-    means, sds = _component_scales(pm)
-    rs = pm.scheme.range_sigma
-    support = pm.kind.family.support
-    lo = max(float(np.min(means - rs * sds)), support.lo)
-    hi = min(float(np.max(means + rs * sds)), support.hi)
+    half = pm.scheme.range_sigma * np.sqrt(
+        np.asarray(spec.alpha_second(theta), dtype=float))
+    lo = max(float(np.min(means - half)), spec.support.lo)
+    hi = min(float(np.max(means + half)), spec.support.hi)
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"truncation window [{lo}, {hi}] is not finite")
     return lo, hi
 
 
@@ -144,12 +150,14 @@ _memo: ContextVar[dict | None] = ContextVar("ssem_integral_memo", default=None)
 class IntegralMemo:
     """Compute each distinct population integral once inside the block.
 
-    Within ``with IntegralMemo():`` the moments of :meth:`PopulationStep.at`,
-    the values of :func:`dm0_dtheta_sym2` and the truth's grid in
-    :func:`expect` are remembered.  Each is keyed on everything that fixes
-    it and nothing else: the kind (its family included), the truth's
-    ``theta`` and ``pi``, the :class:`QuadratureScheme` and the probe.  The
-    labeled fraction is in no key, since none of these depends on it, so a
+    Within ``with IntegralMemo():`` the truth's grid in :func:`expect` and
+    every kernel moment (those of :meth:`PopulationStep.at` and
+    :func:`dm0_dtheta_sym2`) are remembered.  Each is keyed on everything
+    that fixes it and nothing else.  The grid's key is the kind (its family
+    included), the truth's ``theta`` and ``pi`` and the
+    :class:`QuadratureScheme`; a moment's key is its row map's tag, the
+    same truth key and the probe's ``theta`` and ``pi``.  The labeled
+    fraction is in no key, since none of these depends on it, so a
     remembered value is the one a fresh evaluation returns, bit for bit.
     A nested block shares the outer memo; the outermost one drops it on
     exit.
@@ -189,6 +197,7 @@ class _TruthGrid(NamedTuple):
     density: np.ndarray
 
     @classmethod
+    @_QUIET
     def of(cls, pm: PopulationModel) -> "_TruthGrid":
         lo, hi = _truncation(pm)
         if pm.kind.family.support.kind == "integer":
@@ -235,6 +244,26 @@ def expect(pm: PopulationModel,
     return value
 
 
+@_QUIET
+def _kernel_integral(pm: PopulationModel, tag: str, probe: MixtureParams,
+                     rows: Callable) -> np.ndarray:
+    """``E[rows(q, t(Y))]`` under the truth of ``pm``, where ``q, t(y)`` is
+    :func:`posterior` at ``probe``: the one integral behind every population
+    read.  The value is read-only and, inside an :class:`IntegralMemo`,
+    remembered under ``tag``, the truth and the probe's bytes."""
+
+    def integral():
+        # One LogitTerms per integral: the probe is checked and its logit
+        # offsets computed once, not once per integrand call.
+        terms = LogitTerms.of(pm.kind, probe)
+        values = np.asarray(expect(pm, lambda y: rows(*posterior(terms, y))))
+        values.setflags(write=False)
+        return values
+
+    return _remembered((tag,) + pm._truth_key
+                       + (probe.theta.tobytes(), probe.pi.tobytes()), integral)
+
+
 @dataclass(frozen=True)
 class PopulationStep:
     """The unlabeled responsibility moments at one probe: ``e_q[k] =
@@ -258,24 +287,8 @@ class PopulationStep:
     @classmethod
     def at(cls, pm: PopulationModel, theta: MixtureParams) -> "PopulationStep":
         """All 2K moments at probe ``theta`` from one vector integral."""
-        pm.kind.check_params(theta)
-
-        def integral():
-            # One LogitTerms per step: theta is checked and its logit
-            # offsets computed once, not once per integrand call.
-            terms = LogitTerms.of(pm.kind, theta)
-
-            def moments(y):
-                q, ty = posterior(terms, y)
-                return np.concatenate([q, q * ty])
-
-            values = expect(pm, moments)
-            values.setflags(write=False)
-            return values
-
-        values = _remembered(("moments",) + pm._truth_key
-                             + (theta.theta.tobytes(), theta.pi.tobytes()),
-                             integral)
+        values = _kernel_integral(pm, "moments", theta,
+                                  lambda q, ty: np.concatenate([q, q * ty]))
         return cls(pm, theta, values[:theta.K], values[theta.K:])
 
     def c(self, k: int) -> float:
@@ -349,18 +362,13 @@ def theta_star_from_labels(pm: PopulationModel, k: int) -> float:
 
 def dm0_dtheta_sym2(pm: PopulationModel, theta: float) -> float:
     """Derivative of the scalar unlabeled-only update for the symmetric pair:
-    ``4 E[Y^2 exp(-2|Y| theta) / (1 + exp(-2|Y| theta))^2]``."""
+    ``4 E[q_0 q_1 Y^2]`` with the responsibilities at ``(-theta, theta)``."""
     if pm.kind != ModelKind.sym2():
         raise DomainError("dm0_dtheta_sym2 requires the sym2 kind")
     if theta < 0.0:
         raise DomainError("derivative probe must satisfy theta >= 0")
-
-    def integrand(y):
-        z = np.exp(-2.0 * np.abs(y) * theta)
-        return 4.0 * y * y * z / (1.0 + z) ** 2
-
-    return _remembered(("dm0",) + pm._truth_key + (float(theta).hex(),),
-                       lambda: expect(pm, integrand))
+    return float(_kernel_integral(pm, "dm0", MixtureParams.symmetric(theta),
+                                  lambda q, ty: 4.0 * q[0] * q[1] * ty * ty))
 
 
 def run_population_em(pm: PopulationModel, theta0: MixtureParams,

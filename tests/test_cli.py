@@ -1,5 +1,6 @@
 """End-to-end command, config, and artifact checks."""
 
+import csv
 import errno
 import json
 import math
@@ -303,6 +304,79 @@ class TestExitCodes:
         assert rc == 4
         payload = json.loads((tmp_path / "verify_thm3-3.json").read_text())
         assert payload["pass_all"] is False
+
+
+class TestOutOfRangeValues:
+    """Numbers past float range, or NaN, end in exit 2 naming the key, or
+    exit 3, with one JSON object on stderr and no numpy warning."""
+
+    @staticmethod
+    def _run(capsys, tmp_path, config, command, *sets):
+        args = [f"--set={assignment}" for assignment in sets]
+        rc = main(command + ["--config", str(CONFIGS / config),
+                             "--out", str(tmp_path), *args])
+        err = capsys.readouterr().err
+        return rc, (json.loads(err) if err else None)
+
+    @pytest.mark.parametrize("config, command, assignment, field", [
+        ("sym2.cfg", ["population"], "quadrature.range_sigma=nan",
+         "quadrature.range_sigma"),
+        ("gmm3.cfg", ["verify", "thm1"], "quadrature.range_sigma=inf",
+         "quadrature.range_sigma"),
+        ("poisson2.cfg", ["population"], "quadrature.abs_tol=inf",
+         "quadrature.abs_tol"),
+        ("poisson2.cfg", ["population"], "model.theta_star=1e308,1",
+         "model.theta_star"),
+        ("gmm3.cfg", ["simulate"], "data.total_samples=1e308",
+         "data.total_samples"),
+        ("sym2.cfg", ["simulate"], f"data.total_samples={2 ** 63}",
+         "data.total_samples"),
+        ("gmm3.cfg", ["population"], "model.pi=nan,nan,nan", "model.pi"),
+        ("poisson2.cfg", ["population"], "model.pi=0.5,nan", "model.pi"),
+        ("gmm3.cfg", ["simulate"], "model.pi=0.3,nan,0.3", "model.pi"),
+        ("sym2.cfg", ["simulate"], "em.record_trajectory=no",
+         "em.record_trajectory"),
+        ("sym2.cfg", ["simulate"], "em.record_trajectory=nan",
+         "em.record_trajectory"),
+        ("gmm3.cfg", ["simulate"], "em.record_trajectory=7",
+         "em.record_trajectory"),
+    ])
+    def test_config_error(self, tmp_path, capsys, config, command,
+                          assignment, field):
+        rc, err = self._run(capsys, tmp_path, config, command,
+                            "data.total_samples=300", assignment)
+        assert rc == 2
+        assert (err["error"], err["field"]) == ("config", field)
+
+    @pytest.mark.parametrize("config, assignment, error", [
+        ("sym2.cfg", "quadrature.range_sigma=1e308", "DomainError"),
+        ("gmm3.cfg", "quadrature.range_sigma=1e308", "DomainError"),
+        ("sym2.cfg", "model.theta_star=1e308", "DomainError"),
+        ("gmm3.cfg", "model.theta_star=-1e308,0,1e308", "DomainError"),
+        ("gmm3.cfg", "em.theta0=1e308,1,1", "QuadratureFailure"),
+        ("sym2.cfg", "em.theta0=-1e308", "QuadratureFailure"),
+    ])
+    def test_numeric_error(self, tmp_path, capsys, config, assignment, error):
+        rc, err = self._run(capsys, tmp_path, config, ["population"],
+                            assignment)
+        assert rc == 3
+        assert (err["error"], err["type"]) == ("numeric", error)
+
+    def test_far_poisson_start_runs_without_warnings(self, tmp_path, capsys):
+        rc, err = self._run(capsys, tmp_path, "poisson2.cfg", ["population"],
+                            "em.theta0=-1e308,1")
+        assert (rc, err) == (0, None)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_record_trajectory_takes_true_or_false(self, tmp_path, capsys,
+                                                   value):
+        rc, err = self._run(capsys, tmp_path, "sym2.cfg", ["simulate"],
+                            "data.total_samples=300",
+                            f"em.record_trajectory={str(value).lower()}")
+        assert (rc, err) == (0, None)
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            surrogate = [row["q_value"] for row in csv.DictReader(fh)]
+        assert any(surrogate) is value
 
 
 class TestStrictJson:
@@ -738,8 +812,13 @@ class TestVerifyCommand:
         ("poisson2.cfg", ["verify", "thm2"], "verify.epsilons=0.2",
          "verify.epsilons"),
         ("gmm3.cfg", ["simulate"], "verify.epsilons=0.2", "verify.epsilons"),
+        ("poisson2.cfg", ["verify", "thm2"], "verify.epsilons=1e-9,1e-10",
+         "verify.epsilons"),
+        ("poisson2.cfg", ["verify", "thm2"], "quadrature.abs_tol=1e-3",
+         "verify.epsilons"),
     ], ids=["tail-phi-subnormal", "radii-inside-guard", "one-radius",
-            "simulate-one-radius"])
+            "simulate-one-radius", "two-radii-inside-guard",
+            "coarse-tolerance-guard"])
     def test_grid_that_measures_nothing_is_config_error(
             self, tmp_path, capsys, config, command, assignment, field):
         # phi(39) is subnormal, so the lemma-3 bounds compare rounded-off
@@ -751,6 +830,14 @@ class TestVerifyCommand:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"]) == ("config", field)
         assert list(tmp_path.iterdir()) == []
+
+    def test_guard_rule_waits_for_theorem2(self, tmp_path, capsys):
+        # A coarse tolerance leaves one radius beyond the guard, which only
+        # Theorem 2 reads: sampling does not need the radii at all.
+        rc = main(["sample", "--config", str(CONFIGS / "gmm3.cfg"),
+                   "--out", str(tmp_path), "--set", "data.total_samples=300",
+                   "--set", "quadrature.abs_tol=1e-3"])
+        assert (rc, capsys.readouterr().err) == (0, "")
 
     def test_tail_grid_at_normal_phi_passes(self, tmp_path):
         rc = main(["verify", "lemma3", "--config", str(CONFIGS / "sym2.cfg"),

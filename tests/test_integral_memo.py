@@ -119,6 +119,23 @@ class TestIntegralsPerCommand:
             assert len(calls) == 3
 
 
+    def test_keys_are_the_grid_or_a_tagged_probe(self):
+        pm = PopulationModel.sym2(1.5, 0.1)
+        with population.IntegralMemo():
+            PopulationStep.at(pm, MixtureParams.symmetric(2.0))
+            dm0_dtheta_sym2(pm, 1.5)
+            keys = set(population._memo.get())
+
+        def probe(theta):
+            params = MixtureParams.symmetric(theta)
+            return (params.theta.tobytes(), params.pi.tobytes())
+
+        truth = pm._truth_key
+        assert keys == {("grid",) + truth,
+                        ("moments",) + truth + probe(2.0),
+                        ("dm0",) + truth + probe(1.5)}
+
+
 class TestExactness:
     def test_cached_step_answers_another_gamma_bit_for_bit(self):
         pm = PopulationModel(ModelKind.gmm(), GMM3, 0.1)

@@ -231,6 +231,11 @@ class TestMixtureParams:
         with pytest.raises(DomainError):
             MixtureParams([1.0, 0.0][::-1], [0.0, 1.0])
 
+    @pytest.mark.parametrize("pi", [[math.nan, math.nan], [0.5, math.nan]])
+    def test_nan_weights_are_refused(self, pi):
+        with pytest.raises(DomainError):
+            MixtureParams(pi, [0.0, 1.0])
+
     def test_immutable(self):
         params = MixtureParams([1.0], [0.0])
         with pytest.raises(AttributeError):
@@ -288,6 +293,18 @@ class TestModelKindParams:
         kind = ModelKind.expfam(exponential_spec())
         with pytest.raises(DomainError):
             kind.params([-1.0, 0.5], lambda k: [0.5, 0.5])
+
+
+class TestCheckTruth:
+    @pytest.mark.parametrize("kind, theta", [
+        (ModelKind.expfam(poisson_spec()), [1e308, 1.0]),
+        (ModelKind.expfam(exponential_spec()), [-1.0, -5e-324]),
+    ], ids=["poisson", "exponential"])
+    def test_truth_with_infinite_mean_is_refused(self, kind, theta):
+        truth = MixtureParams([0.5, 0.5], theta)
+        kind.check_params(truth)  # a valid parameter, but not a truth
+        with pytest.raises(DomainError, match="not finite"):
+            kind.check_truth(truth)
 
 
 class TestModelKindShift:

@@ -244,6 +244,18 @@ class TestDerivative:
             assert analytic >= 0.0
             assert abs(analytic - fd) < 1e-6
 
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 1.5, 3.0, 12.0])
+    def test_is_the_closed_form_of_the_kernel_row(self, theta):
+        # q_0 q_1 at (-theta, theta) is z / (1 + z)^2 with z = exp(-2|y|theta).
+        pm = PopulationModel.sym2(1.5, 0.0)
+
+        def closed_form(y):
+            z = np.exp(-2.0 * np.abs(y) * theta)
+            return 4.0 * y * y * z / (1.0 + z) ** 2
+
+        assert dm0_dtheta_sym2(pm, theta) == pytest.approx(
+            expect(pm, closed_form), abs=2e-10)
+
     def test_requires_sym2_and_nonnegative_probe(self):
         pm = PopulationModel(GMM, GMM2, 0.0)
         with pytest.raises(DomainError):
@@ -356,6 +368,24 @@ def test_scheme_validation():
         QuadratureScheme(range_sigma=4.0)
     with pytest.raises(ValueError):
         QuadratureScheme(abs_tol=0.0)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "range_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scheme_refuses_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        QuadratureScheme(**{field: value})
+
+
+@pytest.mark.parametrize("pm", [
+    PopulationModel.sym2(1e308, 0.0),
+    PopulationModel(GMM, MixtureParams([0.5, 0.5], [-1e308, 1e308]), 0.0),
+    PopulationModel.sym2(1.5, 0.0, QuadratureScheme(range_sigma=1e308)),
+], ids=["sym2-truth", "gmm-truth", "range-sigma"])
+def test_window_beyond_float_range_is_domain_error(pm):
+    with pytest.raises(DomainError, match="window"):
+        PopulationStep.at(pm, MixtureParams.symmetric(1.0) if pm.kind == SYM2
+                          else GMM2)
 
 
 class TestIntegralCount:
