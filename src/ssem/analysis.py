@@ -45,8 +45,9 @@ from .population import (
     PopulationModel,
     PopulationStep,
     QuadratureScheme,
+    _run_lockstep,
+    _steps_at,
     dm0_dtheta_sym2,
-    run_population_em,
 )
 
 THEOREM_SLACK = 1e-6
@@ -164,10 +165,11 @@ def verify_theorem1(pm: PopulationModel,
                     probe_grid: list[MixtureParams]) -> ContractionReport:
     """Check ``ratio <= beta_k + 1e-6`` for every probe and component.
 
-    Probes whose unlabeled update sits on the fixed point are reported as
-    skipped rather than failed.  ``eta`` (the moment ratio ``M_0 /
-    theta*_k``) is reported for diagnostics only and may be below 1; the
-    bound is symmetric in that case, so no role swap is needed.
+    The grid's moments are one batch: one vector integral.  Probes whose
+    unlabeled update sits on the fixed point are reported as skipped rather
+    than failed.  ``eta`` (the moment ratio ``M_0 / theta*_k``) is reported
+    for diagnostics only and may be below 1; the bound is symmetric in that
+    case, so no role swap is needed.
     """
     if pm.kind.tag == "expfam":
         raise DomainError("verify_theorem1 covers the Gaussian kinds; "
@@ -177,8 +179,8 @@ def verify_theorem1(pm: PopulationModel,
         theta_star=pm.theta_star.theta.tolist(),
         pi=pm.theta_star.pi.tolist(),
         probes=[p.theta.tolist() for p in probe_grid])
-    for i, probe in enumerate(probe_grid):
-        step = PopulationStep.at(pm, probe)
+    for i, step in enumerate(_steps_at(pm, probe_grid)):
+        probe = step.theta
         for k in range(pm.theta_star.K):
             row = ProbeResult(i, k, probe.theta.tolist())
             report.results.append(row)
@@ -265,10 +267,12 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
     report = Theorem2Report(gamma=pm.gamma,
                             theta_star=pm.theta_star.theta.tolist())
     for side in (+1, -1):
-        # Every component's series shares the probes theta* + side * eps.
-        steps = [(eps, PopulationStep.at(
-                      pm, pm.kind.shift(pm.theta_star, side * eps)))
-                 for eps in eps_sorted if eps > fixed_point_guard(pm.scheme)]
+        # Every component's series shares the probes theta* + side * eps,
+        # one batch per side.
+        radii = [eps for eps in eps_sorted
+                 if eps > fixed_point_guard(pm.scheme)]
+        steps = list(zip(radii, _steps_at(
+            pm, [pm.kind.shift(pm.theta_star, side * eps) for eps in radii])))
         for k in range(pm.theta_star.K):
             series = Theorem2Series(component=k, side=side)
             star_k = float(pm.theta_star.theta[k])
@@ -397,46 +401,59 @@ def rate_bound_item3(theta_star: float, gamma: float, theta_probe: float,
     produces; measurements exceed the stated constant at moderate
     separations, and the version with the boundary term restored is
     evaluated alongside it in ``extras`` for comparison.
+
+    The probe is integrated alone; ``verify thm3-3`` integrates the probes
+    of each theta* as one batch (``_rate_bound_item3_each``).
     """
-    if theta_probe <= theta_star + 1.0:
-        raise ProbeOutsideRegime(
-            f"probe {theta_probe} must exceed theta* + 1 = {theta_star + 1.0}")
+    return _rate_bound_item3_each(theta_star, gamma, [theta_probe], scheme)[0]
+
+
+def _rate_bound_item3_each(theta_star: float, gamma: float,
+                           theta_probes: list[float],
+                           scheme: QuadratureScheme) -> list[RateBoundReport]:
+    """:func:`rate_bound_item3` at each of ``theta_probes``, whose moments
+    are one batch: one vector integral."""
+    for theta_probe in theta_probes:
+        if theta_probe <= theta_star + 1.0:
+            raise ProbeOutsideRegime(
+                f"probe {theta_probe} must exceed theta* + 1 = {theta_star + 1.0}")
     pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
     const = (2.0 / (9.0 * theta_star ** 2 * _SQRT_2PI)
              * math.exp(-theta_star ** 2 / 2.0))
     applicable = theta_star > 0.5
-    gap = theta_probe - theta_star
-
-    # f(theta_probe) and M_0(theta_probe) = 2 f(theta_probe) share one step.
-    step = PopulationStep.at(pm, MixtureParams.symmetric(float(theta_probe)))
-    f_probe = -float(step.e_qt[0])
-    smooth_lhs = 2.0 * abs(f_probe - 0.5 * theta_star)
-    m0 = step.m0(1)
-    contraction_lhs = abs(m0 - theta_star)
-
     boundary_term = 2.0 * (_phi(theta_star) - theta_star * _upper_tail(theta_star))
     const_with_boundary = const + boundary_term
 
-    ok_const = smooth_lhs <= const + RATE_SLACK
-    ok_scaled = smooth_lhs <= const * gap + RATE_SLACK
-    ok_contraction = contraction_lhs <= const * gap + RATE_SLACK
-    passed = (ok_const and ok_scaled and ok_contraction) or not applicable
-    return RateBoundReport(
-        item=3, theta_star=float(theta_star), gamma=float(gamma),
-        bound_value=(1.0 - gamma) * const, applicable=applicable,
-        measured_kappa=contraction_lhs / gap, passed=passed,
-        extras={
-            "theta_probe": float(theta_probe),
-            "smoothness_lhs": smooth_lhs,
-            "smoothness_const": const,
-            "smoothness_ok_const": ok_const,
-            "smoothness_ok_scaled": ok_scaled,
-            "contraction_lhs": contraction_lhs,
-            "contraction_ok": ok_contraction,
-            "const_with_boundary_term": const_with_boundary,
-            "boundary_term_ok":
-                smooth_lhs <= const_with_boundary * max(1.0, gap) + RATE_SLACK,
-        })
+    # f(theta_probe) and M_0(theta_probe) = 2 f(theta_probe) share one step.
+    steps = _steps_at(pm, [MixtureParams.symmetric(float(theta_probe))
+                           for theta_probe in theta_probes])
+    reports = []
+    for theta_probe, step in zip(theta_probes, steps):
+        gap = theta_probe - theta_star
+        f_probe = -float(step.e_qt[0])
+        smooth_lhs = 2.0 * abs(f_probe - 0.5 * theta_star)
+        contraction_lhs = abs(step.m0(1) - theta_star)
+        ok_const = smooth_lhs <= const + RATE_SLACK
+        ok_scaled = smooth_lhs <= const * gap + RATE_SLACK
+        ok_contraction = contraction_lhs <= const * gap + RATE_SLACK
+        passed = (ok_const and ok_scaled and ok_contraction) or not applicable
+        reports.append(RateBoundReport(
+            item=3, theta_star=float(theta_star), gamma=float(gamma),
+            bound_value=(1.0 - gamma) * const, applicable=applicable,
+            measured_kappa=contraction_lhs / gap, passed=passed,
+            extras={
+                "theta_probe": float(theta_probe),
+                "smoothness_lhs": smooth_lhs,
+                "smoothness_const": const,
+                "smoothness_ok_const": ok_const,
+                "smoothness_ok_scaled": ok_scaled,
+                "contraction_lhs": contraction_lhs,
+                "contraction_ok": ok_contraction,
+                "const_with_boundary_term": const_with_boundary,
+                "boundary_term_ok": smooth_lhs <= (const_with_boundary
+                                                   * max(1.0, gap) + RATE_SLACK),
+            }))
+    return reports
 
 
 def tail_sandwich_defined(t: float) -> bool:
@@ -557,9 +574,13 @@ def demonstrate_rescue(pm: PopulationModel,
     fraction ``gamma_min`` at which ``beta(gamma) * kappa = 1``, and emit
     population-EM trajectories bracketing it.
 
-    The probes are ``kind.shift(theta*, offset)``; one outside the natural
-    domain is skipped, as is a component inside the fixed-point guard or
-    whose ``E[q_k]`` underflows the denominator guard.
+    The probes are ``kind.shift(theta*, offset)``, and their moments one
+    batch (one vector integral); a probe outside the natural domain is
+    skipped, as is a component inside the fixed-point guard or whose
+    ``E[q_k]`` underflows the denominator guard.  The two population-EM
+    runs start at the probe that gave kappa and go in lockstep, their
+    iterates' moments one batch per round; the first round reads the
+    probe grid's step.
 
     When kappa < 1 the operator already contracts; the report carries the
     ``no_rescue_needed`` status (this is the observed situation for the
@@ -570,13 +591,14 @@ def demonstrate_rescue(pm: PopulationModel,
                else np.asarray(probe_offsets, dtype=float))
     guard = fixed_point_guard(pm.scheme)
 
-    kappa, k_best, step_best = -math.inf, 0, None
+    probes = []
     for off in offsets:
         try:
-            probe = pm.kind.shift(pm.theta_star, off)
+            probes.append(pm.kind.shift(pm.theta_star, off))
         except DomainError:  # the probe leaves the natural domain
             continue
-        step = PopulationStep.at(pm, probe)
+    kappa, k_best, step_best = -math.inf, 0, None
+    for step in _steps_at(pm, probes):
         for k in range(pm.theta_star.K):
             star_k = float(pm.theta_star.theta[k])
             probe_dist = abs(float(step.theta.theta[k]) - star_k)
@@ -611,10 +633,9 @@ def demonstrate_rescue(pm: PopulationModel,
         kappa_probe=probe_best.theta.tolist(), c_at_kappa=c_best,
         gamma_min=gamma_min, rescue_needed=rescue_needed, status=status,
         gammas=[gamma_lo, gamma_hi])
-    theta0 = probe_best
-    for gamma in (gamma_lo, gamma_hi):
-        traj = run_population_em(pm.with_gamma(gamma), theta0,
-                                 max_iters=max_iters)
+    trajs = _run_lockstep([pm.with_gamma(gamma) for gamma in report.gammas],
+                          probe_best, max_iters, first=step_best)
+    for gamma, traj in zip(report.gammas, trajs):
         key = f"{gamma:.6g}"
         ratios = measurable_step_ratios(traj, pm.theta_star)
         bound = (beta_theoretical(c_best, pi_k, gamma) * kappa

@@ -31,18 +31,17 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
+    _rate_bound_item3_each,
     all_pass,
     demonstrate_rescue,
     empirical_rate,
     lemma3_checks,
     rate_bound_item1,
     rate_bound_item2,
-    rate_bound_item3,
     verify_theorem1,
     verify_theorem2,
 )
@@ -83,16 +82,18 @@ def _jsonify(obj):
 
 @contextmanager
 def _atomic_file(path: str):
-    """Whole-file atomic write: yields the name of a new temporary file in
-    the destination directory for the ``with`` body to fill, then renames
-    it over ``path``.  If the body or the rename fails, the temporary file
-    is removed; an ``OSError`` is raised again naming ``path``."""
+    """Whole-file atomic write: yields a new temporary file in the
+    destination directory, as the descriptor ``mkstemp`` opened and its
+    name, for the ``with`` body to fill; then renames it over ``path``.
+    The body owns the descriptor: it writes through it with ``open(fd,
+    ...)``, which closes it, or closes it and writes by name.  If the body
+    or the rename fails, the temporary file is removed; an ``OSError`` is
+    raised again naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ssem-tmp-")
-        os.close(fd)
-        yield tmp
+        yield fd, tmp
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -104,8 +105,9 @@ def _atomic_file(path: str):
 
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(_jsonify(payload), indent=2) + "\n"
-    with _atomic_file(path) as tmp:
-        Path(tmp).write_text(text, encoding="utf-8", newline="\n")
+    with _atomic_file(path) as (fd, _):
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 @contextmanager
@@ -126,7 +128,8 @@ def _write_dataset(dataset, out_dir: str, timings: dict) -> dict:
     entry."""
     with _timed(timings, "write_dataset"):
         cpu = time.process_time()
-        with _atomic_file(os.path.join(out_dir, "dataset.csv")) as tmp:
+        with _atomic_file(os.path.join(out_dir, "dataset.csv")) as (fd, tmp):
+            os.close(fd)
             save_dataset_csv(dataset, tmp)
     return {"process": "inline", "cpu_s": time.process_time() - cpu}
 
@@ -185,7 +188,8 @@ def _write_dataset_beside(dataset, out_dir: str, timings: dict, run):
     """
     error = None
     start = time.perf_counter()
-    with _atomic_file(os.path.join(out_dir, "dataset.csv")) as tmp:
+    with _atomic_file(os.path.join(out_dir, "dataset.csv")) as (fd, tmp):
+        os.close(fd)
         pid = _fork_writer(dataset, tmp)
         timings["write_dataset"] = time.perf_counter() - start
         try:
@@ -218,8 +222,8 @@ def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float,
     gains the trajectory write and goes into the summary as ``timings_s``,
     followed by the ``extra`` keys."""
     with _timed(timings, "write_trajectory"):
-        with _atomic_file(os.path.join(out_dir, "trajectory.csv")) as tmp:
-            traj.write_csv(tmp)
+        with _atomic_file(os.path.join(out_dir, "trajectory.csv")) as (fd, _):
+            traj.write_csv(fd)
     try:
         rate = empirical_rate(traj, cfg.theta_star)
     except TrajectoryTooShort:
@@ -277,6 +281,7 @@ def _checks_of(reports) -> list[dict]:
 # config of one of them.  The paper's local result (thm2) covers
 # exponential families, its contraction bound (thm1) the Gaussian kinds,
 # and its rate bounds (thm3-*) the symmetric pair, on their own theta* grid.
+# Each target integrates a probe grid as one batch: thm3-3 one per theta*.
 # ``verify all`` runs, in this order, every target that lists the kind.
 VERIFIERS = {
     "thm1": (("gmm", "sym2"), lambda cfg: verify_theorem1(
@@ -291,8 +296,10 @@ VERIFIERS = {
         rate_bound_item2(star, cfg.population_gamma(), cfg.scheme)
         for star in cfg.theta_star_grid)),
     "thm3-3": (("sym2",), lambda cfg: _checks_of(
-        rate_bound_item3(star, cfg.population_gamma(), star + off, cfg.scheme)
-        for star in cfg.theta_star_grid for off in cfg.item3_probe_offsets)),
+        report for star in cfg.theta_star_grid
+        for report in _rate_bound_item3_each(
+            star, cfg.population_gamma(),
+            [star + off for off in cfg.item3_probe_offsets], cfg.scheme))),
     "lemma3": (("gmm", "sym2", "expfam"),
                lambda cfg: lemma3_checks(cfg.tail_grid)),
     "rescue": (("gmm", "sym2", "expfam"), lambda cfg: demonstrate_rescue(

@@ -112,23 +112,44 @@ class Trajectory:
         its surrogate value or None; an exception from step t (from 0)
         propagates with ``iteration = t``.  Errors against ``theta_star``
         are recorded when it is given."""
-        traj = cls(iterates=[theta0])
+        return cls._iterate_all(lambda runs, thetas: [step(thetas[0])],
+                                [theta0], max_iters, tol, theta_star)[0]
+
+    @classmethod
+    def _iterate_all(cls, step, starts: list[MixtureParams], max_iters: int,
+                     tol: float, theta_star: MixtureParams | None = None
+                     ) -> list["Trajectory"]:
+        """:meth:`iterate` for several runs in lockstep, one trajectory per
+        start.  Round t calls ``step(runs, thetas)`` once with the indices
+        of the runs still going and their iterates, and ``step`` returns
+        the ``(next, surrogate)`` pair of each; a run stops on its own
+        tolerance, and all stop after ``max_iters`` rounds."""
+        trajs = [cls(iterates=[theta0]) for theta0 in starts]
+        runs = list(range(len(trajs)))
         for t in range(max_iters):
+            if not runs:
+                break
             try:
-                nxt, q = step(traj.final)
+                steps = step(runs, [trajs[i].final for i in runs])
             except Exception as exc:
                 exc.iteration = t
                 raise
-            delta = float(np.max(np.abs(nxt.theta - traj.final.theta)))
-            traj.iterates.append(nxt)
-            if q is not None:
-                traj.q_values.append(q)
-            if delta < tol:
-                traj.converged = True
-                break
+            going = []
+            for i, (nxt, q) in zip(runs, steps):
+                traj = trajs[i]
+                delta = float(np.max(np.abs(nxt.theta - traj.final.theta)))
+                traj.iterates.append(nxt)
+                if q is not None:
+                    traj.q_values.append(q)
+                if delta < tol:
+                    traj.converged = True
+                else:
+                    going.append(i)
+            runs = going
         if theta_star is not None:
-            traj.errors = traj.errors_to(theta_star)
-        return traj
+            for traj in trajs:
+                traj.errors = traj.errors_to(theta_star)
+        return trajs
 
     def errors_to(self, theta_star: MixtureParams) -> list[float]:
         """The max-norm distance ``max_k |theta_t,k - theta*_k|`` of every
@@ -139,10 +160,13 @@ class Trajectory:
     def write_csv(self, path) -> None:
         """Rows ``iter,theta_1..theta_K,q_value,err``; q_value is empty on
         row 0 and whenever the surrogate was not recorded, err is empty when
-        no ground truth was supplied.  17 significant digits, LF endings."""
-        K = self.iterates[0].K
-        header = ["iter"] + [f"theta_{k + 1}" for k in range(K)] + ["q_value", "err"]
+        no ground truth was supplied.  17 significant digits, LF endings.
+        ``path`` is what :func:`open` takes: a file name, or a descriptor,
+        which is closed after."""
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            K = self.iterates[0].K
+            header = (["iter"] + [f"theta_{k + 1}" for k in range(K)]
+                      + ["q_value", "err"])
             fh.write(",".join(header) + "\n")
             for t, params in enumerate(self.iterates):
                 row = [str(t)] + [f"{v:.17g}" for v in params.theta]

@@ -8,21 +8,26 @@ pi_k * alpha_prime(theta*_k)`, which is `pi_k * theta*_k` for Gaussians).
 
 Every integral taken here under the truth is a moment of the
 responsibility kernel :func:`ssem.model.posterior` at a probe, and goes
-through one helper, ``_kernel_integral``.  An operator evaluation needs the
-2K moments ``E[q_k]`` and ``E[q_k t(Y)]``.  They do not depend on gamma,
-and :meth:`PopulationStep.at` computes all of them with one vector integral
-of the rows ``[q, q t(y)]``, whose every output meets ``scheme.abs_tol`` on
-its own; ``M_0``, ``M_gamma`` and ``c_k`` at that probe are then read from
-the step.  These are the sample E-step's statistics under the truth in
-place of the sample: on an integer support the sum of :func:`expect` is the
-grouped E-step with the truth's mass as the counts.  The sym2 derivative
+through one helper, ``_kernel_integral``, which takes a batch of probes
+and integrates their stacked rows in one vector integral.  An operator
+evaluation needs the 2K moments ``E[q_k]`` and ``E[q_k t(Y)]``.  They do
+not depend on gamma, and :meth:`PopulationStep.at` computes all of them
+with one vector integral of the rows ``[q, q t(y)]``, whose every output
+meets ``scheme.abs_tol`` on its own; ``M_0``, ``M_gamma`` and ``c_k`` at
+that probe are then read from the step.  ``_steps_at`` does the same for a
+probe grid, and ``_run_lockstep`` runs population EM at several labeled
+fractions, one batch per round.  These are the sample E-step's
+statistics under the truth in place of the sample: on an integer support
+the sum of :func:`expect` is the grouped E-step with the truth's mass as
+the counts.  The sym2 derivative
 :func:`dm0_dtheta_sym2` is the row ``4 q_0 q_1 t(y)^2`` at ``(-theta,
 theta)``.
 
 Inside ``with IntegralMemo():`` (the CLI opens one per command) each
-distinct integral is computed once: each kernel moment, and the truth's
-quadrature grid, are remembered until the block exits.  Outside one, every
-call integrates afresh.
+distinct integral is computed once: each batch's kernel moments, and the
+truth's quadrature grid, are remembered until the block exits.  Outside
+one, every call integrates afresh.  A value depends only on the truth and
+its batch, so the memo never moves one.
 
 Continuous supports are integrated with the adaptive Gauss-Kronrod rule on
 a truncated interval (``range_sigma`` standard deviations beyond the
@@ -151,16 +156,18 @@ class IntegralMemo:
     """Compute each distinct population integral once inside the block.
 
     Within ``with IntegralMemo():`` the truth's grid in :func:`expect` and
-    every kernel moment (those of :meth:`PopulationStep.at` and
-    :func:`dm0_dtheta_sym2`) are remembered.  Each is keyed on everything
-    that fixes it and nothing else.  The grid's key is the kind (its family
-    included), the truth's ``theta`` and ``pi`` and the
-    :class:`QuadratureScheme`; a moment's key is its row map's tag, the
-    same truth key and the probe's ``theta`` and ``pi``.  The labeled
-    fraction is in no key, since none of these depends on it, so a
-    remembered value is the one a fresh evaluation returns, bit for bit.
-    A nested block shares the outer memo; the outermost one drops it on
-    exit.
+    every kernel moment (those of :meth:`PopulationStep.at`, of the probe
+    grids and of :func:`dm0_dtheta_sym2`) are remembered.  The grid's key
+    is the kind (its family included), the truth's ``theta`` and ``pi``
+    and the :class:`QuadratureScheme`.  A probe's moments are one entry,
+    keyed on its row map's tag, the same truth key and the probe's
+    ``theta`` and ``pi``; the entry holds the keys and values of the last
+    batch that integrated the probe, and answers only a batch with the same
+    keys.  The
+    labeled fraction is in no key, since none of these depends on it, so a
+    remembered value is the one a fresh evaluation of its batch returns,
+    bit for bit.  A nested block shares the outer memo; the outermost one
+    drops it on exit.
     """
 
     def __enter__(self) -> "IntegralMemo":
@@ -184,11 +191,21 @@ def _remembered(key: tuple, compute: Callable[[], object]):
     return value
 
 
+# The most support points an integer window may have.  The sum is taken at
+# every point at once: the grid keeps 16 bytes a point (node and density),
+# and each array of a kernel integral 8 bytes a point per row, which is
+# 128 bytes a point for the 16 rows of a Theorem-2 side on K = 2 (four
+# radii).  2**20 points hold that array to 128 MiB.
+_MAX_SUPPORT_POINTS = 1 << 20
+
+
 class _TruthGrid(NamedTuple):
     """The truncated range of the truth, its starting quadrature panels
     (None on an integer support) and the truth's density at ``nodes``: the
     panels' Kronrod nodes, or every support point of an integer support.
-    ``nodes`` and ``density`` are read-only."""
+    ``nodes`` and ``density`` are read-only.  An integer window of more
+    than ``_MAX_SUPPORT_POINTS`` points raises :class:`DomainError` before
+    any array is built."""
 
     lo: float
     hi: float
@@ -201,8 +218,14 @@ class _TruthGrid(NamedTuple):
     def of(cls, pm: PopulationModel) -> "_TruthGrid":
         lo, hi = _truncation(pm)
         if pm.kind.family.support.kind == "integer":
+            first, last = math.floor(lo), math.ceil(hi)
+            if last - first + 1 > _MAX_SUPPORT_POINTS:
+                raise DomainError(
+                    f"the integer window [{first}, {last}] has "
+                    f"{last - first + 1} points, more than "
+                    f"{_MAX_SUPPORT_POINTS} can be summed")
             panels = None
-            nodes = np.arange(math.floor(lo), math.ceil(hi) + 1, dtype=float)
+            nodes = np.arange(first, last + 1, dtype=float)
         else:
             # Unit-width starting panels so sub-sigma features (e.g. the
             # sech^2 factor at large probe theta) land on nodes before
@@ -245,23 +268,45 @@ def expect(pm: PopulationModel,
 
 
 @_QUIET
-def _kernel_integral(pm: PopulationModel, tag: str, probe: MixtureParams,
-                     rows: Callable) -> np.ndarray:
-    """``E[rows(q, t(Y))]`` under the truth of ``pm``, where ``q, t(y)`` is
-    :func:`posterior` at ``probe``: the one integral behind every population
-    read.  The value is read-only and, inside an :class:`IntegralMemo`,
-    remembered under ``tag``, the truth and the probe's bytes."""
+def _kernel_integral(pm: PopulationModel, tag: str, probes: list[MixtureParams],
+                     rows: Callable) -> list[np.ndarray]:
+    """``E[rows(q, t(Y))]`` under the truth of ``pm`` at each of ``probes``,
+    where ``q, t(y)`` is :func:`posterior` at the probe: the one integral
+    behind every population read.  ``rows`` gives the ``(R, n)`` rows of
+    one probe, and each probe's value has shape ``(R,)``.
 
-    def integral():
-        # One LogitTerms per integral: the probe is checked and its logit
-        # offsets computed once, not once per integrand call.
-        terms = LogitTerms.of(pm.kind, probe)
-        values = np.asarray(expect(pm, lambda y: rows(*posterior(terms, y))))
-        values.setflags(write=False)
-        return values
-
-    return _remembered((tag,) + pm._truth_key
-                       + (probe.theta.tobytes(), probe.pi.tobytes()), integral)
+    The probes form one batch: their rows are stacked and integrated in one
+    vector integral, whose every row meets ``scheme.abs_tol`` on its own.
+    Refinement is shared, so a value depends on the truth and on its batch,
+    and the same probe in another batch may differ in the last bits, within
+    the tolerance.  The values are read-only and, inside an
+    :class:`IntegralMemo`, remembered one entry per probe under ``tag``,
+    the truth and the probe's bytes, holding the keys and the values of the
+    last batch that integrated the probe.  A batch is answered from the
+    entry of its first probe when that entry holds the same keys, so the
+    memo never moves a value."""
+    if not probes:
+        return []
+    head = (tag,) + pm._truth_key
+    keys = tuple([head + (p.theta.tobytes(), p.pi.tobytes()) for p in probes])
+    memo = _memo.get()
+    if memo is not None:
+        entry = memo.get(keys[0])
+        if entry is not None and entry[0] == keys:
+            return entry[1]
+    # One LogitTerms per probe: each is checked and its logit offsets
+    # computed once, not once per integrand call.
+    terms = [LogitTerms.of(pm.kind, p) for p in probes]
+    stacked = expect(pm, lambda y: np.concatenate(
+        [rows(*posterior(t, y)) for t in terms]))
+    stacked.setflags(write=False)
+    size = len(stacked) // len(probes)
+    values = [stacked[i * size:(i + 1) * size] for i in range(len(probes))]
+    if memo is not None:
+        entry = (keys, values)
+        for key in keys:
+            memo[key] = entry
+    return values
 
 
 @dataclass(frozen=True)
@@ -271,10 +316,10 @@ class PopulationStep:
 
     Build it with :meth:`at`; every population update at the probe reads
     from it, whatever the labeled fraction.  Inside an :class:`IntegralMemo`
-    the moments at a probe are integrated once for every ``pm`` with the
-    same truth and scheme.  Each tie group's update at a labeled fraction
-    is solved once per step.  The accessors take a component index in
-    ``range(K)`` and raise :class:`DomainError` for any other.
+    the moments of a batch of probes are integrated once for every ``pm``
+    with the same truth and scheme.  Each tie group's update at a labeled
+    fraction is solved once per step.  The accessors take a component index
+    in ``range(K)`` and raise :class:`DomainError` for any other.
     """
 
     pm: PopulationModel
@@ -287,9 +332,7 @@ class PopulationStep:
     @classmethod
     def at(cls, pm: PopulationModel, theta: MixtureParams) -> "PopulationStep":
         """All 2K moments at probe ``theta`` from one vector integral."""
-        values = _kernel_integral(pm, "moments", theta,
-                                  lambda q, ty: np.concatenate([q, q * ty]))
-        return cls(pm, theta, values[:theta.K], values[theta.K:])
+        return _steps_at(pm, [theta])[0]
 
     def c(self, k: int) -> float:
         """``E[q_k]`` at the probe."""
@@ -326,6 +369,16 @@ class PopulationStep:
                     _DEGENERATE_DENOMINATOR, DegenerateDenominator):
                 self._solved[(j, gamma)] = theta_j
         return self._solved[key]
+
+
+def _steps_at(pm: PopulationModel,
+              probes: list[MixtureParams]) -> list[PopulationStep]:
+    """:meth:`PopulationStep.at` each of ``probes``, all from one vector
+    integral: one batch of :func:`_kernel_integral`."""
+    values = _kernel_integral(pm, "moments", probes,
+                              lambda q, ty: np.concatenate([q, q * ty]))
+    return [PopulationStep(pm, probe, value[:probe.K], value[probe.K:])
+            for probe, value in zip(probes, values)]
 
 
 def c_theta(pm: PopulationModel, theta: MixtureParams, k: int) -> float:
@@ -367,8 +420,9 @@ def dm0_dtheta_sym2(pm: PopulationModel, theta: float) -> float:
         raise DomainError("dm0_dtheta_sym2 requires the sym2 kind")
     if theta < 0.0:
         raise DomainError("derivative probe must satisfy theta >= 0")
-    return float(_kernel_integral(pm, "dm0", MixtureParams.symmetric(theta),
-                                  lambda q, ty: 4.0 * q[0] * q[1] * ty * ty))
+    row = _kernel_integral(pm, "dm0", [MixtureParams.symmetric(theta)],
+                           lambda q, ty: (4.0 * q[0] * q[1] * ty * ty)[None])
+    return float(row[0][0])
 
 
 def run_population_em(pm: PopulationModel, theta0: MixtureParams,
@@ -379,10 +433,28 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
     surrogate column stays empty.  A step that fails carries its index as
     ``iteration``.
     """
+    return _run_lockstep([pm], theta0, max_iters, tol)[0]
+
+
+def _run_lockstep(pms: list[PopulationModel], theta0: MixtureParams,
+                  max_iters: int = 200, tol: float = 1e-13,
+                  first: PopulationStep | None = None) -> list[Trajectory]:
+    """:func:`run_population_em` of each of ``pms``, which share a truth and
+    a scheme, from ``theta0`` in lockstep: each round reads the moments at
+    every running iterate from one batch of :func:`_steps_at`.  ``first``,
+    the step at ``theta0`` when the caller has it, answers the first round
+    without an integral."""
+    pm = pms[0]
     pm.kind.check_params(theta0)
 
-    def step(theta):
-        at = PopulationStep.at(pm, theta)
-        return theta.with_theta([at.m_gamma(k) for k in range(theta.K)]), None
+    def step(runs, thetas):
+        if first is not None and thetas[0] is theta0:
+            at = [first] * len(thetas)
+        else:
+            at = _steps_at(pm, thetas)
+        return [(s.theta.with_theta([s._update(k, pms[i].gamma)
+                                     for k in range(s.theta.K)]), None)
+                for i, s in zip(runs, at)]
 
-    return Trajectory.iterate(step, theta0, max_iters, tol, pm.theta_star)
+    return Trajectory._iterate_all(step, [theta0] * len(pms), max_iters, tol,
+                                   pm.theta_star)

@@ -362,6 +362,28 @@ class TestOutOfRangeValues:
         assert rc == 3
         assert (err["error"], err["type"]) == ("numeric", error)
 
+    @pytest.mark.parametrize("truth", ["40,2", "700,2"])
+    def test_integer_window_beyond_cap_is_domain_error(self, tmp_path, truth):
+        # A Poisson log-mean of 40 beside one of 2 makes a window of about
+        # 2.4e17 support points; it must be refused before any array is
+        # built.  The child runs
+        # under a 1 GiB address-space limit, so a regression fails fast
+        # (MemoryError, exit 1) instead of filling the machine.
+        src = str(Path(ssem.__file__).resolve().parents[1])
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "sys.path.insert(0, sys.argv[1]); from ssem.cli import main; "
+                "sys.exit(main(sys.argv[2:]))")
+        out = subprocess.run(
+            [sys.executable, "-c", code, src, "population",
+             "--config", str(CONFIGS / "poisson2.cfg"), "--out", str(tmp_path),
+             "--set", f"model.theta_star={truth}"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3, out.stderr
+        err = json.loads(out.stderr)
+        assert (err["error"], err["type"]) == ("numeric", "DomainError")
+        assert "points" in err["message"]
+
     def test_far_poisson_start_runs_without_warnings(self, tmp_path, capsys):
         rc, err = self._run(capsys, tmp_path, "poisson2.cfg", ["population"],
                             "em.theta0=-1e308,1")

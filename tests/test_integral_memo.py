@@ -22,8 +22,9 @@ from ssem.analysis import (
     rate_bound_item3,
     verify_theorem1,
 )
-from ssem.cli import main
-from ssem.model import MixtureParams, ModelKind
+from ssem.cli import VERIFIERS, main
+from ssem.config import load_config_file
+from ssem.model import MixtureParams, ModelKind, poisson_spec
 from ssem.population import (
     PopulationModel,
     PopulationStep,
@@ -40,12 +41,21 @@ OFFSETS = (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)
 
 @pytest.fixture
 def calls(monkeypatch):
+    """One entry per ``integrate`` call: the integrand calls it made."""
     counter = []
     original = ssem.quadrature.integrate
 
-    def counting(*args, **kwargs):
-        counter.append(1)
-        return original(*args, **kwargs)
+    def counting(f, *args, **kwargs):
+        made = [0]
+
+        def counted(y):
+            made[0] += 1
+            return f(y)
+
+        try:
+            return original(counted, *args, **kwargs)
+        finally:
+            counter.append(made[0])
 
     monkeypatch.setattr(ssem.quadrature, "integrate", counting)
     return counter
@@ -57,19 +67,25 @@ def _verify(tmp_path, cfg, which):
 
 
 class TestIntegralsPerCommand:
-    # thm3-2 reads thm3-1's derivatives, thm3-3 integrates one step per
-    # probe (f(theta*) = theta*/2 needs none), and the rescue reads thm1's
-    # probe moments, thm3-1's derivative at theta* and its own probe
-    # moments at its first steps.
-    @pytest.mark.parametrize("cfg, which, rc, integrals", [
-        ("sym2.cfg", "all", 4, 54),
-        ("sym2.cfg", "thm3-3", 4, 18),
-        ("gmm3.cfg", "rescue", 0, 54),
-        ("sym2.cfg", "thm3-2", 0, 6),
+    # Exact counts of work, which follow the code.  thm1 integrates its
+    # grid as one batch; thm3-1 one derivative per theta* (6), which thm3-2
+    # reads; thm3-3 one batch per theta* (6; f(theta*) = theta*/2 needs
+    # none); the rescue reads thm1's batch and thm3-1's derivative at
+    # theta*, and its two runs take one batch per round after the first,
+    # which reads the grid's step: 12 rounds on sym2, 23 on gmm3 (whose
+    # runs stop at max_iters = 24).  Integrand calls are the integrals plus
+    # their refinement rounds.
+    @pytest.mark.parametrize("cfg, which, rc, integrals, integrand_calls", [
+        ("sym2.cfg", "all", 4, 25, 41),
+        ("sym2.cfg", "thm3-3", 4, 6, 17),
+        ("gmm3.cfg", "rescue", 0, 24, 28),
+        ("sym2.cfg", "thm3-2", 0, 6, 9),
     ], ids=["sym2-all", "sym2-thm3-3", "gmm3-rescue", "sym2-thm3-2"])
-    def test_integral_count(self, tmp_path, calls, cfg, which, rc, integrals):
+    def test_integral_count(self, tmp_path, calls, cfg, which, rc, integrals,
+                            integrand_calls):
         assert _verify(tmp_path, cfg, which) == rc
         assert len(calls) == integrals
+        assert sum(calls) == integrand_calls
 
     def test_memo_ends_with_the_command(self, tmp_path, calls):
         assert _verify(tmp_path / "a", "sym2.cfg", "all") == 4
@@ -183,3 +199,63 @@ class TestExactness:
         with population.IntegralMemo():
             scoped = reports()
         assert scoped == reports()
+
+
+class TestBatches:
+    """The probes of a grid are integrated as one batch, whose every row
+    meets ``abs_tol`` on its own; a value depends only on the truth and its
+    batch."""
+
+    SYM2 = PopulationModel.sym2(1.5, 0.1)
+    POISSON = PopulationModel(ModelKind.expfam(poisson_spec()),
+                              MixtureParams([0.5, 0.5], [0.5, 2.0]), 0.1)
+
+    @pytest.mark.parametrize("pm, probes", [
+        (PopulationModel(ModelKind.gmm(), GMM3, 0.1),
+         [MixtureParams(GMM3.pi, GMM3.theta + off) for off in OFFSETS]),
+        (SYM2, [MixtureParams.symmetric(1.5 + off) for off in OFFSETS]),
+        (SYM2, [MixtureParams.symmetric(1.5 + off) for off in (1.01, 2.0, 4.0)]),
+        (POISSON, [MixtureParams([0.5, 0.5], [0.5 + eps, 2.0 + eps])
+                   for eps in (0.2, 0.1, 0.05, 0.025)]),
+    ], ids=["gmm3-grid", "sym2-grid", "sym2-item3", "poisson-thm2"])
+    def test_batched_moments_match_lone_integration(self, pm, probes):
+        # A lone and a batched integral each hold every row within abs_tol
+        # of the exact moment, so they differ by at most 2 * abs_tol a row.
+        tol = 2.0 * pm.scheme.abs_tol
+        for probe, step in zip(probes, population._steps_at(pm, probes)):
+            lone = PopulationStep.at(pm, probe)
+            assert step.theta is probe
+            assert np.all(np.abs(step.e_q - lone.e_q) <= tol)
+            assert np.all(np.abs(step.e_qt - lone.e_qt) <= tol)
+
+    def test_a_probe_answers_only_its_own_batch(self, calls):
+        # 3.5 is in both batches; the memo must not hand the second batch
+        # the first one's value, and the first batch is remembered whole.
+        first = [MixtureParams.symmetric(t) for t in (2.0, 3.5)]
+        second = [MixtureParams.symmetric(t) for t in (3.5, 5.0)]
+        fresh = population._steps_at(self.SYM2, second)
+        with population.IntegralMemo():
+            population._steps_at(self.SYM2, first)
+            scoped = population._steps_at(self.SYM2, second)
+            again = population._steps_at(self.SYM2, first)
+        assert len(calls) == 3
+        for a, b in zip(scoped, fresh):
+            assert a.e_qt.tobytes() == b.e_qt.tobytes()
+        assert again[0].e_qt.tobytes() == population._steps_at(
+            self.SYM2, first)[0].e_qt.tobytes()
+
+    @pytest.mark.parametrize("cfg", ["gmm3.cfg", "sym2.cfg", "poisson2.cfg"])
+    def test_verify_all_matches_each_target(self, tmp_path, cfg):
+        # verify all shares one memo across its targets; its checks must
+        # be those of each target run on its own, bit for bit.
+        kind = load_config_file(str(CONFIGS / cfg))["model.kind"]
+        _verify(tmp_path / "all", cfg, "all")
+        everything = json.loads((tmp_path / "all" / "verify_all.json")
+                                .read_text())["checks"]
+        each = []
+        for target, (kinds, _) in VERIFIERS.items():
+            if kind in kinds:
+                _verify(tmp_path / target, cfg, target)
+                each += json.loads((tmp_path / target / f"verify_{target}.json")
+                                   .read_text())["checks"]
+        assert everything == each

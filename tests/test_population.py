@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ssem.population as population
 from ssem.errors import DegenerateDenominator, DomainError, QuadratureFailure
 from ssem.model import (
     MixtureParams,
@@ -334,15 +335,15 @@ class TestPopulationEm:
 
     def test_failing_step_carries_its_index(self, monkeypatch):
         calls = []
-        original = PopulationStep.at.__func__
+        original = population._steps_at
 
-        def at(cls, pm, theta):
+        def steps_at(pm, probes):
             calls.append(1)
             if len(calls) == 3:
                 raise DegenerateDenominator("third step")
-            return original(cls, pm, theta)
+            return original(pm, probes)
 
-        monkeypatch.setattr(PopulationStep, "at", classmethod(at))
+        monkeypatch.setattr(population, "_steps_at", steps_at)
         pm = PopulationModel.sym2(1.5, 0.1)
         with pytest.raises(DegenerateDenominator) as err:
             run_population_em(pm, MixtureParams.symmetric(3.0))
@@ -388,9 +389,33 @@ def test_window_beyond_float_range_is_domain_error(pm):
                           else GMM2)
 
 
+class TestIntegerWindowCap:
+    """An integer window is summed at every point at once, so one with more
+    points than ``_MAX_SUPPORT_POINTS`` is refused before any array is
+    built.  Large Poisson means are refused in ``test_cli.py``, in a child
+    process under a memory limit."""
+
+    POISSON = ModelKind.expfam(poisson_spec())
+
+    def _window_points(self, pm):
+        lo, hi = population._truncation(pm)
+        return math.ceil(hi) - math.floor(lo) + 1
+
+    def test_cap_counts_every_support_point(self, monkeypatch):
+        pm = PopulationModel(self.POISSON, MixtureParams([0.5, 0.5], [0.5, 2.0]),
+                             0.0)
+        points = self._window_points(pm)
+        monkeypatch.setattr(population, "_MAX_SUPPORT_POINTS", points)
+        assert np.isclose(expect(pm, np.ones_like), 1.0, atol=1e-9)
+        monkeypatch.setattr(population, "_MAX_SUPPORT_POINTS", points - 1)
+        with pytest.raises(DomainError, match=f"{points} points"):
+            expect(pm, np.ones_like)
+
+
 class TestIntegralCount:
-    """One vector integral per probe: every population update at a probe
-    reads the same responsibility moments."""
+    """One vector integral per probe grid: every population update at a
+    probe reads the same responsibility moments, and the probes of a grid
+    are one batch."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -412,7 +437,7 @@ class TestIntegralCount:
         assert traj.n_steps > 1
         assert len(calls) == traj.n_steps
 
-    def test_theorem1_one_integral_per_probe(self, calls):
+    def test_theorem1_one_integral_per_grid(self, calls):
         from ssem.analysis import verify_theorem1
 
         pm = PopulationModel(GMM, GMM3, 0.3)
@@ -420,7 +445,7 @@ class TestIntegralCount:
                   for off in (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)]
         report = verify_theorem1(pm, probes)
         assert not any(r.skipped for r in report.results)
-        assert len(calls) == 8
+        assert len(calls) == 1
 
     def test_item3_one_integral(self, calls):
         from ssem.analysis import rate_bound_item3
