@@ -265,11 +265,15 @@ def _carrier_sum(kind: ModelKind, data,
                  unlabeled: tuple[np.ndarray, np.ndarray | None]) -> float:
     """Sum of ``h(y)`` over every observation: the theta-free surrogate
     term.  ``unlabeled`` is :func:`_unlabeled`; a distinct value adds
-    ``c h(v)``."""
+    ``c h(v)``.  On integer-valued labeled data (its
+    :attr:`Dataset.labeled_table`), ``h`` is taken once per distinct row
+    and gathered back in row order, so the sum adds the same terms."""
     h = kind.family.log_carrier
     y, counts = unlabeled
+    pairs = data.labeled_table
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = float(np.sum(h(data.labeled_y)))
+        acc = float(np.sum(h(data.labeled_y) if pairs is None
+                           else np.asarray(h(pairs.y))[pairs.inverse]))
         hy = np.asarray(h(y), dtype=float)
         acc += float(np.sum(hy if counts is None else counts * hy))
     if not np.isfinite(acc):

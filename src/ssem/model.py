@@ -508,20 +508,23 @@ def component_log_density(kind: ModelKind, k: int, params: MixtureParams, y):
         y)
 
 
+def _mixture_log_density(terms: LogitTerms, y: np.ndarray) -> np.ndarray:
+    """:func:`marginal_log_density` at the 1-d float points ``y``, under
+    the terms of the mixture (built with its ``log pi``).  The population
+    operators build the truth's terms once and call this at every node."""
+    logits = terms.logits(y)[0]
+    top = _shifted_exp(logits)
+    return (np.asarray(terms.family.log_carrier(y), dtype=float)
+            + (np.log(logits.sum(axis=0)) + top))
+
+
 def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
     """log of the pi-weighted component density sum, shaped like ``y``:
     the carrier ``h(y)`` plus the log-sum-exp of the natural-form logits,
     taken as the column max plus the log of the max-shifted exponentials'
     sum, so nothing overflows for |theta|, |y| up to 50."""
     terms = LogitTerms.of(kind, params)
-
-    def read(pts):
-        logits = terms.logits(pts)[0]
-        top = _shifted_exp(logits)
-        return (np.asarray(terms.family.log_carrier(pts), dtype=float)
-                + (np.log(logits.sum(axis=0)) + top))
-
-    return _at_points(read, y)
+    return _at_points(lambda pts: _mixture_log_density(terms, pts), y)
 
 
 def responsibilities(kind: ModelKind, params: MixtureParams,

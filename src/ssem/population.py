@@ -60,7 +60,7 @@ from .model import (
     MixtureParams,
     ModelKind,
     _component_index,
-    marginal_log_density,
+    _mixture_log_density,
     posterior,
 )
 
@@ -201,15 +201,17 @@ _MAX_SUPPORT_POINTS = 1 << 20
 
 class _TruthGrid(NamedTuple):
     """The truncated range of the truth, its starting quadrature panels
-    (None on an integer support) and the truth's density at ``nodes``: the
-    panels' Kronrod nodes, or every support point of an integer support.
-    ``nodes`` and ``density`` are read-only.  An integer window of more
-    than ``_MAX_SUPPORT_POINTS`` points raises :class:`DomainError` before
-    any array is built."""
+    (None on an integer support), the truth's :class:`LogitTerms`, built
+    once for every density the integrals read, and the truth's density at
+    ``nodes``: the panels' Kronrod nodes, or every support point of an
+    integer support.  ``nodes`` and ``density`` are read-only.  An integer
+    window of more than ``_MAX_SUPPORT_POINTS`` points raises
+    :class:`DomainError` before any array is built."""
 
     lo: float
     hi: float
     panels: quadrature.Panels | None
+    terms: LogitTerms
     nodes: np.ndarray
     density: np.ndarray
 
@@ -233,10 +235,11 @@ class _TruthGrid(NamedTuple):
             count = int(min(256, max(8, math.ceil(hi - lo))))
             panels = quadrature.Panels.uniform(lo, hi, count)
             nodes = panels.nodes
-        density = np.exp(marginal_log_density(pm.kind, pm.theta_star, nodes))
+        terms = LogitTerms.of(pm.kind, pm.theta_star)
+        density = np.exp(_mixture_log_density(terms, nodes))
         nodes.setflags(write=False)
         density.setflags(write=False)
-        return cls(lo, hi, panels, nodes, density)
+        return cls(lo, hi, panels, terms, nodes, density)
 
 
 def expect(pm: PopulationModel,
@@ -256,7 +259,7 @@ def expect(pm: PopulationModel,
     def integrand(y):
         # The first call gets the starting nodes; refined panels get theirs.
         density = (grid.density if y is grid.nodes else
-                   np.exp(marginal_log_density(pm.kind, pm.theta_star, y)))
+                   np.exp(_mixture_log_density(grid.terms, y)))
         return np.asarray(f(y), dtype=float) * density
 
     value, _ = quadrature.integrate(

@@ -19,6 +19,25 @@ Random stream contract (frozen; cross-language reimplementations must match):
   labels (residual adjusted on the largest-weight component) in ascending
   component order; no label randomness is consumed, but stream 0 is still
   reserved.  Under ``multinomial``, labels are inverse-CDF draws from pi.
+* An inverse-CDF pick from pi (a multinomial label, or the component of an
+  unlabeled sample) is the number of cumulative weights ``cum_pi[:-1]`` at
+  or below u, which is ``min(searchsorted(cum_pi, u, "right"), K - 1)``.
+
+Draws are made one component at a time.  The rows are put in component
+order by a stable sort (proportional labels already are), so component
+k's uniforms form one contiguous slice in sample order; the family's
+quantile is called once on each non-empty slice, and the draws are
+scattered back to sample order.  Component k's draws are therefore
+``quantile(theta_k, u[labels == k])``, bit for bit.  The (n, 2) block of
+unlabeled uniforms is freed once both its columns are read, and the
+draws overwrite the uniforms they come from.  The sampler's arrays hold at
+most ``_sample_bytes_per_row(K)`` bytes a row (33 up to K = 256), and a
+sample that would need more than ``_MAX_SAMPLE_BYTES`` (2^32) is refused
+before any array is built.
+
+Integer samples are grouped into distinct values (:func:`integer_table`,
+:func:`_pair_table`) by one rule, :func:`_group`: counting when the keys
+are non-negative integers below their number, else a sort.
 """
 
 from __future__ import annotations
@@ -36,6 +55,10 @@ from .model import MixtureParams, ModelKind
 
 ALLOCATIONS = ("proportional", "multinomial")
 _MIN_UNIFORM = 2.0 ** -54
+# The most bytes the sampler's arrays may hold at once: 4 GiB, which is
+# 130,150,524 samples at 33 bytes a row (``_sample_bytes_per_row``,
+# K <= 256).
+_MAX_SAMPLE_BYTES = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,14 @@ class Dataset:
         return self._memo("_unlabeled_table",
                           lambda: integer_table(self.unlabeled_y))
 
+    @property
+    def labeled_table(self) -> _PairTable | None:
+        """:func:`_pair_table` of the labeled sample, built on first use and
+        then shared by every reader (the carrier sum, the dataset
+        writer)."""
+        return self._memo("_labeled_table", lambda: _pair_table(
+            self.labeled_x, self.labeled_y))
+
     def __eq__(self, other):
         return (isinstance(other, Dataset)
                 and np.array_equal(self.labeled_x, other.labeled_x)
@@ -141,18 +172,76 @@ def _proportional_counts(pi: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def _component_draws(kind: ModelKind, theta_star: MixtureParams,
-                     labels: np.ndarray, u: np.ndarray) -> np.ndarray:
-    spec = kind.family
-    if spec.quantile is None:
-        raise DomainError(
-            f"family {spec.name!r} has no quantile function; cannot sample")
-    y = np.empty_like(u)
-    for k in range(theta_star.K):
-        mask = labels == k
-        if mask.any():
-            y[mask] = spec.quantile(float(theta_star.theta[k]), u[mask])
-    return y
+def _pick_components(cum_pi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The component of each uniform in ``u``: how many of the K - 1
+    cumulative weights ``cum_pi[:-1]`` are <= u, in the smallest unsigned
+    dtype that holds K - 1.  As ``cum_pi`` is non-decreasing, that is
+    ``min(searchsorted(cum_pi, u, "right"), K - 1)`` for every u."""
+    labels = np.zeros(u.shape, np.min_scalar_type(cum_pi.size - 1))
+    for edge in cum_pi[:-1].tolist():
+        labels += u >= edge
+    return labels
+
+
+def _draw_slices(spec, theta: np.ndarray, counts: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """``u`` with, in place, each component's slice replaced by its draws:
+    component k holds the ``counts[k]`` entries after those of the
+    components before it, and ``spec.quantile`` is called once on each
+    non-empty slice."""
+    stop = 0
+    for th, count in zip(theta.tolist(), counts.tolist()):
+        start, stop = stop, stop + count
+        if count:
+            u[start:stop] = spec.quantile(th, u[start:stop])
+    return u
+
+
+def _unsort(order: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` put back in sample order: entry i goes to ``order[i]``."""
+    out = np.empty_like(values)
+    out[order] = values
+    return out
+
+
+def _labeled_draws(spec, theta_star: MixtureParams, cum_pi: np.ndarray,
+                   cfg: SampleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The labels (stream 0) and values (stream 1) of the labeled part."""
+    K, theta = theta_star.K, theta_star.theta
+    y = _uniforms(_stream(cfg.seed, 1), cfg.m)
+    if cfg.label_allocation == "proportional":
+        counts = _proportional_counts(theta_star.pi, cfg.m)
+        return (np.repeat(np.arange(K, dtype=np.int64), counts),
+                _draw_slices(spec, theta, counts, y))
+    labels = _pick_components(cum_pi, _uniforms(_stream(cfg.seed, 0), cfg.m))
+    order = np.argsort(labels, kind="stable")
+    return labels, _unsort(order, _draw_slices(
+        spec, theta, np.bincount(labels, minlength=K), y[order]))
+
+
+def _unlabeled_draws(spec, theta: np.ndarray, cum_pi: np.ndarray,
+                     cfg: SampleConfig) -> np.ndarray:
+    """The values of the unlabeled part (stream 2)."""
+    u = _uniforms(_stream(cfg.seed, 2), (cfg.n, 2))
+    components = _pick_components(cum_pi, u[:, 0])
+    order = np.argsort(components, kind="stable")
+    counts = np.bincount(components, minlength=theta.size)
+    values = u[order, 1]
+    del u, components  # both columns are read: the (n, 2) block goes
+    return _unsort(order, _draw_slices(spec, theta, counts, values))
+
+
+def _sample_bytes_per_row(K: int) -> int:
+    """The most bytes a row that :func:`sample_dataset` holds at once for
+    a K-component mixture: 32, and the row's component in the smallest
+    unsigned dtype that holds K - 1 (1 byte up to K = 256).  It is reached
+    while the unlabeled part is drawn: the ``(n, 2)`` uniforms (16), the
+    components (1), the stable order that groups them (8) and the uniforms
+    gathered in that order (8).  A labeled row holds at most as much:
+    under multinomial labels its uniform, label, order, gathered uniform
+    and draw.  A family's quantile function adds its own temporaries for
+    one component's rows at a time."""
+    return 32 + np.min_scalar_type(K - 1).itemsize
 
 
 def sample_dataset(kind: ModelKind, theta_star: MixtureParams,
@@ -160,27 +249,27 @@ def sample_dataset(kind: ModelKind, theta_star: MixtureParams,
     """Draw a dataset from the ground-truth mixture.
 
     Identical ``(kind, theta_star, cfg)`` produce bit-identical datasets.
+    Each component's draws come from one slice of its uniforms, in sample
+    order (module docstring).  A sample that needs more than
+    ``_MAX_SAMPLE_BYTES`` at :func:`_sample_bytes_per_row` raises
+    :class:`ConfigError` (``field="data.total_samples"``) before any array
+    is built.
     """
     kind.check_params(theta_star)
-    K = theta_star.K
+    spec, K = kind.family, theta_star.K
+    if spec.quantile is None:
+        raise DomainError(
+            f"family {spec.name!r} has no quantile function; cannot sample")
+    need = (cfg.m + cfg.n) * _sample_bytes_per_row(K)
+    if need > _MAX_SAMPLE_BYTES:
+        raise ConfigError(
+            f"{cfg.m + cfg.n} samples of a {K}-component mixture need {need} "
+            f"bytes of sampler arrays, more than the {_MAX_SAMPLE_BYTES} "
+            f"allowed", field="data.total_samples")
     cum_pi = np.cumsum(theta_star.pi)
-
-    label_rng = _stream(cfg.seed, 0)
-    if cfg.label_allocation == "proportional":
-        counts = _proportional_counts(theta_star.pi, cfg.m)
-        labels = np.repeat(np.arange(K, dtype=np.int64), counts)
-    else:
-        u = _uniforms(label_rng, cfg.m)
-        labels = np.minimum(np.searchsorted(cum_pi, u, side="right"), K - 1)
-
-    labeled_y = _component_draws(
-        kind, theta_star, labels, _uniforms(_stream(cfg.seed, 1), cfg.m))
-
-    u2 = _uniforms(_stream(cfg.seed, 2), (cfg.n, 2))
-    components = np.minimum(np.searchsorted(cum_pi, u2[:, 0], side="right"), K - 1)
-    unlabeled_y = _component_draws(kind, theta_star, components, u2[:, 1])
-
-    return Dataset(labels, labeled_y, unlabeled_y)
+    labels, labeled_y = _labeled_draws(spec, theta_star, cum_pi, cfg)
+    return Dataset(labels, labeled_y,
+                   _unlabeled_draws(spec, theta_star.theta, cum_pi, cfg))
 
 
 class ValueTable(NamedTuple):
@@ -200,20 +289,48 @@ def _integral(y: np.ndarray) -> bool:
     return bool(np.all(np.rint(y) == y))
 
 
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct entries of the non-empty, integer-valued 1-d ``keys``,
+    ascending by bit pattern, with the inverse index and the counts, as
+    ``np.unique(..., return_inverse=True, return_counts=True)`` gives them.
+
+    One rule groups them.  When the keys are non-negative integers, no
+    ``-0.0`` among them, and ``max + 1 <= size``, they are counted with
+    ``np.bincount``: one pass, and a count array no longer than the keys.
+    Otherwise ``np.unique`` sorts them, floats by bit pattern, so ``-0.0``
+    and ``0.0`` stay apart.  Both give the same arrays.
+    """
+    if keys.dtype.kind == "f":
+        counted = not np.signbit(keys).any()
+    else:
+        counted = keys.min() >= 0
+    if counted and keys.max() < keys.size:
+        index = keys.astype(np.intp, copy=False)
+        counts = np.bincount(index)
+        present = np.flatnonzero(counts)
+        rank = np.zeros(counts.size, np.intp)
+        rank[present] = np.arange(present.size)
+        return present.astype(keys.dtype), rank[index], counts[present]
+    sortable = keys.view(np.int64) if keys.dtype.kind == "f" else keys
+    distinct, inverse, counts = np.unique(sortable, return_inverse=True,
+                                          return_counts=True)
+    return distinct.view(keys.dtype), inverse, counts
+
+
 def integer_table(y) -> ValueTable | None:
     """The distinct-value table of the 1-d sample ``y`` when every value is
     an integer (as the Poisson sampler draws them), else None.
 
     Values are keyed by bit pattern, so ``-0.0`` and ``0.0``, which print as
-    ``-0`` and ``0``, are separate entries.  ``values[inverse]`` is ``y``,
-    bit for bit.  An empty sample has no table.  The arrays are read-only.
+    ``-0`` and ``0``, are separate entries; they are grouped by
+    :func:`_group`.  ``values[inverse]`` is ``y``, bit for bit.  An empty
+    sample has no table.  The arrays are read-only.
     """
     y = np.ascontiguousarray(y, dtype=float)
     if not (y.size and _integral(y[:_PROBE_ROWS]) and _integral(y)):
         return None
-    keys, inverse, counts = np.unique(y.view(np.int64), return_inverse=True,
-                                      return_counts=True)
-    table = ValueTable(keys.view(float), counts.astype(float), inverse)
+    values, inverse, counts = _group(y)
+    table = ValueTable(values, counts.astype(float), inverse)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -229,19 +346,20 @@ class _PairTable(NamedTuple):
 
 
 def _pair_table(x, y) -> _PairTable | None:
-    """The distinct ``(x, y)`` rows of a labeled sample whose values are
-    all integers (:func:`integer_table` of ``y``), else None.
+    """The distinct ``(x, y)`` rows of a labeled sample, int64 labels ``x``
+    and float values ``y``, whose values are all integers
+    (:func:`integer_table` of ``y``), else None.
 
     ``x[i], y[i]`` is ``table.x[j], table.y[j]`` for ``j = inverse[i]``,
-    bit for bit (``-0.0`` and ``0.0`` are separate rows).
+    bit for bit (``-0.0`` and ``0.0`` are separate rows).  Labels and rows
+    are grouped by :func:`_group`.
     """
     values = integer_table(y)
     if values is None:
         return None
-    labels, label_index = np.unique(x, return_inverse=True)
+    labels, label_index, _ = _group(x)
     width = values.values.size
-    keys, inverse = np.unique(label_index * width + values.inverse,
-                              return_inverse=True)
+    keys, inverse, _ = _group(label_index * width + values.inverse)
     return _PairTable(labels[keys // width], values.values[keys % width],
                      inverse)
 
@@ -263,22 +381,12 @@ _ROW_BYTES = (string.ascii_letters + string.digits + ",.+-\n").encode()
 _INT64 = range(-2 ** 63, 2 ** 63)
 
 
-def _row_tables(dataset: Dataset) -> tuple[_PairTable | None,
-                                           ValueTable | None]:
-    """The tables :func:`save_dataset_csv` groups the labeled and the
-    unlabeled rows by, each None when that part is written row by row.
-    Both are kept on ``dataset`` once built."""
-    labeled = dataset._memo("_labeled_table", lambda: _pair_table(
-        dataset.labeled_x, dataset.labeled_y))
-    return labeled, dataset.unlabeled_table
-
-
 def formatted_rows(dataset: Dataset) -> int:
     """The rows :func:`save_dataset_csv` formats one by one: the distinct
     rows of a grouped part of ``dataset``, every row of any other part.
     Builds and keeps the tables the writer reads, so the writer does not
     build them again."""
-    labeled, unlabeled = _row_tables(dataset)
+    labeled, unlabeled = dataset.labeled_table, dataset.unlabeled_table
     return ((dataset.m if labeled is None else labeled.x.size)
             + (dataset.n if unlabeled is None else unlabeled.values.size))
 
@@ -303,7 +411,7 @@ def save_dataset_csv(dataset: Dataset, path) -> None:
     then those rows joined in sample order.  :func:`formatted_rows` counts
     the rows formatted.
     """
-    labeled, unlabeled = _row_tables(dataset)
+    labeled, unlabeled = dataset.labeled_table, dataset.unlabeled_table
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write("kind,x,y\n")
         if labeled is None:

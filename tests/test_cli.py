@@ -384,6 +384,33 @@ class TestOutOfRangeValues:
         assert (err["error"], err["type"]) == ("numeric", "DomainError")
         assert "points" in err["message"]
 
+    @pytest.mark.parametrize("command", ["sample", "simulate"])
+    def test_sample_beyond_cap_is_config_error(self, tmp_path, command):
+        # 1e12 samples would need 33 TB of sampler arrays (745 GiB for the
+        # first array alone); they must be refused before any array is
+        # built.  Under the same 1 GiB address-space limit as above.
+        src = str(Path(ssem.__file__).resolve().parents[1])
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "sys.path.insert(0, sys.argv[1]); from ssem.cli import main; "
+                "sys.exit(main(sys.argv[2:]))")
+        out = subprocess.run(
+            [sys.executable, "-c", code, src, command,
+             "--config", str(CONFIGS / "gmm3.cfg"), "--out", str(tmp_path),
+             "--set", "data.total_samples=1e12"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2, out.stderr
+        err = json.loads(out.stderr)
+        assert (err["error"], err["field"]) == ("config", "data.total_samples")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [["population"], ["verify", "lemma3"]])
+    def test_commands_that_do_not_sample_accept_any_size(self, tmp_path,
+                                                         capsys, command):
+        rc, err = self._run(capsys, tmp_path, "sym2.cfg", command,
+                            "data.total_samples=1e12")
+        assert (rc, err) == (0, None)
+
     def test_far_poisson_start_runs_without_warnings(self, tmp_path, capsys):
         rc, err = self._run(capsys, tmp_path, "poisson2.cfg", ["population"],
                             "em.theta0=-1e308,1")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -549,6 +550,29 @@ class TestGroupedEStep:
         row_by_row = em._carrier_sum(kind, ds, (uy, None))
         assert em._carrier_sum(kind, ds, em._unlabeled(ds)) == pytest.approx(
             row_by_row, rel=1e-14)
+
+
+    @pytest.mark.parametrize("m", [0, 1, 20_000])
+    def test_labeled_carrier_taken_once_per_distinct_row(self, m):
+        # On integer labeled data h is taken at each distinct (x, y) row and
+        # gathered back in row order, so the sum adds the same terms in the
+        # same order as h over every row.
+        seen = []
+        spec = poisson_spec()
+
+        def counting(y):
+            seen.append(np.size(y))
+            return spec.log_carrier(y)
+
+        kind = ModelKind.expfam(replace(spec, log_carrier=counting))
+        ds = sample_dataset(kind, MixtureParams([0.5, 0.5], [0.5, 2.0]),
+                            SampleConfig(seed=3, m=m, n=2_000))
+        values, counts = em._unlabeled(ds)
+        want = float(np.sum(spec.log_carrier(ds.labeled_y)))
+        want += float(np.sum(counts * spec.log_carrier(values)))
+        assert em._carrier_sum(kind, ds, (values, counts)) == want
+        distinct = 0 if m == 0 else ds.labeled_table.x.size
+        assert seen == [distinct, values.size] and distinct < 100
 
 
 class TestIterate:

@@ -16,7 +16,7 @@ import ssem.model
 import ssem.sampling
 from ssem.cli import main
 from ssem.errors import ConfigError, DomainError
-from ssem.model import MixtureParams, ModelKind, poisson_spec
+from ssem.model import MixtureParams, ModelKind, exponential_spec, poisson_spec
 from ssem.sampling import (
     Dataset,
     SampleConfig,
@@ -296,6 +296,275 @@ class TestIntegerTable:
                             SampleConfig(seed=2, m=0, n=100_000))
         assert integer_table(ds.unlabeled_y) is None
         assert sizes == [ssem.sampling._PROBE_ROWS]
+
+
+def reference_sample_dataset(kind, theta_star, cfg):
+    """The per-mask sampler ``sample_dataset`` replaced: the component pick
+    is ``searchsorted`` on the cumulative weights, and each component's
+    draws are its quantile of ``u[labels == k]``, scattered back through
+    the same mask.  Its bytes define the sampler's output."""
+    spec, K = kind.family, theta_star.K
+    cum_pi = np.cumsum(theta_star.pi)
+
+    def uniforms(index, shape):
+        key = np.array([cfg.seed, index], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(shape)
+        return np.maximum(u, 2.0 ** -54)
+
+    def pick(u):
+        return np.minimum(np.searchsorted(cum_pi, u, side="right"), K - 1)
+
+    def draws(labels, u):
+        y = np.empty_like(u)
+        for k in range(K):
+            mask = labels == k
+            if mask.any():
+                y[mask] = spec.quantile(float(theta_star.theta[k]), u[mask])
+        return y
+
+    if cfg.label_allocation == "proportional":
+        counts = np.rint(theta_star.pi * cfg.m).astype(np.int64)
+        counts[np.argmax(theta_star.pi)] += cfg.m - counts.sum()
+        labels = np.repeat(np.arange(K, dtype=np.int64), counts)
+    else:
+        labels = pick(uniforms(0, cfg.m))
+    labeled_y = draws(labels, uniforms(1, cfg.m))
+    u = uniforms(2, (cfg.n, 2))
+    return Dataset(labels, labeled_y, draws(pick(u[:, 0]), u[:, 1]))
+
+
+POISSON = ModelKind.expfam(poisson_spec())
+EXPONENTIAL = ModelKind.expfam(exponential_spec())
+# Per family: the model kind and a range of component parameters.
+FAMILIES = {"gmm": (GMM, (-4.0, 4.0)), "poisson": (POISSON, (-3.0, 4.0)),
+            "exponential": (EXPONENTIAL, (-4.0, -0.1))}
+
+
+@st.composite
+def sampler_cases(draw):
+    """A truth of any family and K, both allocations, m and n from 0, and a
+    64-bit seed."""
+    family = draw(st.sampled_from(["gmm", "sym2", "poisson", "exponential"]))
+    if family == "sym2":
+        kind = SYM2
+        star = MixtureParams.symmetric(draw(st.floats(0.0, 4.0)))
+    else:
+        kind, (lo, hi) = FAMILIES[family]
+        K = draw(st.integers(1, 4))
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=K, max_size=K))
+        pi = np.array(raw) / sum(raw)
+        pi[-1] = 1.0 - pi[:-1].sum()
+        theta = draw(st.lists(st.floats(lo, hi), min_size=K, max_size=K))
+        star = MixtureParams(pi, theta)
+    m, n = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    assume(m + n >= 1)
+    cfg = SampleConfig(seed=draw(st.integers(0, 2 ** 64 - 1)), m=m, n=n,
+                       label_allocation=draw(st.sampled_from(
+                           ssem.sampling.ALLOCATIONS)))
+    return kind, star, cfg
+
+
+class TestComponentSlices:
+    """Drawing each component from one slice gives the per-mask sampler's
+    bytes."""
+
+    @given(case=sampler_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_mask_sampler(self, case):
+        kind, star, cfg = case
+        assert_bit_identical(sample_dataset(kind, star, cfg),
+                             reference_sample_dataset(kind, star, cfg))
+
+    @pytest.mark.parametrize("allocation", ssem.sampling.ALLOCATIONS)
+    @pytest.mark.parametrize("kind, star, m, n", [
+        (GMM, MixtureParams([1.0], [0.5]), 40, 60),             # K = 1
+        (POISSON, MixtureParams([1.0], [1.0]), 0, 500),          # K = 1
+        # A weight of 1e-6 leaves its component empty at these sizes.
+        (GMM, MixtureParams([0.5, 1e-6, 0.5 - 1e-6], [-2.0, 0.0, 2.0]),
+         50, 400),
+        (EXPONENTIAL, MixtureParams([1e-6, 1.0 - 1e-6], [-1.0, -2.0]),
+         30, 200),
+        (SYM2, MixtureParams.symmetric(1.5), 0, 300),           # m = 0
+        (POISSON, MixtureParams([0.5, 0.5], [0.5, 2.0]), 300, 0),  # n = 0
+        (GMM, MixtureParams([0.3, 0.4, 0.3], [-3.0, 0.0, 3.0]), 2000, 18000),
+    ])
+    def test_edge_cases_match_per_mask_sampler(self, kind, star, m, n,
+                                               allocation):
+        cfg = SampleConfig(seed=7, m=m, n=n, label_allocation=allocation)
+        got = sample_dataset(kind, star, cfg)
+        assert_bit_identical(got, reference_sample_dataset(kind, star, cfg))
+        assert not any(arr.flags.writeable for arr in (
+            got.labeled_x, got.labeled_y, got.unlabeled_y))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 256, 257])
+    def test_pick_counts_edges_below(self, K):
+        rng = np.random.default_rng(K)
+        pi = rng.dirichlet(np.ones(K))
+        pi[-1] = 1.0 - pi[:-1].sum()
+        cum_pi = np.cumsum(pi)
+        # Every edge, its neighbours, both ends of the uniforms' range.
+        u = np.concatenate([rng.random(5000), cum_pi,
+                            np.nextafter(cum_pi, 0), np.nextafter(cum_pi, 1),
+                            [2.0 ** -54, 1 - 2.0 ** -53]])
+        u = u[(u > 0) & (u < 1)]
+        got = ssem.sampling._pick_components(cum_pi, u)
+        assert got.dtype == np.min_scalar_type(K - 1)
+        np.testing.assert_array_equal(
+            got, np.minimum(np.searchsorted(cum_pi, u, side="right"), K - 1))
+
+
+def reference_group(keys):
+    """``np.unique`` of the keys, floats by bit pattern."""
+    if keys.dtype.kind == "f":
+        distinct, inverse, counts = np.unique(
+            keys.view(np.int64), return_inverse=True, return_counts=True)
+        return distinct.view(float), inverse, counts
+    return np.unique(keys, return_inverse=True, return_counts=True)
+
+
+class TestGrouping:
+    """``_group`` gives ``np.unique``'s arrays on both of its paths."""
+
+    @staticmethod
+    def assert_groups_like_unique(keys, counted, monkeypatch):
+        sorted_calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            sorted_calls.append(1)
+            return unique(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", spy)
+            got = ssem.sampling._group(keys)
+        assert (not sorted_calls) == counted
+        for a, b in zip(got, reference_group(keys)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("keys, counted", [
+        ([0.0, 3.0, 1.0, 3.0, 0.0], True),
+        ([-0.0, 0.0, 1.0, 1.0], False),              # -0.0 apart from 0.0
+        ([2.0, -3.0, 1.0, 2.0], False),              # a negative integer
+        ([0.0, 1.0, 5.0], False),                    # max + 1 > size
+        ([0.0, 1.0, 2.0], True),                     # max + 1 == size
+        ([7.0] * 10, True),                          # one distinct value
+        ([7.0] * 7, False),                          # one, at size
+        ([-0.0] * 4, False),
+        ([1e22, 1e22, 0.0], False),
+        ([2.0 ** 53] * 3, False),
+    ])
+    def test_float_keys(self, keys, counted, monkeypatch):
+        self.assert_groups_like_unique(np.array(keys), counted, monkeypatch)
+
+    @pytest.mark.parametrize("keys, counted", [
+        ([3, 0, 3, 1], True),
+        ([4, 0, 3, 1], False),
+        ([-1, 0, 0, 2], False),
+        ([2 ** 63 - 1, 0, 1], False),
+        ([5] * 6, True),
+    ])
+    def test_integer_keys(self, keys, counted, monkeypatch):
+        self.assert_groups_like_unique(np.array(keys, dtype=np.int64),
+                                       counted, monkeypatch)
+
+    @given(values=st.lists(INTEGER_VALUES | st.integers(0, 40).map(float),
+                           min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_table_matches_unique(self, values):
+        y = np.array(values)
+        table = integer_table(y)
+        want = reference_group(y)
+        assert table.values.tobytes() == want[0].tobytes()
+        assert table.inverse.tobytes() == want[1].tobytes()
+        assert table.counts.tolist() == want[2].tolist()
+
+    @given(rows=st.lists(st.tuples(st.integers(0, 5),
+                                   st.integers(-3, 12).map(float)
+                                   | st.sampled_from([-0.0, 1e22])),
+                         min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_pair_table_matches_unique(self, rows):
+        x = np.array([a for a, _ in rows], dtype=np.int64)
+        y = np.array([b for _, b in rows])
+        table = ssem.sampling._pair_table(x, y)
+        assert table.x[table.inverse].tobytes() == x.tobytes()
+        assert table.y[table.inverse].tobytes() == y.tobytes()
+        # One entry per distinct (x, bit pattern of y) row, in np.unique's
+        # order of (label, value index).
+        pairs = np.unique(np.stack([x, y.view(np.int64)]), axis=1)
+        assert table.x.size == pairs.shape[1]
+
+
+class TestSampleMemory:
+    """The sampler and the row tables hold the arrays of their design, and
+    no more: a bound in bytes a row from those arrays."""
+
+    # Fixed-size allocations beside the per-row arrays (small numpy
+    # arrays, Python objects, a Poisson CDF table of at most ~1,750
+    # entries).
+    SLACK = 64 * 1024
+
+    @pytest.mark.parametrize("config", ["gmm3.cfg", "poisson2.cfg"])
+    def test_tracemalloc_peak_within_design(self, config):
+        import tracemalloc
+
+        from ssem.config import build_run_config, load_config_file
+
+        cfg = build_run_config(
+            load_config_file(PERFBENCH / "configs" / config))
+        m, n = cfg.m, cfg.n
+        assert cfg.theta_star.K <= 256 and m + n == 200_000
+        # Drawing the unlabeled part holds the (n, 2) uniforms (16 bytes a
+        # row), the uint8 components (1), their stable order (8) and the
+        # uniforms gathered in that order (8), beside the finished labeled
+        # labels and values (8 + 8 a labeled row).
+        sampling = (16 + 1 + 8 + 8) * n + (8 + 8) * m
+        # The row tables hold the dataset (8 a row, 16 a labeled row) and,
+        # while grouping, an index and an inverse per unlabeled row (8 + 8),
+        # and for the labeled pairs the value inverse, label rank, pair key
+        # and pair inverse (4 x 8).
+        grouping = 8 * n + 16 * m + (8 + 8) * n + 4 * 8 * m
+        sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())  # warm
+        tracemalloc.start()
+        try:
+            ds = sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())
+            sample_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            formatted_rows(ds)
+            rows_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample_peak <= sampling + self.SLACK
+        assert rows_peak <= grouping + self.SLACK
+
+
+class TestSampleCap:
+    def test_bytes_per_row(self):
+        per_row = ssem.sampling._sample_bytes_per_row
+        assert [per_row(K) for K in (1, 2, 256, 257)] == [33, 33, 33, 34]
+        cap = ssem.sampling._MAX_SAMPLE_BYTES // per_row(3)
+        assert cap == 130_150_524
+
+    @pytest.mark.parametrize("allocation", ssem.sampling.ALLOCATIONS)
+    def test_sample_beyond_cap_is_config_error(self, monkeypatch, allocation):
+        star = MixtureParams([0.3, 0.7], [-1.0, 1.0])
+        monkeypatch.setattr(ssem.sampling, "_MAX_SAMPLE_BYTES", 33 * 100)
+        for m, n in ((0, 100), (40, 60), (100, 0)):
+            ds = sample_dataset(GMM, star, SampleConfig(
+                0, m, n, label_allocation=allocation))
+            assert (ds.m, ds.n) == (m, n)
+        for m, n in ((0, 101), (41, 60), (101, 0)):
+            with pytest.raises(ConfigError) as err:
+                sample_dataset(GMM, star, SampleConfig(
+                    0, m, n, label_allocation=allocation))
+            assert err.value.field == "data.total_samples"
+
+    def test_huge_sample_refused_before_any_array(self):
+        # 2^40 rows would need 36 TB; the refusal builds nothing.
+        with pytest.raises(ConfigError) as err:
+            sample_dataset(GMM, MixtureParams([1.0], [0.0]),
+                           SampleConfig(0, 2 ** 39, 2 ** 39))
+        assert err.value.field == "data.total_samples"
 
 
 class TestDatasetAndCsv:
