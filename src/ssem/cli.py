@@ -7,9 +7,15 @@ Exit codes (frozen interface): 0 success, 2 configuration error, 3 numeric
 failure, 4 a verified inequality failed.  Errors are emitted as one JSON
 object on stderr.  All file writes are whole-file atomic (temp + rename); a
 write that fails (say, the output path is a directory) leaves no temporary
-file behind and exits 2 with ``field: "output.directory"``.  ``simulate``
-may write ``dataset.csv`` in a forked child process while it runs EM (see
+file behind and exits 2 with ``field: "output.directory"``, as does an
+output directory that cannot be created.  ``simulate`` may write
+``dataset.csv`` in a forked child process while it runs EM (see
 :func:`cmd_simulate`); the same rules hold.
+
+Every JSON artifact opens with :func:`ssem.config.summary_header` and is
+written as the command holds it, in strict JSON: the header echoes a
+config number with no JSON spelling as null, and any other non-finite
+number raises ``ValueError``.
 
 ``verify <target>`` runs the checks of one target on the config's model;
 ``VERIFIERS`` lists the model kinds each target checks.  ``verify all``
@@ -25,14 +31,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 import time
 from contextlib import contextmanager
-
-import numpy as np
 
 from .analysis import (
     _rate_bound_item3_each,
@@ -46,7 +49,6 @@ from .analysis import (
     verify_theorem2,
 )
 from .config import (
-    SCHEMA_VERSION,
     RunConfig,
     apply_overrides,
     build_run_config,
@@ -62,22 +64,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VIOLATION = 4
-
-
-def _jsonify(obj):
-    """Map numpy scalars/arrays to plain types and non-finite floats to
-    null so the emitted files stay strict JSON."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 @contextmanager
@@ -104,7 +90,7 @@ def _atomic_file(path: str):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonify(payload), indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     with _atomic_file(path) as (fd, _):
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -323,13 +309,9 @@ def cmd_verify(cfg: RunConfig, which: str, out_dir: str) -> int:
         with _timed(timings, target):
             checks += run(cfg)
     pass_all = all_pass(checks)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": dict(cfg.raw),
-        "checks": checks,
-        "pass_all": pass_all,
-        "timings_s": timings,
-    }
+    payload = summary_header(cfg)
+    payload.update({"checks": checks, "pass_all": pass_all,
+                    "timings_s": timings})
     _write_json(os.path.join(out_dir, f"verify_{which}.json"), payload)
     return EXIT_OK if pass_all else EXIT_VIOLATION
 
@@ -395,14 +377,14 @@ def main(argv=None) -> int:
         if args.out is not None:
             raw["output.directory"] = args.out
         cfg = build_run_config(raw)
-        out_dir = cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
     except (ConfigError, OSError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG
 
-    # Integrals are shared by the targets and gammas of this command only.
+    out_dir = cfg.out_dir
     try:
+        os.makedirs(out_dir, exist_ok=True)
+        # Integrals are shared by the targets and gammas of this command only.
         with IntegralMemo():
             if args.command == "sample":
                 return cmd_sample(cfg, out_dir)
@@ -417,7 +399,7 @@ def main(argv=None) -> int:
     except SsemError as exc:
         _emit_error("numeric", exc)
         return EXIT_NUMERIC
-    except OSError as exc:  # an artifact could not be written
+    except OSError as exc:  # the directory or an artifact could not be made
         _emit_error("config", exc, field="output.directory")
         return EXIT_CONFIG
 

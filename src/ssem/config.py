@@ -342,5 +342,15 @@ def build_run_config(raw: dict) -> RunConfig:
     return cfg
 
 
+def _echo(value):
+    """A config value as JSON can spell it: a non-finite number is None."""
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def summary_header(cfg: RunConfig) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "config": dict(cfg.raw)}
+    """The opening keys of every artifact: the schema version and the
+    resolved config, each number with no JSON spelling echoed as null."""
+    return {"schema_version": SCHEMA_VERSION,
+            "config": {key: _echo(value) for key, value in cfg.raw.items()}}

@@ -159,15 +159,12 @@ class IntegralMemo:
     every kernel moment (those of :meth:`PopulationStep.at`, of the probe
     grids and of :func:`dm0_dtheta_sym2`) are remembered.  The grid's key
     is the kind (its family included), the truth's ``theta`` and ``pi``
-    and the :class:`QuadratureScheme`.  A probe's moments are one entry,
-    keyed on its row map's tag, the same truth key and the probe's
-    ``theta`` and ``pi``; the entry holds the keys and values of the last
-    batch that integrated the probe, and answers only a batch with the same
-    keys.  The
-    labeled fraction is in no key, since none of these depends on it, so a
-    remembered value is the one a fresh evaluation of its batch returns,
-    bit for bit.  A nested block shares the outer memo; the outermost one
-    drops it on exit.
+    and the :class:`QuadratureScheme`.  A batch's moments are one entry,
+    keyed on its row map's tag, the same truth key and each probe's
+    ``theta`` and ``pi`` in turn.  The labeled fraction is in no key, since
+    none of these depends on it, so a remembered value is the one a fresh
+    evaluation of its batch returns, bit for bit.  A nested block shares
+    the outer memo; the outermost one drops it on exit.
     """
 
     def __enter__(self) -> "IntegralMemo":
@@ -283,33 +280,25 @@ def _kernel_integral(pm: PopulationModel, tag: str, probes: list[MixtureParams],
     Refinement is shared, so a value depends on the truth and on its batch,
     and the same probe in another batch may differ in the last bits, within
     the tolerance.  The values are read-only and, inside an
-    :class:`IntegralMemo`, remembered one entry per probe under ``tag``,
-    the truth and the probe's bytes, holding the keys and the values of the
-    last batch that integrated the probe.  A batch is answered from the
-    entry of its first probe when that entry holds the same keys, so the
-    memo never moves a value."""
+    :class:`IntegralMemo`, remembered as one entry per batch, keyed on
+    ``tag``, the truth and every probe's bytes, so the memo never moves a
+    value."""
     if not probes:
         return []
-    head = (tag,) + pm._truth_key
-    keys = tuple([head + (p.theta.tobytes(), p.pi.tobytes()) for p in probes])
-    memo = _memo.get()
-    if memo is not None:
-        entry = memo.get(keys[0])
-        if entry is not None and entry[0] == keys:
-            return entry[1]
-    # One LogitTerms per probe: each is checked and its logit offsets
-    # computed once, not once per integrand call.
-    terms = [LogitTerms.of(pm.kind, p) for p in probes]
-    stacked = expect(pm, lambda y: np.concatenate(
-        [rows(*posterior(t, y)) for t in terms]))
-    stacked.setflags(write=False)
-    size = len(stacked) // len(probes)
-    values = [stacked[i * size:(i + 1) * size] for i in range(len(probes))]
-    if memo is not None:
-        entry = (keys, values)
-        for key in keys:
-            memo[key] = entry
-    return values
+    key = (tag,) + pm._truth_key + tuple(
+        [b for p in probes for b in (p.theta.tobytes(), p.pi.tobytes())])
+
+    def integrate():
+        # One LogitTerms per probe: each is checked and its logit offsets
+        # computed once, not once per integrand call.
+        terms = [LogitTerms.of(pm.kind, p) for p in probes]
+        stacked = expect(pm, lambda y: np.concatenate(
+            [rows(*posterior(t, y)) for t in terms]))
+        stacked.setflags(write=False)
+        size = len(stacked) // len(probes)
+        return [stacked[i * size:(i + 1) * size] for i in range(len(probes))]
+
+    return _remembered(key, integrate)
 
 
 @dataclass(frozen=True)

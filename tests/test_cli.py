@@ -277,6 +277,33 @@ class TestExitCodes:
         assert str(out / artifact) in err["message"]
         assert sorted(p.name for p in out.iterdir()) == [artifact]
 
+    @pytest.mark.parametrize("below, error", [
+        ("sub", "NotADirectoryError"), ("", "FileExistsError")],
+        ids=["under-a-file", "a-file"])
+    def test_output_directory_not_creatable_is_config_error(
+            self, tmp_path, capsys, below, error):
+        # The output directory cannot be made: a file takes its path or the
+        # path of its parent.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / below if below else taken
+        rc = main(["verify", "lemma3", "--config", str(CONFIGS / "sym2.cfg"),
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "output.directory"
+        assert err["type"] == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_missing_config_file_has_no_field(self, tmp_path, capsys):
+        rc = main(["verify", "lemma3", "--config", str(tmp_path / "no.cfg"),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "FileNotFoundError"
+        assert "field" not in err
+
     def test_population_step_failure_carries_iteration(self, tmp_path, capsys):
         rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
                    "--out", str(tmp_path),
@@ -428,21 +455,57 @@ class TestOutOfRangeValues:
         assert any(surrogate) is value
 
 
+def _refuse(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_json(path: Path):
+    """The JSON document at ``path``, refusing NaN and Infinity."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
+
+
 class TestStrictJson:
+    """A config number with no JSON spelling is echoed as null; any other
+    non-finite number is an error, not a silent rewrite."""
+
     def test_non_finite_config_value_is_written_as_null(self, tmp_path):
         # em.tol = inf is a valid stop rule (one step), but has no JSON
         # spelling; the summary must stay strict JSON.
         rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
                    "--out", str(tmp_path), "--set", "em.tol=inf"])
         assert rc == 0
-
-        def refuse(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        summary = json.loads((tmp_path / "summary.json").read_text(),
-                             parse_constant=refuse)
+        summary = strict_json(tmp_path / "summary.json")
         assert summary["config"]["em.tol"] is None
         assert summary["iterations"] == 1
+
+    def test_verify_echoes_non_finite_config_value_as_null(self, tmp_path):
+        # verify builds its header as every other command does.
+        rc = main(["verify", "lemma3", "--config", str(CONFIGS / "sym2.cfg"),
+                   "--out", str(tmp_path), "--set", "em.tol=inf"])
+        assert rc == 0
+        payload = strict_json(tmp_path / "verify_lemma3.json")
+        assert list(payload)[:2] == ["schema_version", "config"]
+        assert payload["config"]["em.tol"] is None
+
+    @pytest.mark.parametrize("value, echo", [
+        ("nan", None), ("out, -inf", ["out", None])], ids=["scalar", "list"])
+    def test_non_finite_output_directory_is_echoed_as_null(
+            self, tmp_path, monkeypatch, value, echo):
+        # Without --out, the directory is named for the value as a string
+        # ("nan", "['out', -inf]"), relative to the working directory.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
+                   "--set", "em.max_iters=3",
+                   "--set", f"output.directory={value}"])
+        assert rc == 0
+        [path] = tmp_path.glob("*/summary.json")
+        assert strict_json(path)["config"]["output.directory"] == echo
+
+    def test_non_finite_result_is_an_error(self, tmp_path):
+        path = tmp_path / "summary.json"
+        with pytest.raises(ValueError):
+            cli._write_json(str(path), {"lhs": math.nan})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArgumentParsing:

@@ -5,7 +5,9 @@ and ``quadrature.*`` key, and ``output.directory``), and each entry of the
 vector keys, is set in turn to nan, +-inf and +-1e308.  ``population`` and
 ``simulate`` must return 0, 2 or 3 without raising, and stderr must be
 empty or exactly one JSON object.  Tier-1 turns warnings into errors, so a
-numpy warning on the way fails the case too.
+numpy warning on the way fails the case too.  A case that exits 0 writes
+one ``summary.json``, strict JSON: a config number with no JSON spelling is
+echoed as null, never as NaN or Infinity.
 """
 
 import json
@@ -25,6 +27,10 @@ SCALAR_KEYS = (
     "quadrature.abs_tol", "quadrature.range_sigma",
     "quadrature.max_subdivisions", "output.directory")
 VECTOR_KEYS = ("model.theta_star", "model.pi", "em.theta0")
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def _assignments():
@@ -60,3 +66,7 @@ def test_extreme_value_exits_cleanly(tmp_path, monkeypatch, capsys,
     if err:
         assert isinstance(json.loads(err), dict), err
     assert (rc == 0) == (err == ""), err
+    summaries = list(tmp_path.rglob("summary.json"))
+    assert len(summaries) == (rc == 0)
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse)
