@@ -133,6 +133,14 @@ def _boolean(value) -> bool:
     return value
 
 
+def _text(value) -> str:
+    """``value``, if the config parser left it text: not a number, a
+    boolean or a list."""
+    if not isinstance(value, str):
+        raise ValueError(f"must be text, got {value!r}")
+    return value
+
+
 def _choice(*options):
     def convert(value):
         if value not in options:
@@ -309,7 +317,7 @@ def build_run_config(raw: dict) -> RunConfig:
         total_samples=get("data.total_samples", _sample_count, 0),
         seed=get("data.seed", _integer, 0),
         allocation=get("data.allocation", _choice(*ALLOCATIONS), "proportional"),
-        out_dir=get("output.directory", str, "."),
+        out_dir=get("output.directory", _text, "."),
         probe_offsets=get("verify.probe_offsets",
                           _grid("finite", math.isfinite),
                           (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),

@@ -47,10 +47,13 @@ from .model import (
 _EMPTY_DENOMINATOR = 1e-300  # subnormal boundary: below this a component is empty
 
 # Bytes of one E-step block's (K, rows) responsibility array: 16,384 rows
-# at K = 3.  With the block's data, maxima and sums the working set is
-# under 1 MiB, inside a 4 MiB L2.  Measured at K = 3, n = 180,000 on a
-# Xeon with 4 MiB of L2 per core: 2.1-2.5 ms per E-step against 3.7 ms
-# for one (K, n) array; 192 KiB and 768 KiB blocks were no faster.
+# at K = 3.  With the block's data and sums the working set is under
+# 1 MiB, inside a 4 MiB L2.  Measured at n = 180,000 on a Xeon with 4 MiB
+# of L2 per core, with the reference-shift kernel (medians of 10
+# alternating rounds, each the best of 5): 192, 384 and 768 KiB blocks take
+# 1.09, 1.04 and 1.11 ms a pass at K = 2 and 1.71, 1.72 and 1.86 ms at
+# K = 3, and no size is fastest in every round.  (The max-shift kernel
+# took 2.1-2.6 ms at K = 3, against 3.7 ms for one (K, n) array.)
 _ESTEP_BLOCK_BYTES = 384 * 1024
 
 

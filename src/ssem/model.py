@@ -10,8 +10,12 @@ weights pi_k:
   weighted components at -theta and +theta.
 
 Responsibilities are the posterior component probabilities under the current
-parameters (mixture weights included) and are always computed in log space
-with a max shift; a positive logit difference is never exponentiated.
+parameters (mixture weights included).  They are computed from the logits
+relative to component 0: ``q_0 = 1 / (1 + sum_k e_k)`` and ``q_k = e_k q_0``
+with ``e_k`` the exponential of component k's logit minus component 0's.
+Where some ``e_k`` overflows (a logit more than about 709 above component
+0's), that call takes a per-point max shift instead, under which no
+positive logit difference is exponentiated.
 :func:`posterior` is the one place they are computed: it maps a
 :class:`LogitTerms`, built once per parameter vector (one per E-step pass
 or population step), and 1-d points to the (K, n) responsibilities and
@@ -122,6 +126,12 @@ def gaussian_spec() -> ExpFamilySpec:
 # 1e-7 of u where scipy switches method, 4.5 sd above the mean.
 _POISSON_STEP_BAND = 1e-9
 _POISSON_TABLE_MAX_MU = 1e4
+# Draws that ``_poisson_quantile`` maps at a time.  Only the result (8
+# bytes a draw) and the near-a-step flags (1) span every draw; the index,
+# gathers and differences of the step test (up to 32 bytes a draw) live
+# for one block, so a one-component sample keeps to the sampler's
+# ``_sample_bytes_per_row``.
+_POISSON_BLOCK = 1 << 14
 
 
 def _poisson_rule(u, mu):
@@ -141,10 +151,10 @@ def _poisson_quantile(th, u):
     ``scipy.stats.poisson.ppf(u, exp(th))`` returns.
 
     The rule of :func:`_poisson_rule` at ``min(u)`` and ``max(u)`` brackets
-    the draws; one ``searchsorted`` on the CDF tabulated one step beyond
-    that bracket maps them (inversion by table search, Devroye 1986,
-    III.2).  A draw within ``_POISSON_STEP_BAND`` of a step takes the rule's
-    own answer.  So does every draw when mu is above
+    the draws; ``searchsorted`` on the CDF tabulated one step beyond that
+    bracket maps them, ``_POISSON_BLOCK`` at a time (inversion by table
+    search, Devroye 1986, III.2).  A draw within ``_POISSON_STEP_BAND`` of
+    a step takes the rule's own answer.  So does every draw when mu is above
     ``_POISSON_TABLE_MAX_MU``.  Below it, with u in [2^-54, 1 - 2^-53], the
     table holds at most about 1,750 entries.
     """
@@ -159,14 +169,20 @@ def _poisson_quantile(th, u):
         return _poisson_rule(u, mu)
     start = max(lo - 1.0, 0.0)
     cdf = pdtr(np.arange(start, hi + 2.0), mu)
-    idx = np.searchsorted(cdf, u, side="left")
-    # cdf[idx - 1] < u <= cdf[idx].  The sentinels make a draw outside the
-    # table's interior count as near a step: above the last entry, or at or
-    # below the first one when that is not pdtr(0).
+    # The sentinels make a draw outside the table's interior count as near
+    # a step: above the last entry, or at or below the first one when that
+    # is not pdtr(0).
     steps = np.concatenate(([np.inf if start else -np.inf], cdf, [-np.inf]))
-    near = (np.minimum(steps[idx + 1] - u, u - steps[idx])
-            <= _POISSON_STEP_BAND * u)
-    k = idx + start
+    k = np.empty_like(u)
+    near = np.empty(u.shape, dtype=bool)
+    for at in range(0, u.size, _POISSON_BLOCK):
+        block = slice(at, at + _POISSON_BLOCK)
+        v = u[block]
+        # cdf[idx - 1] < v <= cdf[idx]
+        idx = np.searchsorted(cdf, v, side="left")
+        near[block] = (np.minimum(steps[idx + 1] - v, v - steps[idx])
+                       <= _POISSON_STEP_BAND * v)
+        np.add(idx, start, out=k[block])
     k[near] = _poisson_rule(u[near], mu)
     return k
 
@@ -419,13 +435,17 @@ class ModelKind:
 class LogitTerms(NamedTuple):
     """The parts of the natural-form logits that do not depend on y, for
     one checked parameter vector: the family, ``theta`` and the offsets
-    ``log_pi_k - alpha(theta_k)``.  Build them with :meth:`of` once per
-    parameter vector and pass them to :func:`posterior` for every point
-    set: one E-step pass or one population step builds one."""
+    ``log_pi_k - alpha(theta_k)``, and both relative to component 0,
+    ``d_theta = theta[1:] - theta[0]`` and ``d_offsets = offsets[1:] -
+    offsets[0]``.  Build them with :meth:`of` once per parameter vector
+    and pass them to :func:`posterior` for every point set: one E-step pass
+    or one population step builds one."""
 
     family: ExpFamilySpec
     theta: np.ndarray
     offsets: np.ndarray
+    d_theta: np.ndarray
+    d_offsets: np.ndarray
 
     @classmethod
     def of(cls, kind: ModelKind, params: MixtureParams,
@@ -436,8 +456,10 @@ class LogitTerms(NamedTuple):
         family = kind.family
         if log_pi is None:
             log_pi = np.log(params.pi)
-        return cls(family, params.theta,
-                   log_pi - np.asarray(family.alpha(params.theta), dtype=float))
+        theta = params.theta
+        offsets = log_pi - np.asarray(family.alpha(theta), dtype=float)
+        return cls(family, theta, offsets,
+                   theta[1:] - theta[0], offsets[1:] - offsets[0])
 
     def logits(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (K, n) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``
@@ -459,23 +481,54 @@ def _shifted_exp(logits: np.ndarray) -> np.ndarray:
     return top
 
 
+def _max_shifted_posterior(terms: LogitTerms,
+                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`posterior` with each point's logits shifted by their max, so
+    no exponent is positive: the path for points where some logit exceeds
+    component 0's by more than about 709."""
+    logits, ty = terms.logits(y)
+    _shifted_exp(logits)
+    logits /= logits.sum(axis=0)
+    return logits, ty
+
+
 def posterior(terms: LogitTerms,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The responsibility kernel: the C-contiguous (K, n) posterior
     probabilities ``q`` at the 1-d float points ``y`` under ``terms``, and
-    ``t(y)``.  Each column of ``q`` sums to 1.
+    ``t(y)``.  Each column of ``q`` sums to 1 (to rounding).
 
     Every responsibility in ssem comes from here: the sample E-step
     contracts ``q`` with ``t(y)`` and the counts, the population step
     integrates the rows ``[q, q t(y)]``, and :func:`responsibilities` and
     :func:`responsibility` read ``q``.  The logits are linear in ``t(y)``
-    (``h(y)`` cancels), so no ``y**2`` is ever formed; one max shift keeps
-    every exponent <= 0.
+    (``h(y)`` cancels), so no ``y**2`` is ever formed.
+
+    They are taken relative to component 0: with ``e_k = exp(d_theta_k
+    t(y) + d_offsets_k)`` for k >= 1, ``q_0 = 1 / (1 + sum_k e_k)`` and
+    ``q_k = e_k q_0``, with no per-point max.  An ``e_k`` that underflows
+    loses only what lies below 2^-1022 in ``q_k``, as a max shift would.
+    Where ``1 + sum_k e_k`` is not finite for some point (a logit more than
+    about 709 above component 0's, or a NaN), the whole call takes the
+    per-point max shift of :func:`_max_shifted_posterior` instead, which
+    never exponentiates a positive number.  The first path can overflow,
+    so callers run it with numpy's overflow and invalid warnings off.
     """
-    logits, ty = terms.logits(y)
-    _shifted_exp(logits)
-    logits /= logits.sum(axis=0)
-    return logits, ty
+    ty = np.asarray(terms.family.t(y), dtype=float)
+    q = np.empty((terms.theta.size, ty.size))
+    e = q[1:]
+    np.multiply.outer(terms.d_theta, ty, out=e)
+    e += terms.d_offsets[:, None]
+    np.exp(e, out=e)
+    q0 = q[0]
+    q0.fill(1.0)
+    for row in e:  # the order of np.sum(e, axis=0, initial=1.0), faster
+        q0 += row
+    if not q0.max(initial=1.0) < np.inf:  # an inf or a NaN
+        return _max_shifted_posterior(terms, y)
+    np.reciprocal(q0, out=q0)
+    e *= q0
+    return q, ty
 
 
 def _at_points(read: Callable, y):
@@ -527,6 +580,13 @@ def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
     return _at_points(lambda pts: _mixture_log_density(terms, pts), y)
 
 
+# The kernel's floating-point state, as a decorator (it builds no context
+# manager per call): its reference-shift path may overflow, and then the
+# call takes the max shift.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def responsibilities(kind: ModelKind, params: MixtureParams,
                      y: np.ndarray) -> np.ndarray:
     """Posterior probabilities of shape ``y.shape + (K,)``; each point's
@@ -541,6 +601,7 @@ def responsibilities(kind: ModelKind, params: MixtureParams,
                        0, -1)
 
 
+@_QUIET
 def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):
     """Posterior probability of component ``k`` given ``y``, shaped like
     ``y``.

@@ -239,8 +239,10 @@ def _sample_bytes_per_row(K: int) -> int:
     components (1), the stable order that groups them (8) and the uniforms
     gathered in that order (8).  A labeled row holds at most as much:
     under multinomial labels its uniform, label, order, gathered uniform
-    and draw.  A family's quantile function adds its own temporaries for
-    one component's rows at a time."""
+    and draw.  A family's quantile function runs on one component's rows
+    at a time, after the uniforms and components are dropped, so it has 17
+    bytes a row for its result and temporaries: each built-in one needs at
+    most 16 (the Poisson one maps its draws in blocks for this)."""
     return 32 + np.min_scalar_type(K - 1).itemsize
 
 

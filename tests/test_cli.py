@@ -296,6 +296,32 @@ class TestExitCodes:
         assert err["type"] == error
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
+    @pytest.mark.parametrize("value", ["nan", "out, -inf", "1e3", "true", "7"],
+                             ids=["nan", "list", "float", "bool", "int"])
+    def test_non_text_output_directory_is_config_error(
+            self, tmp_path, monkeypatch, capsys, value):
+        # The config parser has typed the value; naming a directory after
+        # its repr ("nan", "1000.0", "['out', -inf]") would hide the typo.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
+                   "--set", "em.max_iters=3",
+                   "--set", f"output.directory={value}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["type"], err["field"]) == ("ConfigError",
+                                               "output.directory")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_option_is_taken_verbatim(self, tmp_path, monkeypatch):
+        # --out is text as given, and replaces the config's value.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
+                   "--set", "em.max_iters=3", "--set", "output.directory=1e3",
+                   "--out", "1e3"])
+        assert rc == 0
+        summary = strict_json(tmp_path / "1e3" / "summary.json")
+        assert summary["config"]["output.directory"] == "1e3"
+
     def test_missing_config_file_has_no_field(self, tmp_path, capsys):
         rc = main(["verify", "lemma3", "--config", str(tmp_path / "no.cfg"),
                    "--out", str(tmp_path)])
@@ -486,20 +512,6 @@ class TestStrictJson:
         payload = strict_json(tmp_path / "verify_lemma3.json")
         assert list(payload)[:2] == ["schema_version", "config"]
         assert payload["config"]["em.tol"] is None
-
-    @pytest.mark.parametrize("value, echo", [
-        ("nan", None), ("out, -inf", ["out", None])], ids=["scalar", "list"])
-    def test_non_finite_output_directory_is_echoed_as_null(
-            self, tmp_path, monkeypatch, value, echo):
-        # Without --out, the directory is named for the value as a string
-        # ("nan", "['out', -inf]"), relative to the working directory.
-        monkeypatch.chdir(tmp_path)
-        rc = main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
-                   "--set", "em.max_iters=3",
-                   "--set", f"output.directory={value}"])
-        assert rc == 0
-        [path] = tmp_path.glob("*/summary.json")
-        assert strict_json(path)["config"]["output.directory"] == echo
 
     def test_non_finite_result_is_an_error(self, tmp_path):
         path = tmp_path / "summary.json"

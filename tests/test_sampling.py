@@ -504,14 +504,21 @@ class TestSampleMemory:
     # entries).
     SLACK = 64 * 1024
 
-    @pytest.mark.parametrize("config", ["gmm3.cfg", "poisson2.cfg"])
-    def test_tracemalloc_peak_within_design(self, config):
+    @pytest.mark.parametrize("config, overrides", [
+        ("gmm3.cfg", {}),
+        ("poisson2.cfg", {}),
+        # One component: the Poisson quantile maps every row in one call,
+        # so its temporaries must fit the design too.
+        ("poisson2.cfg", {"model.theta_star": 2.0, "model.pi": 1.0,
+                          "em.theta0": 2.0}),
+    ], ids=["gmm3.cfg", "poisson2.cfg", "poisson1"])
+    def test_tracemalloc_peak_within_design(self, config, overrides):
         import tracemalloc
 
         from ssem.config import build_run_config, load_config_file
 
-        cfg = build_run_config(
-            load_config_file(PERFBENCH / "configs" / config))
+        raw = load_config_file(PERFBENCH / "configs" / config)
+        cfg = build_run_config({**raw, **overrides})
         m, n = cfg.m, cfg.n
         assert cfg.theta_star.K <= 256 and m + n == 200_000
         # Drawing the unlabeled part holds the (n, 2) uniforms (16 bytes a
