@@ -45,6 +45,8 @@ from ssem.population import PopulationModel, PopulationStep, run_population_em
 GMM = ModelKind.gmm()
 GMM2 = MixtureParams([0.5, 0.5], [-1.0, 1.0])
 POISSON_STAR = MixtureParams([0.5, 0.5], [math.log(2.0), math.log(5.0)])
+# An exponential truth 0.1 inside the natural-domain boundary 0.
+NEAR_EDGE = MixtureParams([0.5, 0.5], [-0.1, -3.0])
 
 
 class TestBetaTheoretical:
@@ -190,6 +192,13 @@ class TestVerifyTheorem2:
         report = verify_theorem2(pm, [1e-9])
         assert all(len(s.epsilons) == 0 for s in report.series)
 
+    def test_radius_whose_probe_leaves_the_domain_dropped(self):
+        # theta* + 0.1 and + 0.2 reach the exponential domain's boundary 0.
+        pm = PopulationModel(ModelKind.expfam(exponential_spec()), NEAR_EDGE, 0.1)
+        report = verify_theorem2(pm, [0.2, 0.1, 0.05, 0.025])
+        assert report == verify_theorem2(pm, [0.05, 0.025])
+        assert all(s.epsilons == [0.05, 0.025] for s in report.series)
+
 
 class TestRateBoundItem1:
     def test_boundary_theta(self):
@@ -263,9 +272,10 @@ class TestRateBoundItem3:
         assert report.extras["smoothness_const"] == pytest.approx(
             0.05377127211536519, rel=1e-12)
 
-    def test_probe_regime_enforced(self):
+    @pytest.mark.parametrize("probe", [1.9, 2.0, math.nan])
+    def test_probe_regime_enforced(self, probe):
         with pytest.raises(ProbeOutsideRegime):
-            rate_bound_item3(1.0, 0.0, 1.9)
+            rate_bound_item3(1.0, 0.0, probe)
 
     def test_boundary_not_applicable(self):
         report = rate_bound_item3(0.5, 0.0, 2.0)
@@ -407,6 +417,18 @@ class TestDemonstrateRescue:
         report = demonstrate_rescue(pm, probe_offsets=[0.2, 0.5, 1.2, 3.0])
         assert max(report.kappa_probe) < 0.0
         assert report.step_ratios
+
+    def test_no_probe_in_the_domain_is_domain_error(self):
+        # Every default offset (0.25 to 3) moves theta* = -0.1 past 0.
+        pm = PopulationModel(ModelKind.expfam(exponential_spec()), NEAR_EDGE, 0.1)
+        with pytest.raises(DomainError, match=r"offsets \[0.25, .*3.0\]"):
+            demonstrate_rescue(pm)
+
+    def test_in_domain_probes_inside_the_guard_are_too_close(self):
+        # Offset 0 is in the domain, but on the truth.
+        pm = PopulationModel(ModelKind.expfam(exponential_spec()), NEAR_EDGE, 0.1)
+        with pytest.raises(ProbeTooCloseToFixedPoint):
+            demonstrate_rescue(pm, probe_offsets=[0.5, 0.0])
 
     def test_underflowing_component_skipped(self):
         # At offset 4 the Poisson component at log-mean 2 takes almost no

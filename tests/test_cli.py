@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ssem
-from ssem import cli
+from ssem import cli, population
 from ssem.cli import build_parser, main
 from ssem.config import (
     apply_overrides,
@@ -977,6 +977,81 @@ class TestVerifyCommand:
         assert rc == 0
         payload = json.loads((tmp_path / "verify_thm2.json").read_text())
         assert {tuple(c["probe"]) for c in payload["checks"]} == {(0.2, 0.1)}
+
+
+# An exponential truth 0.1 from the natural-domain boundary 0: the probes
+# theta* + 0.1 and + 0.2 leave the domain, and so does every default
+# rescue offset (0.2 to 4).
+NEAR_EDGE_POP = ("model.kind = expfam\nmodel.family = exponential\n"
+                 "model.theta_star = -0.1, -3\nmodel.pi = 0.5, 0.5\n"
+                 "data.gamma = 0.1\n")
+
+
+def no_integral(monkeypatch):
+    """Make any population integral fail the test."""
+    def refuse(*args):
+        raise AssertionError("a population integral was taken")
+    monkeypatch.setattr(population, "_kernel_integral", refuse)
+
+
+class TestDomainLeavingGrids:
+    def test_thm2_drops_radii_whose_probes_leave_the_domain(self, tmp_path):
+        cfg = write_cfg(tmp_path, NEAR_EDGE_POP)
+        runs = {}
+        for name, sets in (("default", []),
+                           ("by-hand", ["--set", "verify.epsilons=0.05, 0.025"])):
+            out = tmp_path / name
+            rc = main(["verify", "thm2", "--config", cfg, "--out", str(out),
+                       *sets])
+            runs[name] = rc, json.loads((out / "verify_thm2.json").read_text())
+        (rc, payload), (rc_hand, hand) = runs["default"], runs["by-hand"]
+        assert {tuple(c["probe"]) for c in payload["checks"]} == {(0.05, 0.025)}
+        assert (rc, payload["checks"]) == (rc_hand, hand["checks"])
+
+    @pytest.mark.parametrize("epsilons", ["0.2, 0.1, 0.05", "0.3, 0.2"])
+    def test_fewer_than_two_usable_radii_is_config_error(
+            self, tmp_path, capsys, monkeypatch, epsilons):
+        no_integral(monkeypatch)
+        cfg = write_cfg(tmp_path, NEAR_EDGE_POP)
+        rc = main(["verify", "thm2", "--config", cfg, "--out", str(tmp_path),
+                   "--set", f"verify.epsilons={epsilons}"])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"], err["field"]) == (2, "config", "verify.epsilons")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("which", ["rescue", "all"])
+    def test_rescue_grid_outside_the_domain_is_config_error(
+            self, tmp_path, capsys, which):
+        cfg = write_cfg(tmp_path, NEAR_EDGE_POP)
+        rc = main(["verify", which, "--config", cfg, "--out", str(tmp_path)])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"], err["field"]) == (
+            2, "config", "verify.probe_offsets")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_rescue_rule_comes_before_its_integrals(self, tmp_path, capsys,
+                                                    monkeypatch):
+        no_integral(monkeypatch)
+        cfg = write_cfg(tmp_path, NEAR_EDGE_POP)
+        assert main(["verify", "rescue", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "verify.probe_offsets"
+
+    @pytest.mark.parametrize("command", [["population"], ["verify", "lemma3"],
+                                         ["simulate"]])
+    def test_other_commands_do_not_apply_the_rescue_rule(
+            self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, NEAR_EDGE_POP + "data.total_samples = 300\n")
+        rc = main(command + ["--config", cfg, "--out", str(tmp_path)])
+        assert (rc, capsys.readouterr().err) == (0, "")
+
+    def test_rescue_with_an_in_domain_probe_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, NEAR_EDGE_POP)
+        rc = main(["verify", "rescue", "--config", cfg, "--out", str(tmp_path),
+                   "--set", "verify.probe_offsets=-0.05, 0.05, 0.5"])
+        assert rc in (0, 4)
+        payload = json.loads((tmp_path / "verify_rescue.json").read_text())
+        assert payload["checks"]
 
 
 ENTRY_KEYS = ["name", "probe", "lhs", "rhs", "pass"]
