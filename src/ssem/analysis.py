@@ -21,12 +21,29 @@ smoothness bound for probes beyond theta* + 1.
 All inequality checks are one-sided with a small additive slack: quadrature
 runs at 1e-10 absolute tolerance, leaving ample margin under the 1e-6
 (contraction) and 1e-8 (rate bound) slacks.
+
+Each rule of the verifiers is written once here:
+
+* what a Theorem-1 row reads at a probe (``M_0``, ``M_gamma``, their ratio
+  behind the fixed-point guard, ``theta*_k`` and ``beta_k``):
+  ``_theorem1_reading``, for ``contraction_ratio``, thm1 and thm2;
+* the pass rule: :func:`all_pass`, which is every report's ``pass_all``
+  and the CLI's exit code;
+* the sym2 derivative bound of thm3-1 and thm3-2: ``_derivative_bound``;
+* the verify-grid preconditions: a probe ``kind.shift(theta*, offset)``
+  in the natural domain (``_in_domain``), a Theorem-2 radius beyond the
+  guard with both probes in the domain (``_usable_radius``), and an item-3
+  probe beyond ``theta* + 1`` in floats (``_item3_regime``).  The
+  verifiers apply them when called from the library; :mod:`ssem.config`
+  applies the same predicates to the config's grids before any integral.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,21 +108,52 @@ def fixed_point_guard(scheme: QuadratureScheme) -> float:
     return 100.0 * scheme.abs_tol
 
 
-def _theorem1_ratio(step: PopulationStep, k: int) -> tuple[float, float, float]:
-    """``(M_0, M_gamma, |M_gamma - theta*_k| / |M_0 - theta*_k|)`` for
-    component k at the step's probe.
+def _in_domain(pm: PopulationModel, offset: float) -> bool:
+    """Whether the probe ``kind.shift(theta*, offset)`` lies in the natural
+    domain: the one rule for every probe grid built along the tie."""
+    with suppress(DomainError):
+        return pm.kind.shift(pm.theta_star, offset) is not None
+    return False
+
+
+def _usable_radius(pm: PopulationModel, eps: float) -> bool:
+    """Whether Theorem 2 measures at radius ``eps``: beyond the fixed-point
+    guard, with both probes ``theta* +- eps`` in the natural domain."""
+    return (eps > fixed_point_guard(pm.scheme)
+            and _in_domain(pm, eps) and _in_domain(pm, -eps))
+
+
+def _item3_regime(theta_star: float, theta_probe: float) -> bool:
+    """Whether :func:`rate_bound_item3` covers ``theta_probe``: beyond
+    ``theta* + 1`` in floats, where an offset just above 1 can round onto
+    it."""
+    return theta_probe > theta_star + 1.0
+
+
+# What a Theorem-1 row reads for one component at one probe; ``ratio`` is
+# |M_gamma - theta*_k| / |M_0 - theta*_k|.
+_Reading = namedtuple("_Reading", "m0 mg ratio star_k beta")
+
+
+def _theorem1_reading(step: PopulationStep, k: int) -> _Reading:
+    """``M_0``, ``M_gamma``, their guarded ratio, ``theta*_k`` and
+    ``beta_k`` (from ``E[q_k]`` at the probe) for component k at the
+    step's probe.
 
     Raises :class:`ProbeTooCloseToFixedPoint` when the unlabeled update is
     within quadrature noise of the truth and the ratio is ill-defined.
     """
+    pm = step.pm
     m0 = step.m0(k)
-    star_k = float(step.pm.theta_star.theta[k])
+    star_k = float(pm.theta_star.theta[k])
     denom = abs(m0 - star_k)
-    if denom <= fixed_point_guard(step.pm.scheme):
+    if denom <= fixed_point_guard(pm.scheme):
         raise ProbeTooCloseToFixedPoint(
             f"|M0 - theta*| = {denom:.3e} within the quadrature floor")
     mg = step.m_gamma(k)
-    return m0, mg, abs(mg - star_k) / denom
+    return _Reading(m0, mg, abs(mg - star_k) / denom, star_k,
+                    beta_theoretical(step.c(k), float(pm.theta_star.pi[k]),
+                                     pm.gamma))
 
 
 def contraction_ratio(pm: PopulationModel, theta_probe: MixtureParams,
@@ -115,7 +163,16 @@ def contraction_ratio(pm: PopulationModel, theta_probe: MixtureParams,
     Raises :class:`ProbeTooCloseToFixedPoint` when the unlabeled update is
     within quadrature noise of the truth and the ratio is ill-defined.
     """
-    return _theorem1_ratio(PopulationStep.at(pm, theta_probe), k)[2]
+    return _theorem1_reading(PopulationStep.at(pm, theta_probe), k).ratio
+
+
+class _Checked:
+    """A report whose ``pass_all`` is the one pass rule, :func:`all_pass`,
+    over its ``checks()``."""
+
+    @property
+    def pass_all(self) -> bool:
+        return all_pass(self.checks())
 
 
 @dataclass
@@ -135,7 +192,7 @@ class ProbeResult:
 
 
 @dataclass
-class ContractionReport:
+class ContractionReport(_Checked):
     """Per-probe contraction measurements against the beta_k bound."""
 
     gamma: float
@@ -143,10 +200,6 @@ class ContractionReport:
     pi: list[float]
     probes: list[list[float]]
     results: list[ProbeResult] = field(default_factory=list)
-
-    @property
-    def pass_all(self) -> bool:
-        return all_pass(self.checks())
 
     def checks(self) -> list[dict]:
         out = []
@@ -185,22 +238,17 @@ def verify_theorem1(pm: PopulationModel,
             row = ProbeResult(i, k, probe.theta.tolist())
             report.results.append(row)
             try:
-                m0, _, row.ratio_empirical = _theorem1_ratio(step, k)
+                r = _theorem1_reading(step, k)
             except ProbeTooCloseToFixedPoint:
                 row.skipped = True
                 continue
-            star_k = float(pm.theta_star.theta[k])
-            dist0 = abs(m0 - star_k)
-            row.beta_theory = beta_theoretical(step.c(k),
-                                               float(pm.theta_star.pi[k]),
-                                               pm.gamma)
-            probe_dist = abs(float(probe.theta[k]) - star_k)
-            row.kappa_empirical = (dist0 / probe_dist if probe_dist > 0.0
-                                   else math.nan)
-            row.r_empirical = row.ratio_empirical * row.kappa_empirical
-            row.eta = m0 / star_k if abs(star_k) > 0.0 else math.nan
-            row.bound_satisfied = (row.ratio_empirical
-                                   <= row.beta_theory + THEOREM_SLACK)
+            row.ratio_empirical, row.beta_theory = r.ratio, r.beta
+            probe_dist = abs(float(probe.theta[k]) - r.star_k)
+            row.kappa_empirical = (abs(r.m0 - r.star_k) / probe_dist
+                                   if probe_dist > 0.0 else math.nan)
+            row.r_empirical = r.ratio * row.kappa_empirical
+            row.eta = r.m0 / r.star_k if abs(r.star_k) > 0.0 else math.nan
+            row.bound_satisfied = r.ratio <= r.beta + THEOREM_SLACK
     return report
 
 
@@ -222,14 +270,10 @@ class Theorem2Series:
 
 
 @dataclass
-class Theorem2Report:
+class Theorem2Report(_Checked):
     gamma: float
     theta_star: list[float]
     series: list[Theorem2Series] = field(default_factory=list)
-
-    @property
-    def pass_all(self) -> bool:
-        return all_pass(self.checks())
 
     def checks(self) -> list[dict]:
         out = []
@@ -256,21 +300,22 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
     For probes ``theta* +- eps`` over shrinking ``eps``, |ratio - beta_k|
     must be nonincreasing, and the first-order Taylor residual of the mean
     function at the updated point must scale as eps^2 (log-log slope within
-    ``slope_window`` of 2).  Probes inside the fixed-point guard are
-    dropped; when every residual sits at quadrature noise the expansion is
-    exact (linear mean function) and the slope fit is skipped.
+    ``slope_window`` of 2).  Only the radii of :func:`_usable_radius` are
+    measured: one inside the fixed-point guard, or whose probe leaves the
+    natural domain on either side, is dropped.  When every residual sits at
+    quadrature noise the expansion is exact (linear mean function) and the
+    slope fit is skipped.
     """
     if pm.kind.tag != "expfam":
         raise NotExpFam(f"verify_theorem2 requires an expfam kind, got {pm.kind.tag}")
     spec = pm.kind.spec
-    eps_sorted = sorted((float(e) for e in epsilons), reverse=True)
+    radii = [eps for eps in sorted((float(e) for e in epsilons), reverse=True)
+             if _usable_radius(pm, eps)]
     report = Theorem2Report(gamma=pm.gamma,
                             theta_star=pm.theta_star.theta.tolist())
     for side in (+1, -1):
         # Every component's series shares the probes theta* + side * eps,
         # one batch per side.
-        radii = [eps for eps in eps_sorted
-                 if eps > fixed_point_guard(pm.scheme)]
         steps = list(zip(radii, _steps_at(
             pm, [pm.kind.shift(pm.theta_star, side * eps) for eps in radii])))
         for k in range(pm.theta_star.K):
@@ -280,17 +325,15 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
             fisher_star = float(spec.alpha_second(star_k))
             for eps, step in steps:
                 try:
-                    _, mg, ratio = _theorem1_ratio(step, k)
+                    r = _theorem1_reading(step, k)
                 except ProbeTooCloseToFixedPoint:
                     continue
-                beta = beta_theoretical(step.c(k),
-                                        float(pm.theta_star.pi[k]), pm.gamma)
-                resid = abs(float(spec.alpha_prime(mg)) - ap_star
-                            - (mg - star_k) * fisher_star)
+                resid = abs(float(spec.alpha_prime(r.mg)) - ap_star
+                            - (r.mg - star_k) * fisher_star)
                 series.epsilons.append(eps)
-                series.ratios.append(ratio)
-                series.betas.append(beta)
-                series.gaps.append(abs(ratio - beta))
+                series.ratios.append(r.ratio)
+                series.betas.append(r.beta)
+                series.gaps.append(abs(r.ratio - r.beta))
                 series.taylor_residuals.append(resid)
             series.monotone = all(
                 series.gaps[i + 1] <= series.gaps[i] + 1e-12
@@ -328,6 +371,26 @@ class RateBoundReport:
                        self.passed, applicable=self.applicable)]
 
 
+def _derivative_bound(item: int, theta_star: float, gamma: float,
+                      scheme: QuadratureScheme, kappa_bound: float,
+                      applicable: bool, contract: bool, **extras
+                      ) -> RateBoundReport:
+    """The report of a sym2 bound on the unlabeled update's derivative:
+    ``dM_0/dtheta`` at theta* (:func:`dm0_dtheta_sym2`) must respect
+    ``kappa_bound`` and, when ``contract``, make ``(1 - gamma) dM_0/dtheta``
+    an actual contraction.  The bound value is ``(1 - gamma) *
+    kappa_bound``; ``extras`` follow ``kappa_bound`` in the report."""
+    pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
+    measured = dm0_dtheta_sym2(pm, float(theta_star))
+    passed = measured <= kappa_bound + RATE_SLACK and (
+        not contract or (1.0 - gamma) * measured < 1.0)
+    return RateBoundReport(
+        item=item, theta_star=float(theta_star), gamma=float(gamma),
+        bound_value=(1.0 - gamma) * kappa_bound, applicable=applicable,
+        measured_kappa=measured, passed=passed,
+        extras={"kappa_bound": kappa_bound, **extras})
+
+
 def rate_bound_item1(theta_star: float, gamma: float,
                      scheme: QuadratureScheme = QuadratureScheme()
                      ) -> RateBoundReport:
@@ -338,19 +401,11 @@ def rate_bound_item1(theta_star: float, gamma: float,
     derivative respects ``4 / (theta*^2 e^2)`` and, if applicable, the
     gamma-scaled rate is an actual contraction.
     """
-    pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
-    measured = dm0_dtheta_sym2(pm, float(theta_star))
-    kappa_bound = 4.0 / (theta_star ** 2 * math.e ** 2)
     applicable = theta_star > (2.0 / math.e) * math.sqrt(1.0 - gamma)
-    passed = measured <= kappa_bound + RATE_SLACK
-    if applicable:
-        passed = passed and (1.0 - gamma) * measured < 1.0
-    return RateBoundReport(
-        item=1, theta_star=float(theta_star), gamma=float(gamma),
-        bound_value=(1.0 - gamma) * kappa_bound, applicable=applicable,
-        measured_kappa=measured, passed=passed,
-        extras={"kappa_bound": kappa_bound,
-                "applicable_unscaled_threshold": theta_star >= 2.0 / math.e})
+    return _derivative_bound(
+        1, theta_star, gamma, scheme, 4.0 / (theta_star ** 2 * math.e ** 2),
+        applicable, contract=applicable,
+        applicable_unscaled_threshold=theta_star >= 2.0 / math.e)
 
 
 def rate_bound_item2(theta_star: float, gamma: float,
@@ -359,21 +414,14 @@ def rate_bound_item2(theta_star: float, gamma: float,
     """Tail-split derivative bound for ``theta* > 2``:
     ``(1-gamma) * 4 [ (1/(theta*^2 e^2)) e^{-9 theta*^2/32}
                       + (theta*^2/16) e^{-theta*^2/2} ]``."""
-    pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
-    measured = dm0_dtheta_sym2(pm, float(theta_star))
     kappa_bound = 4.0 * (
         math.exp(-9.0 * theta_star ** 2 / 32.0) / (theta_star ** 2 * math.e ** 2)
         + theta_star ** 2 / 16.0 * math.exp(-theta_star ** 2 / 2.0))
-    applicable = theta_star > 2.0
     supremum_bound = 4.0 / (theta_star ** 2 * math.e ** 2)
-    return RateBoundReport(
-        item=2, theta_star=float(theta_star), gamma=float(gamma),
-        bound_value=(1.0 - gamma) * kappa_bound, applicable=applicable,
-        measured_kappa=measured,
-        passed=measured <= kappa_bound + RATE_SLACK,
-        extras={"kappa_bound": kappa_bound,
-                "item1_kappa_bound": supremum_bound,
-                "tighter_than_item1": kappa_bound <= supremum_bound})
+    return _derivative_bound(
+        2, theta_star, gamma, scheme, kappa_bound, theta_star > 2.0,
+        contract=False, item1_kappa_bound=supremum_bound,
+        tighter_than_item1=kappa_bound <= supremum_bound)
 
 
 def _phi(t: float) -> float:
@@ -414,7 +462,7 @@ def _rate_bound_item3_each(theta_star: float, gamma: float,
     """:func:`rate_bound_item3` at each of ``theta_probes``, whose moments
     are one batch: one vector integral."""
     for theta_probe in theta_probes:
-        if theta_probe <= theta_star + 1.0:
+        if not _item3_regime(theta_star, theta_probe):
             raise ProbeOutsideRegime(
                 f"probe {theta_probe} must exceed theta* + 1 = {theta_star + 1.0}")
     pm = PopulationModel.sym2(float(theta_star), float(gamma), scheme)
@@ -533,7 +581,7 @@ def measurable_step_ratios(traj: Trajectory, theta_star: MixtureParams,
 
 
 @dataclass
-class RescueReport:
+class RescueReport(_Checked):
     """Multiplicative-rescue demonstration: measured kappa, the labeled
     fraction that would neutralize it, and trajectories around it."""
 
@@ -551,10 +599,6 @@ class RescueReport:
     step_ratios: dict = field(default_factory=dict)
     ratio_bounds: dict = field(default_factory=dict)
     ratio_ok: dict = field(default_factory=dict)
-
-    @property
-    def pass_all(self) -> bool:
-        return all_pass(self.checks())
 
     def checks(self) -> list[dict]:
         out = [_check(f"rescue/status={self.status}", self.kappa_probe,
@@ -575,12 +619,14 @@ def demonstrate_rescue(pm: PopulationModel,
     population-EM trajectories bracketing it.
 
     The probes are ``kind.shift(theta*, offset)``, and their moments one
-    batch (one vector integral); a probe outside the natural domain is
-    skipped, as is a component inside the fixed-point guard or whose
-    ``E[q_k]`` underflows the denominator guard.  The two population-EM
-    runs start at the probe that gave kappa and go in lockstep, their
-    iterates' moments one batch per round; the first round reads the
-    probe grid's step.
+    batch (one vector integral); a probe outside the natural domain
+    (:func:`_in_domain`) is skipped, as is a component inside the
+    fixed-point guard or whose ``E[q_k]`` underflows the denominator guard.
+    Raises :class:`DomainError` naming the offsets when no probe lies in
+    the domain, and :class:`ProbeTooCloseToFixedPoint` when every probe
+    that does is skipped.  The two population-EM runs start at the probe
+    that gave kappa and go in lockstep, their iterates' moments one batch
+    per round; the first round reads the probe grid's step.
 
     When kappa < 1 the operator already contracts; the report carries the
     ``no_rescue_needed`` status (this is the observed situation for the
@@ -589,20 +635,17 @@ def demonstrate_rescue(pm: PopulationModel,
     """
     offsets = (np.linspace(0.25, 3.0, 8) if probe_offsets is None
                else np.asarray(probe_offsets, dtype=float))
-    guard = fixed_point_guard(pm.scheme)
-
-    probes = []
-    for off in offsets:
-        try:
-            probes.append(pm.kind.shift(pm.theta_star, off))
-        except DomainError:  # the probe leaves the natural domain
-            continue
+    probes = [pm.kind.shift(pm.theta_star, off) for off in offsets
+              if _in_domain(pm, off)]
+    if not probes:
+        raise DomainError(f"no probe theta* + offset lies in the natural "
+                          f"domain, for offsets {offsets.tolist()}")
     kappa, k_best, step_best = -math.inf, 0, None
     for step in _steps_at(pm, probes):
         for k in range(pm.theta_star.K):
             star_k = float(pm.theta_star.theta[k])
             probe_dist = abs(float(step.theta.theta[k]) - star_k)
-            if probe_dist <= guard:
+            if probe_dist <= fixed_point_guard(pm.scheme):
                 continue
             try:
                 secant = abs(step.m0(k) - star_k) / probe_dist

@@ -263,6 +263,13 @@ def _checks_of(reports) -> list[dict]:
     return [check for report in reports for check in report.checks()]
 
 
+def _at_each_star(bound):
+    """The checks of a thm3 target: the sym2 rate ``bound`` at every theta*
+    of ``verify.theta_stars``."""
+    return lambda cfg: _checks_of(bound(star, cfg.population_gamma(), cfg.scheme)
+                                  for star in cfg.theta_star_grid)
+
+
 # Each verify target: the model kinds it checks, and its check entries for a
 # config of one of them.  The paper's local result (thm2) covers
 # exponential families, its contraction bound (thm1) the Gaussian kinds,
@@ -275,12 +282,8 @@ VERIFIERS = {
                                  for off in cfg.probe_offsets]).checks()),
     "thm2": (("expfam",), lambda cfg: verify_theorem2(
         cfg.population_model(), cfg.theorem2_radii()).checks()),
-    "thm3-1": (("sym2",), lambda cfg: _checks_of(
-        rate_bound_item1(star, cfg.population_gamma(), cfg.scheme)
-        for star in cfg.theta_star_grid)),
-    "thm3-2": (("sym2",), lambda cfg: _checks_of(
-        rate_bound_item2(star, cfg.population_gamma(), cfg.scheme)
-        for star in cfg.theta_star_grid)),
+    "thm3-1": (("sym2",), _at_each_star(rate_bound_item1)),
+    "thm3-2": (("sym2",), _at_each_star(rate_bound_item2)),
     "thm3-3": (("sym2",), lambda cfg: _checks_of(
         report for star in cfg.theta_star_grid
         for report in _rate_bound_item3_each(
@@ -289,7 +292,7 @@ VERIFIERS = {
     "lemma3": (("gmm", "sym2", "expfam"),
                lambda cfg: lemma3_checks(cfg.tail_grid)),
     "rescue": (("gmm", "sym2", "expfam"), lambda cfg: demonstrate_rescue(
-        cfg.population_model(), probe_offsets=cfg.probe_offsets).checks()),
+        cfg.population_model(), probe_offsets=cfg._rescue_offsets()).checks()),
 }
 
 

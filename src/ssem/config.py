@@ -4,6 +4,13 @@ The config format is plain text, one ``key = value`` per line, with dotted
 section keys (``model.kind = sym2``) and ``#`` comments.  Values parse as
 int, float, true/false, comma-separated lists of those, or bare strings.
 The full key list is documented in the README.
+
+A verify grid the verifiers could not use is refused here, naming its key,
+before any integral, by the predicates of :mod:`ssem.analysis` that the
+verifiers apply themselves: every command checks the item-3 probes
+(``_item3_regime``); Theorem 2 checks its radii (``_usable_radius``, in
+:meth:`RunConfig.theorem2_radii`) and the rescue its probe offsets
+(``_in_domain``) only when they run.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .analysis import fixed_point_guard, tail_sandwich_defined
+from . import analysis
 from .em import EmConfig
 from .errors import ConfigError
 from .model import BUILTIN_FAMILIES, MixtureParams, ModelKind
@@ -27,14 +34,11 @@ def _parse_scalar(token: str):
     low = token.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(token)
+        except ValueError:
+            pass
     return token
 
 
@@ -264,16 +268,32 @@ class RunConfig:
 
     def theorem2_radii(self) -> list[float]:
         """``verify.epsilons`` for Theorem 2, which fits its Taylor slope to
-        the radii beyond the fixed-point guard ``100 *
-        quadrature.abs_tol``; with fewer than two there the series passes
-        with nothing measured, so that is a configuration error here."""
-        guard = fixed_point_guard(self.scheme)
-        if sum(eps > guard for eps in self.epsilons) < 2:
+        the radii it can use (:func:`ssem.analysis._usable_radius`): beyond
+        the fixed-point guard ``100 * quadrature.abs_tol``, with both probes
+        ``theta* +- eps`` in the natural domain.  With fewer than two the
+        series passes with nothing measured, so that is a configuration
+        error here, raised before any integral."""
+        pm = self.population_model()
+        if sum(analysis._usable_radius(pm, eps) for eps in self.epsilons) < 2:
             raise ConfigError(
                 f"at least two radii must exceed the fixed-point guard "
-                f"{guard:g} (set by quadrature.abs_tol), got {self.epsilons}",
-                field="verify.epsilons")
+                f"{analysis.fixed_point_guard(self.scheme):g} (set by "
+                f"quadrature.abs_tol) with both probes theta* +- eps in the "
+                f"natural domain, got {self.epsilons}", field="verify.epsilons")
         return self.epsilons
+
+    def _rescue_offsets(self) -> list[float]:
+        """``verify.probe_offsets`` for the rescue, which needs a probe
+        ``theta* + offset`` in the natural domain
+        (:func:`ssem.analysis._in_domain`); with none, that is a
+        configuration error here, raised before any integral.  Only the
+        rescue applies this rule."""
+        pm = self.population_model()
+        if not any(analysis._in_domain(pm, off) for off in self.probe_offsets):
+            raise ConfigError(
+                f"no probe theta* + offset lies in the natural domain, for "
+                f"offsets {self.probe_offsets}", field="verify.probe_offsets")
+        return self.probe_offsets
 
     def population_model(self) -> PopulationModel:
         return PopulationModel(self.kind, self.theta_star,
@@ -303,6 +323,10 @@ def build_run_config(raw: dict) -> RunConfig:
         return star
 
     star = get("model.theta_star", truth)
+    stars = get("verify.theta_stars",
+                _grid("finite and > 0, with a nonzero square",
+                      lambda v: 0.0 < v < math.inf and v * v > 0.0),
+                (0.8, 1.0, 1.5, 2.0, 3.0, 5.0))
     cfg = RunConfig(
         raw=dict(raw), kind=kind, theta_star=star,
         theta0=get("em.theta0", lambda v: kind.params(v, lambda k: star.pi),
@@ -322,27 +346,18 @@ def build_run_config(raw: dict) -> RunConfig:
                           _grid("finite", math.isfinite),
                           (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),
         epsilons=get("verify.epsilons", _radii, (0.2, 0.1, 0.05, 0.025)),
-        item3_probe_offsets=get("verify.item3_probe_offsets",
-                                _grid("finite and > 1",
-                                      lambda v: 1.0 < v < math.inf),
-                                (1.01, 2.0, 4.0)),
-        theta_star_grid=get("verify.theta_stars",
-                            _grid("finite and > 0, with a nonzero square",
-                                  lambda v: 0.0 < v < math.inf and v * v > 0.0),
-                            (0.8, 1.0, 1.5, 2.0, 3.0, 5.0)),
+        # The probes theta* + offset of rate_bound_item3, for every theta*.
+        item3_probe_offsets=get(
+            "verify.item3_probe_offsets",
+            _grid("finite, with theta* + offset > theta* + 1 in floats",
+                  lambda v: v < math.inf and all(
+                      analysis._item3_regime(s, s + v) for s in stars)),
+            (1.01, 2.0, 4.0)),
+        theta_star_grid=stars,
         tail_grid=get("verify.tail_grid",
                       _grid("> 0 with phi(t) a normal float (t <= 37.6)",
-                            tail_sandwich_defined),
+                            analysis.tail_sandwich_defined),
                       (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
-    # The test of rate_bound_item3, in floats: an offset just above 1 can
-    # round onto theta* + 1.
-    for star in cfg.theta_star_grid:
-        for off in cfg.item3_probe_offsets:
-            if not star + off > star + 1.0:
-                raise ConfigError(
-                    f"probe theta* + {off!r} = {star + off!r} must exceed "
-                    f"theta* + 1 = {star + 1.0!r}",
-                    field="verify.item3_probe_offsets")
     for key in raw:
         if key not in raw.keys_read:
             raise ConfigError(f"unknown key {key} (no {tag} run reads it)",

@@ -41,6 +41,7 @@ from .model import (
     LogitTerms,
     MixtureParams,
     ModelKind,
+    _QUIET,
     posterior,
 )
 
@@ -210,6 +211,7 @@ def _unlabeled(data) -> tuple[np.ndarray, np.ndarray | None]:
     return table.values, table.counts
 
 
+@_QUIET
 def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
                            labeled: tuple[np.ndarray, np.ndarray],
                            unlabeled: tuple[np.ndarray, np.ndarray | None]
@@ -230,17 +232,16 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
     """
     S, N = labeled[0].copy(), labeled[1].copy()
     (y, counts), rows = unlabeled, _block_rows(theta_t.K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = LogitTerms.of(kind, theta_t)  # alpha(theta) may overflow too
-        for lo in range(0, y.size, rows):
-            q, ty = posterior(terms, y[lo:lo + rows])
-            if counts is None:
-                S += q @ ty
-                N += q.sum(axis=1)
-            else:
-                c = counts[lo:lo + rows]
-                S += q @ (c * ty)
-                N += q @ c
+    terms = LogitTerms.of(kind, theta_t)  # alpha(theta) may overflow too
+    for lo in range(0, y.size, rows):
+        q, ty = posterior(terms, y[lo:lo + rows])
+        if counts is None:
+            S += q @ ty
+            N += q.sum(axis=1)
+        else:
+            c = counts[lo:lo + rows]
+            S += q @ (c * ty)
+            N += q @ c
     if not (np.all(np.isfinite(S)) and np.all(np.isfinite(N))):
         raise NumericOverflow(
             f"E-step statistics overflow float64 under theta {theta_t.theta}")
@@ -264,6 +265,7 @@ def _update(kind: ModelKind, S: np.ndarray, N: np.ndarray,
     return theta_t.with_theta([theta[k] for k in range(theta_t.K)])
 
 
+@_QUIET
 def _carrier_sum(kind: ModelKind, data,
                  unlabeled: tuple[np.ndarray, np.ndarray | None]) -> float:
     """Sum of ``h(y)`` over every observation: the theta-free surrogate
@@ -274,21 +276,20 @@ def _carrier_sum(kind: ModelKind, data,
     h = kind.family.log_carrier
     y, counts = unlabeled
     pairs = data.labeled_table
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = float(np.sum(h(data.labeled_y) if pairs is None
-                           else np.asarray(h(pairs.y))[pairs.inverse]))
-        hy = np.asarray(h(y), dtype=float)
-        acc += float(np.sum(hy if counts is None else counts * hy))
+    acc = float(np.sum(h(data.labeled_y) if pairs is None
+                       else np.asarray(h(pairs.y))[pairs.inverse]))
+    hy = np.asarray(h(y), dtype=float)
+    acc += float(np.sum(hy if counts is None else counts * hy))
     if not np.isfinite(acc):
         raise NumericOverflow("the carrier sum of h(y) overflows float64")
     return acc
 
 
+@_QUIET
 def _surrogate(kind: ModelKind, theta: MixtureParams, S: np.ndarray,
                N: np.ndarray, total: int, carrier_sum: float) -> float:
     th = theta.theta
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = float(np.sum(th * S - np.asarray(kind.family.alpha(th), dtype=float) * N))
+    acc = float(np.sum(th * S - np.asarray(kind.family.alpha(th), dtype=float) * N))
     acc += carrier_sum
     acc += float(np.sum(N * np.log(theta.pi)))
     if not np.isfinite(acc):

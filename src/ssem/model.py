@@ -40,6 +40,15 @@ from .errors import DomainError, MeanOutOfRange, NoConvergence
 
 LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
+# numpy's floating-point state where an overflow is expected and what it
+# leaves is handled: the kernel's reference shift falls back to the max
+# shift, and the E-step, the population integrals and the truth's means
+# refuse non-finite values (NumericOverflow, QuadratureFailure,
+# DomainError, MeanOutOfRange) rather than warn.  Use it as a decorator
+# only: each call then sets its own state, so calls nest and run in any
+# thread, and no context manager is built per call.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class Support:
@@ -394,6 +403,7 @@ class ModelKind:
         if self.tag == "expfam":
             self.spec.check_theta(params.theta)
 
+    @_QUIET
     def check_truth(self, params: MixtureParams) -> None:
         """:meth:`check_params` for a ground truth.  A ``sym2`` truth must
         also have ``theta >= 0``: its components are told apart by sign,
@@ -403,8 +413,7 @@ class ModelKind:
         self.check_params(params)
         if self.tag == "sym2" and params.sym2_scalar() < 0.0:
             raise DomainError("symmetric-pair ground truth must have theta >= 0")
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = np.asarray(self.family.alpha_prime(params.theta), dtype=float)
+        means = np.asarray(self.family.alpha_prime(params.theta), dtype=float)
         if not np.isfinite(means).all():
             raise DomainError(f"component means {means} of the truth are not finite")
 
@@ -578,12 +587,6 @@ def marginal_log_density(kind: ModelKind, params: MixtureParams, y):
     sum, so nothing overflows for |theta|, |y| up to 50."""
     terms = LogitTerms.of(kind, params)
     return _at_points(lambda pts: _mixture_log_density(terms, pts), y)
-
-
-# The kernel's floating-point state, as a decorator (it builds no context
-# manager per call): its reference-shift path may overflow, and then the
-# call takes the max shift.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @_QUIET

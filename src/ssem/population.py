@@ -59,18 +59,13 @@ from .model import (
     LogitTerms,
     MixtureParams,
     ModelKind,
+    _QUIET,
     _component_index,
     _mixture_log_density,
     posterior,
 )
 
 _DEGENERATE_DENOMINATOR = 1e-12
-
-# The floating-point state of the sample E-step, as a decorator (reentrant,
-# one state per call): a truth or probe far enough out overflows, and the
-# non-finite values it leaves are refused by the checks downstream
-# (DomainError, QuadratureFailure, MeanOutOfRange), not warned about.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
