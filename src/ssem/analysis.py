@@ -110,7 +110,8 @@ def fixed_point_guard(scheme: QuadratureScheme) -> float:
 
 def _in_domain(pm: PopulationModel, offset: float) -> bool:
     """Whether the probe ``kind.shift(theta*, offset)`` lies in the natural
-    domain: the one rule for every probe grid built along the tie."""
+    domain (``shift`` raises :class:`DomainError` when it does not): the
+    one rule for every probe grid built along the tie."""
     with suppress(DomainError):
         return pm.kind.shift(pm.theta_star, offset) is not None
     return False
@@ -143,17 +144,15 @@ def _theorem1_reading(step: PopulationStep, k: int) -> _Reading:
     Raises :class:`ProbeTooCloseToFixedPoint` when the unlabeled update is
     within quadrature noise of the truth and the ratio is ill-defined.
     """
-    pm = step.pm
     m0 = step.m0(k)
-    star_k = float(pm.theta_star.theta[k])
+    star_k = float(step.pm.theta_star.theta[k])
     denom = abs(m0 - star_k)
-    if denom <= fixed_point_guard(pm.scheme):
+    if denom <= fixed_point_guard(step.pm.scheme):
         raise ProbeTooCloseToFixedPoint(
             f"|M0 - theta*| = {denom:.3e} within the quadrature floor")
     mg = step.m_gamma(k)
-    return _Reading(m0, mg, abs(mg - star_k) / denom, star_k,
-                    beta_theoretical(step.c(k), float(pm.theta_star.pi[k]),
-                                     pm.gamma))
+    return _Reading(m0, mg, abs(mg - star_k) / denom, star_k, beta_theoretical(
+        step.c(k), float(step.pm.theta_star.pi[k]), step.pm.gamma))
 
 
 def contraction_ratio(pm: PopulationModel, theta_probe: MixtureParams,
@@ -320,16 +319,14 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
             pm, [pm.kind.shift(pm.theta_star, side * eps) for eps in radii])))
         for k in range(pm.theta_star.K):
             series = Theorem2Series(component=k, side=side)
-            star_k = float(pm.theta_star.theta[k])
-            ap_star = float(spec.alpha_prime(star_k))
-            fisher_star = float(spec.alpha_second(star_k))
             for eps, step in steps:
                 try:
                     r = _theorem1_reading(step, k)
                 except ProbeTooCloseToFixedPoint:
                     continue
-                resid = abs(float(spec.alpha_prime(r.mg)) - ap_star
-                            - (r.mg - star_k) * fisher_star)
+                resid = abs(float(spec.alpha_prime(r.mg))
+                            - float(spec.alpha_prime(r.star_k))
+                            - (r.mg - r.star_k) * float(spec.alpha_second(r.star_k)))
                 series.epsilons.append(eps)
                 series.ratios.append(r.ratio)
                 series.betas.append(r.beta)

@@ -34,11 +34,14 @@ def _parse_scalar(token: str):
     low = token.lower()
     if low in ("true", "false"):
         return low == "true"
-    for parse in (int, float):
-        try:
-            return parse(token)
-        except ValueError:
-            pass
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        pass
     return token
 
 
