@@ -272,8 +272,13 @@ class TestRateBoundItem3:
         assert report.extras["smoothness_const"] == pytest.approx(
             0.05377127211536519, rel=1e-12)
 
-    @pytest.mark.parametrize("probe", [1.9, 2.0, math.nan])
-    def test_probe_regime_enforced(self, probe):
+    def test_probe_regime_enforced(self):
+        with pytest.raises(ProbeOutsideRegime):
+            rate_bound_item3(1.0, 0.0, 1.9)
+
+    @pytest.mark.parametrize("probe", [2.0, math.nan])
+    def test_probe_on_the_threshold_or_nan_is_outside(self, probe):
+        # The regime is theta_probe > theta* + 1, which NaN fails.
         with pytest.raises(ProbeOutsideRegime):
             rate_bound_item3(1.0, 0.0, probe)
 
