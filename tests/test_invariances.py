@@ -24,9 +24,11 @@ Population step.  ``expect`` meets ``abs_tol`` (tau) for every moment
 ``E[q_k]`` and ``E[q_k t(Y)]`` against the integral over the truncation
 window: the integrator's contract on a continuous support.  On an integer
 support the window is summed, exact but for rounding: with log-means at
-most 2 the window ends below y = 40, every log term is below 250 in
-size, and each summand is within about 20 u x 250 = 5.6e-13 of its
-value, so a moment (below 40) is within 2.2e-11 < tau.  The symmetries
+most 2 the window ends by y = 41, so at probes up to 2.5 the posterior's
+relative error is at most 32uM + 13u with M < 120
+(``tests/test_posterior.py``), 4.3e-13, the density's is a few u times
+its log terms (below 250), about 1.1e-13, and a moment (at most 41) is
+within 2.3e-11 < tau.  The symmetries
 move the window exactly: its ends are the min and max of ``alpha'(theta*_k)
 -+ 12 sigma_k``, which permutation leaves alone, negation mirrors (IEEE
 rounding is symmetric) and, with the dyadic inputs drawn here (multiples
@@ -56,9 +58,9 @@ near its fixed point f, in a weighted max norm ``max_k |x_k| / w_k``.  Then ``|t
 for each side, and the final thetas differ by at most the sum of both.
 
 * ``e`` comes from the E-step sums ``S_k`` and ``N_k``: each is within
-  16 eps of the sum of the absolute values of its terms of the exactly
-  rounded sum of its rounded terms (the bound ``TestBlockedEStep`` uses; at
-  most 30 labeled points keep their recursive sum inside it), a term is
+  16 eps x (the sum of its terms' absolute values) of the exactly rounded
+  sum of its rounded terms (the bound ``TestBlockedEStep`` uses; at most
+  30 labeled points keep their recursive sum inside it), a term is
   within u of the product of the computed responsibility, and the
   responsibility is within ``expm1(2E + (K + 9)u) q + 4 x 2^-1074`` of the
   exact one (``tests/test_posterior.py``, with ``E = 16uM`` and ``M =
@@ -79,7 +81,6 @@ also cover the panels moving and the stopping rule.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
