@@ -779,3 +779,107 @@ class TestDatasetAndCsv:
         path.write_text("kind,x,y\nL,-1,0.5\n")
         with pytest.raises(DomainError):
             load_dataset_csv(path)
+
+
+def power_of_ten_probes() -> np.ndarray:
+    """Every power of ten 10^j that is a finite nonzero double, j from -323
+    to 308, with its neighbours 1 and 2 ulps away on either side: where an
+    estimate of the decimal exponent from ``log10`` can be off by one."""
+    tens = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    near = [tens]
+    for toward in (0.0, np.inf):
+        step = tens
+        for _ in range(2):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    probes = np.concatenate(near)
+    return probes[np.isfinite(probes) & (probes != 0.0)]
+
+
+def seventeenth_digit_ties() -> np.ndarray:
+    """Doubles whose decimal expansion has exactly 18 significant digits,
+    the last a 5: each lies halfway between two 17-digit decimals.
+
+    An odd m over 2^j is m 5^j over 10^j, whose digits are those of
+    m 5^j; that has 18 digits when 10^17 <= m 5^j < 10^18, and m/2^j is a
+    double when m < 2^53, which leaves j from 1 to 25.  For each j the
+    odd m at both ends of its range and a few between them.
+    """
+    rng = np.random.default_rng(17)
+    ties = []
+    for j in range(1, 26):
+        lo = -(-10 ** 17 // 5 ** j) | 1
+        hi = min(10 ** 18 // 5 ** j, 2 ** 53) - 1
+        if lo > hi:
+            continue
+        ms = [lo, lo + 2, hi if hi % 2 else hi - 1]
+        ms += [int(m) | 1 for m in rng.integers(lo, hi, 8)]
+        ties += [m / 2 ** j for m in ms if m <= hi]
+    ties += [2251799813685247.75, 2251799813685246.25,
+             562949953421311.125, 562949953421310.875]
+    return np.array(ties)
+
+
+def every_digit_count_labels() -> list[int]:
+    """0, and 10^j - 1, 10^j and a value between for every j up to 18,
+    then 2^63 - 1: labels of every length from 1 to 19 digits."""
+    labels = [0, 2 ** 63 - 1, 2 ** 63 - 2]
+    for j in range(1, 19):
+        labels += [10 ** j - 1, 10 ** j, 10 ** j + 7 * 10 ** (j - 1) // 3]
+    return labels
+
+
+class TestWriterOracle:
+    """``save_dataset_csv`` writes the bytes of ``f"{y:.17g}"``
+    (``reference_save_dataset_csv``) across the whole double range."""
+
+    def assert_matches_reference(self, ds, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_dataset_csv(ds, got)
+        reference_save_dataset_csv(ds, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @staticmethod
+    def edge_values() -> np.ndarray:
+        """Powers of ten and their neighbours, the ends of the range where
+        17 digits come from one exact product (1e-6 and 1e17), ties at the
+        17th digit, subnormals, +-0 and +-MAX, each with both signs."""
+        ends = np.array([1e-6, 1e17, 1e16, 1e-5, 1e-4, 1e-3, 0.1, 1.0])
+        ends = np.concatenate([ends, np.nextafter(ends, 0.0),
+                               np.nextafter(ends, np.inf)])
+        tiny = np.array([5e-324, 1e-323, 2.2250738585072009e-308,
+                         2.2250738585072014e-308, 4.9406564584124654e-322,
+                         MAX, np.nextafter(MAX, 0.0)])
+        values = np.concatenate([power_of_ten_probes(), ends,
+                                 seventeenth_digit_ties(), tiny])
+        return np.concatenate([[0.0, -0.0], values, -values])
+
+    def test_edge_values(self, tmp_path):
+        values = self.edge_values()
+        labels = every_digit_count_labels()
+        x = np.resize(labels, values.size)
+        self.assert_matches_reference(Dataset(x, values, values[::-1]),
+                                      tmp_path)
+
+    def test_integer_edge_values(self, tmp_path):
+        # The integers among them, every row grouped: the writer formats
+        # distinct rows, labels of every length included.
+        values = self.edge_values()
+        values = values[np.rint(values) == values]
+        x = np.resize(every_digit_count_labels(), values.size)
+        ds = Dataset(x, values, values)
+        assert ds.unlabeled_table is not None and ds.labeled_table is not None
+        self.assert_matches_reference(ds, tmp_path)
+
+    def test_random_bit_patterns(self, tmp_path):
+        # 10^6 finite doubles with uniform random bits: every exponent, both
+        # signs, subnormals; a few thousand labeled among them.
+        rng = np.random.default_rng(20261020)
+        bits = rng.integers(0, 2 ** 64, 10 ** 6 + 2_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:10 ** 6]
+        assert values.size == 10 ** 6
+        m = 4_000
+        x = rng.integers(0, 2 ** 63 - 1, m) >> rng.integers(0, 63, m)
+        self.assert_matches_reference(Dataset(x, values[:m], values[m:]),
+                                      tmp_path)
