@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -384,57 +384,250 @@ _INT64 = range(-2 ** 63, 2 ** 63)
 
 
 def formatted_rows(dataset: Dataset) -> int:
-    """The rows :func:`save_dataset_csv` formats one by one: the distinct
-    rows of a grouped part of ``dataset``, every row of any other part.
-    Builds and keeps the tables the writer reads, so the writer does not
-    build them again."""
+    """The rows :func:`save_dataset_csv` formats: the distinct rows of a
+    grouped part of ``dataset``, every row of any other part.  Builds and
+    keeps the tables the writer reads, so the writer does not build them
+    again."""
     labeled, unlabeled = dataset.labeled_table, dataset.unlabeled_table
     return ((dataset.m if labeled is None else labeled.x.size)
             + (dataset.n if unlabeled is None else unlabeled.values.size))
 
 
-def _write_joined(fh, rows: list[str], inverse: np.ndarray) -> None:
-    """Write ``rows[inverse[i]]`` for every ``i``, a chunk at a time."""
-    rows = np.array(rows, dtype=object)
+# The columns of one ``y`` in the writer's byte matrix: its sign, the
+# "0.000" that leads a fixed-notation value below 1, its 17 digits with a
+# "." after each of the first 16, then "e", the exponent's sign and three
+# exponent digits.
+_SIGN, _LEAD, _DIGITS, _EXPONENT, _Y_WIDTH = 0, 1, 6, 39, 44
+# Keep-table classes: a decimal exponent X in [-4, 16], printed in fixed
+# notation, is class X + 4; then exponent notation with two and with three
+# exponent digits, and zero.
+_E2, _E3, _ZERO = 21, 22, 23
+# For 10^-6 < |y| < 10^17 the 17 digits are those of |y| 10^k for one k in
+# 0..22, where 10^k is an exact double.
+_EXACT_RANGE = (1e-6, 1e17)
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
+
+
+class _Layout(NamedTuple):
+    """The writer's constant arrays (:func:`_layout`)."""
+
+    tens: np.ndarray        # 10^k for k in 0..22, each an exact double
+    label_tens: np.ndarray  # 10^j for j in 1..18, int64
+    keep: np.ndarray        # (24 * 17 * 2, _Y_WIDTH) 0/1 masks of a y
+    label_keep: np.ndarray  # (20, 19): row d keeps a label's last d digits
+    unlabeled: np.ndarray   # the bytes of a U row before its y is filled
+    labeled: np.ndarray     # the bytes of an L row before it is filled
+
+
+@cache
+def _layout() -> _Layout:
+    """The writer's tables, built on first use.  Row ``(cls * 17 + last)
+    * 2 + negative`` of ``keep`` marks the bytes of a ``y`` of class
+    ``cls`` whose last nonzero digit is digit ``last`` (0-based):
+
+    * the sign when negative;
+    * fixed notation: digits 0 to ``max(X, last)``, then, for X >= 0, the
+      "." after digit X when ``last > X``, and for X < 0 the leading "0."
+      and -X - 1 zeros;
+    * exponent notation: digits 0 to ``last``, the "." after digit 0 when
+      ``last > 0``, "e", the exponent's sign and two or three digits;
+    * zero: digit 0.
+    """
+    keep = np.zeros((_ZERO + 1, 17, 2, _Y_WIDTH), np.uint8)
+    for cls in range(_ZERO + 1):
+        for last in range(17):
+            row = keep[cls, last, 0]
+            if cls == _ZERO:
+                row[_DIGITS] = 1
+            elif cls < _E2:
+                x = cls - 4
+                row[_DIGITS:_DIGITS + 2 * max(x, last) + 1:2] = 1
+                if x < 0:
+                    row[_LEAD:_LEAD + 1 - x] = 1
+                elif last > x:
+                    row[_DIGITS + 2 * x + 1] = 1
+            else:
+                row[_DIGITS:_DIGITS + 2 * last + 1:2] = 1
+                row[_DIGITS + 1] = last > 0
+                row[_EXPONENT:_EXPONENT + 2] = 1
+                row[_EXPONENT + (3 if cls == _E2 else 2):] = 1
+    keep[:, :, 1] = keep[:, :, 0]
+    keep[:, :, 1, _SIGN] = 1
+    y = np.zeros(_Y_WIDTH, np.uint8)
+    y[_SIGN], y[_EXPONENT] = ord("-"), ord("e")
+    y[_LEAD:_DIGITS] = np.frombuffer(b"0.000", np.uint8)
+    y[_DIGITS + 1:_EXPONENT - 1:2] = ord(".")
+
+    def row(prefix: bytes, label: int) -> np.ndarray:
+        return np.concatenate([np.frombuffer(prefix, np.uint8),
+                               np.full(label, ord(","), np.uint8), y,
+                               np.frombuffer(b"\n", np.uint8)])
+
+    labeled = row(b"L,", 20)
+    labeled[2:21] = 0
+    return _Layout(
+        tens=10.0 ** np.arange(23),
+        label_tens=10 ** np.arange(1, 19, dtype=np.int64),
+        keep=keep.reshape(-1, _Y_WIDTH),
+        label_keep=np.tril(np.ones((20, 19), np.uint8), -1)[:, ::-1].copy(),
+        unlabeled=row(b"U,", 1), labeled=labeled)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """``p, e`` with ``p + e == a * b`` exactly: Dekker's TwoProduct, for
+    products that neither overflow nor underflow."""
+    def halves(v):
+        c = v * _SPLITTER
+        high = c - (c - v)
+        return high, v - high
+
+    p = a * b
+    (ah, al), (bh, bl) = halves(a), halves(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _exact_digits(a: np.ndarray, tens: np.ndarray):
+    """The 17 significant digits ``n`` (an int64 in [10^16, 10^17)) and the
+    decimal exponent ``x`` of each ``a`` in ``_EXACT_RANGE``, rounded half
+    to even as ``%.17g`` rounds them: ``a`` is about ``n 10^(x - 16)``."""
+    k = np.clip(16 - np.floor(np.log10(a)), 0, 22).astype(np.intp)
+    p, e = _two_product(a, tens[k])
+    # log10 can put the exponent one off near a power of ten; then the
+    # exact product p + e is below 10^16 or at least 10^17.
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        k[off] += np.where(low[off], 1, -1)
+        p[off], e[off] = _two_product(a[off], tens[k[off]])
+    # p >= 10^16 > 2^53 is an even integer, so rounding e half to even
+    # rounds p + e half to even.
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    carry = n == 10 ** 17  # rounded up to 1 at the next exponent
+    n[carry] = 10 ** 16
+    return n, 16 - k + carry
+
+
+def _rare_digits(a: np.ndarray):
+    """The same for any other positive ``a``, read from ``'%.16e'``: a
+    digit, ".", 16 digits, "e", the exponent's sign and two or three
+    digits."""
+    text = ("%.16e " * a.size % tuple(a.tolist())).encode().split()
+    chars = np.array(text, "S23").view(np.uint8).reshape(a.size, 23)
+    chars = chars.astype(np.int64) - ord("0")  # the NUL padding is -48
+    n = chars[:, 0]
+    for col in range(2, 18):
+        n = 10 * n + chars[:, col]
+    x = 10 * chars[:, 20] + chars[:, 21]
+    x = np.where(chars[:, 22] < 0, x, 10 * x + chars[:, 22])
+    return n, np.where(chars[:, 19] == ord("-") - ord("0"), -x, x)
+
+
+def _fill_y(y: np.ndarray, out: np.ndarray, layout: _Layout) -> None:
+    """Make each row of the (rows, _Y_WIDTH) byte matrix ``out``, which
+    holds the template's bytes, the bytes of ``"%.17g" % y`` with NULs
+    between them."""
+    a = np.abs(y)
+    exact = (a > _EXACT_RANGE[0]) & (a < _EXACT_RANGE[1])
+    if exact.all():
+        n, x = _exact_digits(a, layout.tens)
+    else:
+        n, x = np.zeros(a.size, np.int64), np.zeros(a.size, np.intp)
+        i = np.flatnonzero(exact)
+        n[i], x[i] = _exact_digits(a[i], layout.tens)
+        i = np.flatnonzero(~exact & (a != 0.0))
+        n[i], x[i] = _rare_digits(a[i])
+    cls = x + 4
+    for j in range(16, -1, -1):
+        q = n // 10
+        out[:, _DIGITS + 2 * j] = n - 10 * q + ord("0")
+        n = q
+    digits = out[:, _EXPONENT - 1:_DIGITS - 1:-2]  # the 17 digits, last first
+    last = 16 - np.argmax(digits != ord("0"), axis=1)
+    far = np.flatnonzero((x < -4) | (x > 16))
+    if far.size:
+        x = x[far]
+        size = np.abs(x)
+        cls[far] = np.where(size < 100, _E2, _E3)
+        out[far, _EXPONENT + 1] = np.where(x < 0, ord("-"), ord("+"))
+        for col, place in enumerate((100, 10, 1), _EXPONENT + 2):
+            out[far, col] = size // place % 10 + ord("0")
+    cls[a == 0.0] = _ZERO
+    out *= layout.keep.take((cls * 17 + last) * 2 + np.signbit(y), axis=0)
+
+
+def _fill_labels(labels: np.ndarray, out: np.ndarray,
+                 layout: _Layout) -> None:
+    """The same for the non-negative int64 ``labels`` in the (rows, 19)
+    ``out``: the decimal digits, no leading zeros."""
+    count = np.searchsorted(layout.label_tens, labels, side="right") + 1
+    for j in range(18, -1, -1):
+        q = labels // 10
+        out[:, j] = labels - 10 * q + ord("0")
+        labels = q
+    out *= layout.label_keep.take(count, axis=0)
+
+
+def _rows_text(y: np.ndarray, labels: np.ndarray | None = None) -> bytes:
+    """The ``dataset.csv`` rows of the values ``y``: ``U,,<y>`` rows, or
+    ``L,<label>,<y>`` rows of ``labels``, each ``<y>`` the bytes of
+    ``"%.17g" % y``.  The rows are laid out in a fixed-column byte matrix,
+    and the bytes the keep tables drop are NULs, deleted at the end."""
+    layout = _layout()
+    template = layout.unlabeled if labels is None else layout.labeled
+    rows = np.empty((y.size, template.size), np.uint8)
+    rows[:] = template
+    if labels is not None:
+        _fill_labels(labels, rows[:, 2:21], layout)
+    _fill_y(y, rows[:, -1 - _Y_WIDTH:-1], layout)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _chunks(y: np.ndarray, labels: np.ndarray | None = None):
+    """:func:`_rows_text` of ``y`` (and ``labels``), ``_CHUNK_ROWS`` rows at
+    a time."""
+    for start in range(0, y.size, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        yield _rows_text(y[start:stop],
+                         None if labels is None else labels[start:stop])
+
+
+def _write_joined(fh, chunks, inverse: np.ndarray) -> None:
+    """Write row ``inverse[i]`` of the rows in the texts ``chunks`` for
+    every ``i``, a chunk at a time."""
+    rows = np.array([row for chunk in chunks
+                     for row in chunk.splitlines(keepends=True)], dtype=object)
     for start in range(0, inverse.size, _CHUNK_ROWS):
-        fh.write("".join(rows[inverse[start:start + _CHUNK_ROWS]].tolist()))
+        fh.write(b"".join(rows[inverse[start:start + _CHUNK_ROWS]].tolist()))
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:
     """Write ``kind,x,y`` rows: kind L/U, x empty on U rows, y at 17
     significant digits, LF line endings.
 
-    Rows are formatted a chunk at a time by one ``%`` on a repeated row
-    template; ``%.17g`` of a Python float is the same string as
-    ``format(y, ".17g")``, ``-0`` included.  A part of the sample whose
-    values are all integers (the unlabeled values,
-    :attr:`Dataset.unlabeled_table`, or the labeled pairs,
-    :func:`_pair_table`) has each distinct row formatted once; a chunk is
-    then those rows joined in sample order.  :func:`formatted_rows` counts
-    the rows formatted.
+    Each ``y`` is written as the bytes of ``"%.17g" % y`` (``-0``
+    included), built for a chunk of rows at a time by one numpy kernel
+    (:func:`_rows_text`).  For 10^-6 < |y| < 10^17 its 17 digits are the
+    integer nearest the exact product |y| 10^k, rounded half to even, for
+    the one k in 0..22 that puts it in [10^16, 10^17); every other nonzero
+    ``y`` (about one Gaussian draw in a million) takes its digits from
+    ``'%.16e'``.  A part of the sample whose values are all integers (the
+    unlabeled values, :attr:`Dataset.unlabeled_table`, or the labeled
+    pairs, :func:`_pair_table`) has each distinct row formatted once; a
+    chunk is then those rows joined in sample order.
+    :func:`formatted_rows` counts the rows formatted.
     """
     labeled, unlabeled = dataset.labeled_table, dataset.unlabeled_table
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("kind,x,y\n")
+    with open(path, "wb") as fh:
+        fh.write(b"kind,x,y\n")
         if labeled is None:
-            for start in range(0, dataset.m, _CHUNK_ROWS):
-                stop = start + _CHUNK_ROWS
-                x = dataset.labeled_x[start:stop].tolist()
-                values = [None] * (2 * len(x))
-                values[0::2] = x
-                values[1::2] = dataset.labeled_y[start:stop].tolist()
-                fh.write("L,%d,%.17g\n" * len(x) % tuple(values))
+            fh.writelines(_chunks(dataset.labeled_y, dataset.labeled_x))
         else:
-            _write_joined(fh, ["L,%d,%.17g\n" % row for row in zip(
-                labeled.x.tolist(), labeled.y.tolist())], labeled.inverse)
+            _write_joined(fh, _chunks(labeled.y, labeled.x), labeled.inverse)
         if unlabeled is None:
-            for start in range(0, dataset.n, _CHUNK_ROWS):
-                y = dataset.unlabeled_y[start:start + _CHUNK_ROWS].tolist()
-                fh.write("U,,%.17g\n" * len(y) % tuple(y))
+            fh.writelines(_chunks(dataset.unlabeled_y))
         else:
-            _write_joined(fh, ["U,,%.17g\n" % v
-                               for v in unlabeled.values.tolist()],
-                          unlabeled.inverse)
+            _write_joined(fh, _chunks(unlabeled.values), unlabeled.inverse)
 
 
 def _bad_line(lineno: int, line: str) -> ConfigError:
