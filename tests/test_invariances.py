@@ -11,7 +11,13 @@ never reach:
   ``sym2`` is ``gmm`` at a symmetric truth and probe;
 * sample EM (``run_em``): shuffling the unlabeled rows, relabeling the
   components or duplicating every row leaves the final theta unchanged
-  (permuted, for a relabeling).
+  (permuted, for a relabeling);
+* the CLI, on the gmm3 and poisson2 benchmark configs: permuting a
+  config's components (``model.theta_star``, ``model.pi`` and
+  ``em.theta0`` together) permutes ``population``'s ``final_theta`` and
+  keeps every ``verify`` pass flag, check names mapped through k.
+  ``simulate`` is left out: the sampler draws one component at a time, so
+  a permuted config samples another dataset.
 
 Tolerances.  u = eps / 2.  Where both sides run the same code path on the
 same floats, the results are asserted equal bit for bit, and the test says
@@ -75,16 +81,32 @@ for each side, and the final thetas differ by at most the sum of both.
   last step starts within 1e-12 of ``theta_hat``, where the Jacobian is
   constant to first order.
 
+Population EM (the ``population`` command) is bounded as sample EM is,
+with ``e`` the width of the last step's update from the quadrature
+tolerance (above) and rho from a central difference (step 1e-4) of the
+population step, each entry of J widened by the update widths of its two
+steps over 2h: the quadrature's share of the difference.  Its truncation
+error, of order h^2 times M's third derivative (about 1e-8 here), moves the
+bound by a relative 1e-8 / (1 - rho).
+
 Where only rounding moves the two sides (panels that stay put, a reordered
 sum), they agree to about 1e-15; the bounds above are larger because they
 also cover the panels moving and the stopping rule.
 """
 
+import json
+import re
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssem import em
+from ssem.cli import main
+from ssem.config import build_run_config, load_config_file
 from ssem.em import EmConfig, run_em
 from ssem.model import (
     MixtureParams,
@@ -409,3 +431,99 @@ class TestSampleEm:
         relabeled = Dataset(np.argsort(perm)[ds.labeled_x], ds.labeled_y,
                             ds.unlabeled_y)
         self.check_unchanged(kind, truth, ds, relabeled, perm)
+
+
+# name: the permutation applied to its components (component j of the
+# permuted config is component perm[j] of the original).
+CLI_CASES = {"gmm3.cfg": [2, 0, 1], "poisson2.cfg": [1, 0]}
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def run_cli(command, config, perm, out):
+    """``ssem <command>`` on a benchmark config with its components taken
+    in the order ``perm``; returns the exit code and the run's config."""
+    raw = load_config_file(CONFIGS / config)
+    cfg = build_run_config(raw)
+    values = {"model.theta_star": cfg.theta_star.theta,
+              "model.pi": cfg.theta_star.pi, "em.theta0": cfg.theta0.theta}
+    values = {key: v[perm].tolist() for key, v in values.items()}
+    sets = [f"--set={key}={','.join(map(repr, v))}" for key, v in values.items()]
+    code = main([*command, "--config", str(CONFIGS / config),
+                 "--out", str(out), *sets])
+    return code, build_run_config({**raw, **values})
+
+
+def population_contraction(pm, theta, h=1e-4):
+    """``(rho, w)`` as :func:`contraction` gives them, for the population
+    step of ``pm`` at ``theta``: J by central differences, each entry
+    widened by the update widths of its two steps over 2h (module
+    docstring)."""
+    K = theta.size
+    a = np.empty((K, K))
+    for j in range(K):
+        steps = [PopulationStep.at(pm, pm.theta_star.with_theta(
+            theta + s * h * np.eye(K)[j])) for s in (1, -1)]
+        up, down = ([st.m_gamma(k) for k in range(K)] for st in steps)
+        widths = [update_width(steps[0], k) + update_width(steps[1], k)
+                  for k in range(K)]
+        a[:, j] = (np.abs(np.subtract(up, down)) + widths) / (2 * h)
+    values, vectors = np.linalg.eig(a)
+    w = np.abs(vectors[:, np.argmax(np.abs(values))].real)
+    w = np.maximum(w, 1e-6 * w.max())
+    return float(np.max(a @ w / w)), w
+
+
+def population_gap_bound(runs, rho):
+    """:func:`final_gap_bound` for population runs ``(pm, prev, final,
+    w)``: ``final`` is the step from ``prev``, whose error is its update
+    width."""
+    assert rho < 1.0  # the premise: EM contracts here
+    total = 0.0
+    for pm, prev, final, w in runs:
+        step = PopulationStep.at(pm, pm.theta_star.with_theta(prev))
+        widths = np.array([update_width(step, k) for k in range(prev.size)])
+        # The last row is the step from the one before it, bit for bit.
+        assert [step.m_gamma(k) for k in range(prev.size)] == final.tolist()
+        d = np.max(np.abs(final - prev) / w)
+        total += (np.max(widths / w) + rho * d) / (1.0 - rho)
+    return total
+
+
+class TestCli:
+    @pytest.mark.parametrize("config", CLI_CASES)
+    def test_population_final_theta_permuted(self, config, tmp_path):
+        perm = np.array(CLI_CASES[config])
+        runs = []
+        for side in (np.arange(perm.size), perm):
+            out = tmp_path / "".join(map(str, side))
+            code, cfg = run_cli(["population"], config, side, out)
+            assert code == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["converged"]
+            final = np.array(summary["final_theta"])
+            thetas = np.loadtxt(out / "trajectory.csv", delimiter=",",
+                                skiprows=1, usecols=range(1, perm.size + 1),
+                                ndmin=2)
+            assert np.array_equal(thetas[-1], final)
+            runs.append([cfg.population_model(), thetas[-2], final])
+        rho, w = population_contraction(runs[0][0], runs[0][2])
+        runs[0].append(w)
+        runs[1].append(w[perm])
+        bound = population_gap_bound(runs, rho)
+        gap = np.abs(runs[1][2] - runs[0][2][perm])
+        assert np.all(gap <= bound * w[perm])
+
+    @pytest.mark.parametrize("config", CLI_CASES)
+    def test_verify_pass_flags_kept(self, config, tmp_path):
+        perm = CLI_CASES[config]
+        results = []
+        for side in (list(range(len(perm))), perm):
+            out = tmp_path / "".join(map(str, side))
+            code, _ = run_cli(["verify", "all"], config, side, out)
+            checks = json.loads((out / "verify_all.json").read_text())["checks"]
+            # A check on component j of this run is one on component
+            # side[j] of the original config.
+            results.append((code, Counter(
+                (re.sub(r"k=(\d+)", lambda m: f"k={side[int(m[1])]}",
+                        c["name"]), c["pass"]) for c in checks)))
+        assert results[0] == results[1]
