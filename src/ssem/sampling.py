@@ -501,11 +501,10 @@ def _exact_digits(a: np.ndarray, tens: np.ndarray):
         k[off] += np.where(low[off], 1, -1)
         p[off], e[off] = _two_product(a[off], tens[k[off]])
     # p >= 10^16 > 2^53 is an even integer, so rounding e half to even
-    # rounds p + e half to even.
-    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    carry = n == 10 ** 17  # rounded up to 1 at the next exponent
-    n[carry] = 10 ** 16
-    return n, 16 - k + carry
+    # rounds p + e half to even.  No double in the range lies within half a
+    # 17th digit (a relative 5e-18) below a power of ten, so n never rounds
+    # up to 10^17.
+    return p.astype(np.int64) + np.rint(e).astype(np.int64), 16 - k
 
 
 def _rare_digits(a: np.ndarray):

@@ -544,6 +544,48 @@ class TestSampleMemory:
         assert sample_peak <= sampling + self.SLACK
         assert rows_peak <= grouping + self.SLACK
 
+    def test_writer_peak_does_not_grow_with_n(self, tmp_path):
+        """The writer holds one chunk's arrays whatever the sample size:
+        its tracemalloc peak on gmm3 at N = 2e5 and at N = 1e6 stays under
+        the kernel's bytes a row times ``_CHUNK_ROWS``.  ``sample`` writes
+        in process once the sampler's arrays are freed, so the dataset and
+        the writer's peak stay under the sampler's own."""
+        import tracemalloc
+
+        from ssem.config import build_run_config, load_config_file
+
+        # A row of the widest kind, an L row: the byte matrix, its bytes
+        # copy and the text left once the NULs are deleted (3 x 67); the
+        # keep-table rows gathered for its y (44); at most 16 vectors of 8
+        # bytes alive at once (the values, their exact products and
+        # halves, digits, exponents, classes and indices).  A value
+        # outside (1e-6, 1e17) also holds its '%.16e' text, about one
+        # Gaussian draw in a million.
+        width = ssem.sampling._layout().labeled.size
+        assert width == 67
+        per_row = 3 * width + ssem.sampling._Y_WIDTH + 16 * 8
+        bound = per_row * ssem.sampling._CHUNK_ROWS + self.SLACK
+        raw = load_config_file(PERFBENCH / "configs" / "gmm3.cfg")
+        peaks = []
+        for total in (200_000, 1_000_000):
+            cfg = build_run_config({**raw, "data.total_samples": total})
+            tracemalloc.start()
+            try:
+                ds = sample_dataset(cfg.kind, cfg.theta_star,
+                                    cfg.sample_config())
+                sample_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                save_dataset_csv(ds, tmp_path / "ds.csv")
+                writer_peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            dataset = 16 * ds.m + 8 * ds.n
+            assert writer_peak <= bound
+            assert dataset + writer_peak <= sample_peak
+            peaks.append(writer_peak)
+        assert peaks[1] <= peaks[0] + self.SLACK
+
 
 class TestSampleCap:
     def test_bytes_per_row(self):
