@@ -120,13 +120,15 @@ def _write_dataset(dataset, out_dir: str, timings: dict) -> dict:
     return {"process": "inline", "cpu_s": time.process_time() - cpu}
 
 
-# Rows the dataset writer must format one by one (``formatted_rows``)
-# before ``simulate`` hands the write to a child process.  Forking, exiting
-# and reaping the child took 4.2-5.3 ms in a 63-70 MiB process with BLAS
-# threads started, and ``%.17g`` formats a row in 0.6-0.8 us (2-CPU Xeon),
-# so the child pays once it formats more than about 9,000 rows; 16,384
-# rows take 10-13 ms, twice the cost of the fork.  A Poisson sample, whose
-# rows are grouped (52 distinct rows at N = 2e5), stays in process.
+# Rows the dataset writer must format (``formatted_rows``) before
+# ``simulate`` hands the write to a child process.  Forking, exiting and
+# reaping the child took 2.5-7.3 ms (median 3.4-3.6 ms) in a 61 MiB process
+# with BLAS threads started, and the writer's kernel writes a row in
+# 0.30-0.36 us (medians from 16,384 to 200,000 rows, 2-CPU Xeon), so the
+# child pays once it writes more than about 11,000 rows, the median fork
+# over the per-row cost; the threshold is the power of two above that.
+# 16,384 rows take 5.9 ms.  A Poisson sample, whose rows are grouped (52
+# distinct rows at N = 2e5), stays in process.
 _FORK_WRITE_ROWS = 1 << 14
 
 

@@ -38,6 +38,16 @@ before any array is built.
 Integer samples are grouped into distinct values (:func:`integer_table`,
 :func:`_pair_table`) by one rule, :func:`_group`: counting when the keys
 are non-negative integers below their number, else a sort.
+
+``dataset.csv`` rows are made by one numpy kernel (:func:`_rows_text`)
+that builds the exact bytes of ``"%.17g" % y`` for a chunk of rows.  For
+10^-6 < |y| < 10^17 the 17 digits are the integer nearest the exact
+product of |y| and an exact power of ten (Dekker's error-free product),
+rounded half to even; every other nonzero value (about one Gaussian draw
+in a million) takes its digits from ``'%.16e'``.  The bytes go in a
+fixed-column byte matrix, a keep table marks those the value prints, and
+the rest are deleted.  The kernel is elementwise numpy only, no BLAS and
+no threads, so it can run in a forked child.
 """
 
 from __future__ import annotations
@@ -366,9 +376,13 @@ def _pair_table(x, y) -> _PairTable | None:
                      inverse)
 
 
-# Rows per formatted chunk of ``save_dataset_csv``: bounds the text held in
-# memory at once, whatever the dataset size.  Larger chunks write no faster
-# and raise the peak resident set (by 3.9 MiB at 65,536 rows).
+# Rows per formatted chunk of ``save_dataset_csv``: bounds the kernel's
+# arrays and text held at once (about 200 bytes a row on gmm3), whatever
+# the dataset size.  On gmm3 at N = 2e5 (2-CPU Xeon) chunks of 4,096 to
+# 32,768 rows write equally fast within the noise (medians 49-71 ms over
+# two sweeps; 74 ms at 65,536), and a forked writer's peak resident set
+# grows by 0.06 MiB more at 16,384 rows than at 8,192, 0.8 MiB at 32,768
+# and 8.0 MiB at 65,536.
 _CHUNK_ROWS = 1 << 13
 
 # One structured record per data row of ``dataset.csv``.  The string fields
@@ -393,11 +407,16 @@ def formatted_rows(dataset: Dataset) -> int:
             + (dataset.n if unlabeled is None else unlabeled.values.size))
 
 
-# The columns of one ``y`` in the writer's byte matrix: its sign, the
-# "0.000" that leads a fixed-notation value below 1, its 17 digits with a
-# "." after each of the first 16, then "e", the exponent's sign and three
-# exponent digits.
+# The bytes of one ``y`` in the writer's byte matrix before it is filled:
+# its sign, the "0.000" that leads a fixed-notation value below 1, 17 digit
+# slots with a "." after each of the first 16, then "e" and slots for the
+# exponent's sign and three digits; and the columns where each part starts.
+_Y_TEMPLATE = b"-0.000" + b"0." * 16 + b"0e" + bytes(4)
 _SIGN, _LEAD, _DIGITS, _EXPONENT, _Y_WIDTH = 0, 1, 6, 39, 44
+# The bytes of a U row and of an L row (19 label digit slots) before their
+# fields are filled.
+_U_TEMPLATE = b"U,," + _Y_TEMPLATE + b"\n"
+_L_TEMPLATE = b"L," + bytes(19) + b"," + _Y_TEMPLATE + b"\n"
 # Keep-table classes: a decimal exponent X in [-4, 16], printed in fixed
 # notation, is class X + 4; then exponent notation with two and with three
 # exponent digits, and zero.
@@ -415,8 +434,6 @@ class _Layout(NamedTuple):
     label_tens: np.ndarray  # 10^j for j in 1..18, int64
     keep: np.ndarray        # (24 * 17 * 2, _Y_WIDTH) 0/1 masks of a y
     label_keep: np.ndarray  # (20, 19): row d keeps a label's last d digits
-    unlabeled: np.ndarray   # the bytes of a U row before its y is filled
-    labeled: np.ndarray     # the bytes of an L row before it is filled
 
 
 @cache
@@ -453,24 +470,11 @@ def _layout() -> _Layout:
                 row[_EXPONENT + (3 if cls == _E2 else 2):] = 1
     keep[:, :, 1] = keep[:, :, 0]
     keep[:, :, 1, _SIGN] = 1
-    y = np.zeros(_Y_WIDTH, np.uint8)
-    y[_SIGN], y[_EXPONENT] = ord("-"), ord("e")
-    y[_LEAD:_DIGITS] = np.frombuffer(b"0.000", np.uint8)
-    y[_DIGITS + 1:_EXPONENT - 1:2] = ord(".")
-
-    def row(prefix: bytes, label: int) -> np.ndarray:
-        return np.concatenate([np.frombuffer(prefix, np.uint8),
-                               np.full(label, ord(","), np.uint8), y,
-                               np.frombuffer(b"\n", np.uint8)])
-
-    labeled = row(b"L,", 20)
-    labeled[2:21] = 0
     return _Layout(
         tens=10.0 ** np.arange(23),
         label_tens=10 ** np.arange(1, 19, dtype=np.int64),
         keep=keep.reshape(-1, _Y_WIDTH),
-        label_keep=np.tril(np.ones((20, 19), np.uint8), -1)[:, ::-1].copy(),
-        unlabeled=row(b"U,", 1), labeled=labeled)
+        label_keep=np.tril(np.ones((20, 19), np.uint8), -1)[:, ::-1].copy())
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -535,7 +539,8 @@ def _fill_y(y: np.ndarray, out: np.ndarray, layout: _Layout) -> None:
         i = np.flatnonzero(exact)
         n[i], x[i] = _exact_digits(a[i], layout.tens)
         i = np.flatnonzero(~exact & (a != 0.0))
-        n[i], x[i] = _rare_digits(a[i])
+        if i.size:
+            n[i], x[i] = _rare_digits(a[i])
     cls = x + 4
     for j in range(16, -1, -1):
         q = n // 10
@@ -573,9 +578,9 @@ def _rows_text(y: np.ndarray, labels: np.ndarray | None = None) -> bytes:
     ``"%.17g" % y``.  The rows are laid out in a fixed-column byte matrix,
     and the bytes the keep tables drop are NULs, deleted at the end."""
     layout = _layout()
-    template = layout.unlabeled if labels is None else layout.labeled
-    rows = np.empty((y.size, template.size), np.uint8)
-    rows[:] = template
+    template = _U_TEMPLATE if labels is None else _L_TEMPLATE
+    rows = np.empty((y.size, len(template)), np.uint8)
+    rows[:] = np.frombuffer(template, np.uint8)
     if labels is not None:
         _fill_labels(labels, rows[:, 2:21], layout)
     _fill_y(y, rows[:, -1 - _Y_WIDTH:-1], layout)
@@ -593,11 +598,13 @@ def _chunks(y: np.ndarray, labels: np.ndarray | None = None):
 
 def _write_joined(fh, chunks, inverse: np.ndarray) -> None:
     """Write row ``inverse[i]`` of the rows in the texts ``chunks`` for
-    every ``i``, a chunk at a time."""
-    rows = np.array([row for chunk in chunks
-                     for row in chunk.splitlines(keepends=True)], dtype=object)
+    every ``i``, a chunk at a time: the rows, NUL-padded to one width, are
+    gathered and the NULs deleted."""
+    rows = [row for chunk in chunks for row in chunk.splitlines(keepends=True)]
+    rows = np.array(rows, f"S{max(map(len, rows))}")
     for start in range(0, inverse.size, _CHUNK_ROWS):
-        fh.write(b"".join(rows[inverse[start:start + _CHUNK_ROWS]].tolist()))
+        chunk = rows[inverse[start:start + _CHUNK_ROWS]]
+        fh.write(chunk.tobytes().translate(None, b"\0"))
 
 
 def save_dataset_csv(dataset: Dataset, path) -> None:

@@ -655,7 +655,7 @@ class TestDatasetWriterProcess:
          "data.seed = 0\nem.theta0 = 0, 2.5\n", "inline"),
     ], ids=["sym2", "gmm", "poisson"])
     def test_process_follows_formatted_rows(self, tmp_path, config, process):
-        # Rows formatted one by one: all 100,000 rows of the continuous
+        # Rows the writer formats: all 100,000 rows of the continuous
         # sym2 sample and 2,000 of the gmm one, but only the distinct rows
         # of the 200,000-row Poisson sample.
         cfg = write_cfg(tmp_path, config)

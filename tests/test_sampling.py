@@ -561,7 +561,7 @@ class TestSampleMemory:
         # halves, digits, exponents, classes and indices).  A value
         # outside (1e-6, 1e17) also holds its '%.16e' text, about one
         # Gaussian draw in a million.
-        width = ssem.sampling._layout().labeled.size
+        width = len(ssem.sampling._L_TEMPLATE)
         assert width == 67
         per_row = 3 * width + ssem.sampling._Y_WIDTH + 16 * 8
         bound = per_row * ssem.sampling._CHUNK_ROWS + self.SLACK
