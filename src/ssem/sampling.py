@@ -427,20 +427,15 @@ _EXACT_RANGE = (1e-6, 1e17)
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
 
 
-class _Layout(NamedTuple):
-    """The writer's constant arrays (:func:`_layout`)."""
-
-    tens: np.ndarray        # 10^k for k in 0..22, each an exact double
-    label_tens: np.ndarray  # 10^j for j in 1..18, int64
-    keep: np.ndarray        # (24 * 17 * 2, _Y_WIDTH) 0/1 masks of a y
-    label_keep: np.ndarray  # (20, 19): row d keeps a label's last d digits
-
-
 @cache
-def _layout() -> _Layout:
-    """The writer's tables, built on first use.  Row ``(cls * 17 + last)
-    * 2 + negative`` of ``keep`` marks the bytes of a ``y`` of class
-    ``cls`` whose last nonzero digit is digit ``last`` (0-based):
+def _layout() -> tuple[np.ndarray, ...]:
+    """The writer's tables, built on first use, read-only: ``tens``, 10^k
+    for k in 0..22, each an exact double; ``label_tens``, the int64 10^j for
+    j in 1..18; ``keep``, the (24 * 17 * 2, _Y_WIDTH) 0/1 masks of a ``y``;
+    and ``label_keep``, whose row d keeps the last d of a label's 19 digit
+    slots.  Row ``(cls * 17 + last) * 2 + negative`` of ``keep`` marks the
+    bytes of a ``y`` of class ``cls`` whose last nonzero digit is digit
+    ``last`` (0-based):
 
     * the sign when negative;
     * fixed notation: digits 0 to ``max(X, last)``, then, for X >= 0, the
@@ -470,11 +465,12 @@ def _layout() -> _Layout:
                 row[_EXPONENT + (3 if cls == _E2 else 2):] = 1
     keep[:, :, 1] = keep[:, :, 0]
     keep[:, :, 1, _SIGN] = 1
-    return _Layout(
-        tens=10.0 ** np.arange(23),
-        label_tens=10 ** np.arange(1, 19, dtype=np.int64),
-        keep=keep.reshape(-1, _Y_WIDTH),
-        label_keep=np.tril(np.ones((20, 19), np.uint8), -1)[:, ::-1].copy())
+    layout = (10.0 ** np.arange(23), 10 ** np.arange(1, 19, dtype=np.int64),
+              keep.reshape(-1, _Y_WIDTH),
+              np.tril(np.ones((20, 19), np.uint8), -1)[:, ::-1].copy())
+    for arr in layout:  # shared by every call
+        arr.setflags(write=False)
+    return layout
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -526,18 +522,19 @@ def _rare_digits(a: np.ndarray):
     return n, np.where(chars[:, 19] == ord("-") - ord("0"), -x, x)
 
 
-def _fill_y(y: np.ndarray, out: np.ndarray, layout: _Layout) -> None:
+def _fill_y(y: np.ndarray, out: np.ndarray, tens: np.ndarray,
+            keep: np.ndarray) -> None:
     """Make each row of the (rows, _Y_WIDTH) byte matrix ``out``, which
     holds the template's bytes, the bytes of ``"%.17g" % y`` with NULs
-    between them."""
+    between them; ``tens`` and ``keep`` are :func:`_layout`'s."""
     a = np.abs(y)
     exact = (a > _EXACT_RANGE[0]) & (a < _EXACT_RANGE[1])
     if exact.all():
-        n, x = _exact_digits(a, layout.tens)
+        n, x = _exact_digits(a, tens)
     else:
         n, x = np.zeros(a.size, np.int64), np.zeros(a.size, np.intp)
         i = np.flatnonzero(exact)
-        n[i], x[i] = _exact_digits(a[i], layout.tens)
+        n[i], x[i] = _exact_digits(a[i], tens)
         i = np.flatnonzero(~exact & (a != 0.0))
         if i.size:
             n[i], x[i] = _rare_digits(a[i])
@@ -557,19 +554,20 @@ def _fill_y(y: np.ndarray, out: np.ndarray, layout: _Layout) -> None:
         for col, place in enumerate((100, 10, 1), _EXPONENT + 2):
             out[far, col] = size // place % 10 + ord("0")
     cls[a == 0.0] = _ZERO
-    out *= layout.keep.take((cls * 17 + last) * 2 + np.signbit(y), axis=0)
+    out *= keep.take((cls * 17 + last) * 2 + np.signbit(y), axis=0)
 
 
-def _fill_labels(labels: np.ndarray, out: np.ndarray,
-                 layout: _Layout) -> None:
+def _fill_labels(labels: np.ndarray, out: np.ndarray, tens: np.ndarray,
+                 keep: np.ndarray) -> None:
     """The same for the non-negative int64 ``labels`` in the (rows, 19)
-    ``out``: the decimal digits, no leading zeros."""
-    count = np.searchsorted(layout.label_tens, labels, side="right") + 1
+    ``out``: the decimal digits, no leading zeros (``tens`` and ``keep``
+    are :func:`_layout`'s ``label_tens`` and ``label_keep``)."""
+    count = np.searchsorted(tens, labels, side="right") + 1
     for j in range(18, -1, -1):
         q = labels // 10
         out[:, j] = labels - 10 * q + ord("0")
         labels = q
-    out *= layout.label_keep.take(count, axis=0)
+    out *= keep.take(count, axis=0)
 
 
 def _rows_text(y: np.ndarray, labels: np.ndarray | None = None) -> bytes:
@@ -577,13 +575,13 @@ def _rows_text(y: np.ndarray, labels: np.ndarray | None = None) -> bytes:
     ``L,<label>,<y>`` rows of ``labels``, each ``<y>`` the bytes of
     ``"%.17g" % y``.  The rows are laid out in a fixed-column byte matrix,
     and the bytes the keep tables drop are NULs, deleted at the end."""
-    layout = _layout()
+    tens, label_tens, keep, label_keep = _layout()
     template = _U_TEMPLATE if labels is None else _L_TEMPLATE
     rows = np.empty((y.size, len(template)), np.uint8)
     rows[:] = np.frombuffer(template, np.uint8)
     if labels is not None:
-        _fill_labels(labels, rows[:, 2:21], layout)
-    _fill_y(y, rows[:, -1 - _Y_WIDTH:-1], layout)
+        _fill_labels(labels, rows[:, 2:21], label_tens, label_keep)
+    _fill_y(y, rows[:, -1 - _Y_WIDTH:-1], tens, keep)
     return rows.tobytes().translate(None, b"\0")
 
 

@@ -447,7 +447,8 @@ def run_cli(command, config, perm, out):
     values = {"model.theta_star": cfg.theta_star.theta,
               "model.pi": cfg.theta_star.pi, "em.theta0": cfg.theta0.theta}
     values = {key: v[perm].tolist() for key, v in values.items()}
-    sets = [f"--set={key}={','.join(map(repr, v))}" for key, v in values.items()]
+    sets = [f"--set={key}={','.join(map(repr, v))}"
+            for key, v in values.items()]
     code = main([*command, "--config", str(CONFIGS / config),
                  "--out", str(out), *sets])
     return code, build_run_config({**raw, **values})
@@ -520,10 +521,10 @@ class TestCli:
         for side in (list(range(len(perm))), perm):
             out = tmp_path / "".join(map(str, side))
             code, _ = run_cli(["verify", "all"], config, side, out)
-            checks = json.loads((out / "verify_all.json").read_text())["checks"]
+            report = json.loads((out / "verify_all.json").read_text())
             # A check on component j of this run is one on component
             # side[j] of the original config.
             results.append((code, Counter(
                 (re.sub(r"k=(\d+)", lambda m: f"k={side[int(m[1])]}",
-                        c["name"]), c["pass"]) for c in checks)))
+                        c["name"]), c["pass"]) for c in report["checks"])))
         assert results[0] == results[1]
