@@ -120,15 +120,15 @@ def _write_dataset(dataset, out_dir: str, timings: dict) -> dict:
     return {"process": "inline", "cpu_s": time.process_time() - cpu}
 
 
-# Rows the dataset writer must format (``formatted_rows``) before
+# Values the dataset writer must format (``formatted_rows``) before
 # ``simulate`` hands the write to a child process.  Forking, exiting and
 # reaping the child took 2.5-7.3 ms (median 3.4-3.6 ms) in a 61 MiB process
 # with BLAS threads started, and the writer's kernel writes a row in
 # 0.30-0.36 us (medians from 16,384 to 200,000 rows, 2-CPU Xeon), so the
 # child pays once it writes more than about 11,000 rows, the median fork
 # over the per-row cost; the threshold is the power of two above that.
-# 16,384 rows take 5.9 ms.  A Poisson sample, whose rows are grouped (52
-# distinct rows at N = 2e5), stays in process.
+# 16,384 rows take 5.9 ms.  A Poisson sample, whose values are grouped
+# (43 distinct values in its two parts at N = 2e5), stays in process.
 _FORK_WRITE_ROWS = 1 << 14
 
 
@@ -233,7 +233,7 @@ def _finish_run(cfg: RunConfig, out_dir: str, traj, start: float,
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     """Sample, write ``dataset.csv`` and run EM.  A write that formats at
-    least ``_FORK_WRITE_ROWS`` rows runs in a child process, beside EM."""
+    least ``_FORK_WRITE_ROWS`` values runs in a child process, beside EM."""
     start = time.perf_counter()
     timings: dict = {}
     dataset = _sample(cfg, timings)

@@ -271,13 +271,14 @@ def _carrier_sum(kind: ModelKind, data,
     """Sum of ``h(y)`` over every observation: the theta-free surrogate
     term.  ``unlabeled`` is :func:`_unlabeled`; a distinct value adds
     ``c h(v)``.  On integer-valued labeled data (its
-    :attr:`Dataset.labeled_table`), ``h`` is taken once per distinct row
-    and gathered back in row order, so the sum adds the same terms."""
+    :attr:`Dataset.labeled_table`), ``h`` is taken once per distinct value
+    and gathered back in row order, so the sum adds the same terms in the
+    same order."""
     h = kind.family.log_carrier
     y, counts = unlabeled
-    pairs = data.labeled_table
-    acc = float(np.sum(h(data.labeled_y) if pairs is None
-                       else np.asarray(h(pairs.y))[pairs.inverse]))
+    table = data.labeled_table
+    acc = float(np.sum(h(data.labeled_y) if table is None
+                       else np.asarray(h(table.values))[table.inverse]))
     hy = np.asarray(h(y), dtype=float)
     acc += float(np.sum(hy if counts is None else counts * hy))
     if not np.isfinite(acc):

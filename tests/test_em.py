@@ -554,7 +554,7 @@ class TestGroupedEStep:
 
     @pytest.mark.parametrize("m", [0, 1, 20_000])
     def test_labeled_carrier_taken_once_per_distinct_row(self, m):
-        # On integer labeled data h is taken at each distinct (x, y) row and
+        # On integer labeled data h is taken at each distinct value and
         # gathered back in row order, so the sum adds the same terms in the
         # same order as h over every row.
         seen = []
@@ -571,7 +571,7 @@ class TestGroupedEStep:
         want = float(np.sum(spec.log_carrier(ds.labeled_y)))
         want += float(np.sum(counts * spec.log_carrier(values)))
         assert em._carrier_sum(kind, ds, (values, counts)) == want
-        distinct = 0 if m == 0 else ds.labeled_table.x.size
+        distinct = 0 if m == 0 else ds.labeled_table.values.size
         assert seen == [distinct, values.size] and distinct < 100
 
 

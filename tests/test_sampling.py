@@ -478,22 +478,6 @@ class TestGrouping:
         assert table.inverse.tobytes() == want[1].tobytes()
         assert table.counts.tolist() == want[2].tolist()
 
-    @given(rows=st.lists(st.tuples(st.integers(0, 5),
-                                   st.integers(-3, 12).map(float)
-                                   | st.sampled_from([-0.0, 1e22])),
-                         min_size=1))
-    @settings(max_examples=200, deadline=None)
-    def test_pair_table_matches_unique(self, rows):
-        x = np.array([a for a, _ in rows], dtype=np.int64)
-        y = np.array([b for _, b in rows])
-        table = ssem.sampling._pair_table(x, y)
-        assert table.x[table.inverse].tobytes() == x.tobytes()
-        assert table.y[table.inverse].tobytes() == y.tobytes()
-        # One entry per distinct (x, bit pattern of y) row, in np.unique's
-        # order of (label, value index).
-        pairs = np.unique(np.stack([x, y.view(np.int64)]), axis=1)
-        assert table.x.size == pairs.shape[1]
-
 
 class TestSampleMemory:
     """The sampler and the row tables hold the arrays of their design, and
@@ -527,10 +511,9 @@ class TestSampleMemory:
         # labels and values (8 + 8 a labeled row).
         sampling = (16 + 1 + 8 + 8) * n + (8 + 8) * m
         # The row tables hold the dataset (8 a row, 16 a labeled row) and,
-        # while grouping, an index and an inverse per unlabeled row (8 + 8),
-        # and for the labeled pairs the value inverse, label rank, pair key
-        # and pair inverse (4 x 8).
-        grouping = 8 * n + 16 * m + (8 + 8) * n + 4 * 8 * m
+        # while grouping, an index and an inverse per row of each part
+        # (8 + 8).
+        grouping = 8 * n + 16 * m + (8 + 8) * (n + m)
         sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())  # warm
         tracemalloc.start()
         try:
@@ -554,14 +537,17 @@ class TestSampleMemory:
 
         from ssem.config import build_run_config, load_config_file
 
-        # A row of the widest kind, an L row: the byte matrix, its bytes
-        # copy and the text left once the NULs are deleted (3 x 67); the
-        # keep-table rows gathered for its y (44); at most 16 vectors of 8
-        # bytes alive at once (the values, their exact products and
-        # halves, digits, exponents, classes and indices).  A value
-        # outside (1e-6, 1e17) also holds its '%.16e' text, about one
-        # Gaussian draw in a million.
-        width = len(ssem.sampling._L_TEMPLATE)
+        # A record of the widest kind, an L row with a 19-digit label: its
+        # "L,<x>," prefix, the value's byte matrix row and the newline
+        # (22 + 44 + 1 = 67).  The chunk's records, their bytes copy and
+        # the text left once the NULs are deleted (3 x 67); the keep-table
+        # rows gathered for its y (44); at most 16 vectors of 8 bytes alive
+        # at once (the values, their exact products and halves, digits,
+        # exponents, classes and indices).  A value outside (1e-6, 1e17)
+        # also holds its '%.16e' text, about one Gaussian draw in a
+        # million.  The chunk's label ranks and gathered prefixes (8 + 22)
+        # are freed before the kernel runs.
+        width = len(b"L,%d," % (2 ** 63 - 1)) + ssem.sampling._Y_WIDTH + 1
         assert width == 67
         per_row = 3 * width + ssem.sampling._Y_WIDTH + 16 * 8
         bound = per_row * ssem.sampling._CHUNK_ROWS + self.SLACK
@@ -638,6 +624,36 @@ class TestDatasetAndCsv:
         with pytest.raises(DomainError):
             load_dataset_csv(path)
 
+    @pytest.mark.parametrize("labels, bad", [
+        ([-0.5, 2.9], "-0.5"),
+        ([1, 2.9], "2.9"),
+        ([0.0, np.nan], "nan"),
+        ([np.inf], "inf"),
+        ([2.0 ** 63], "9.223372036854776e+18"),
+        ([2 ** 63], "9223372036854775808"),
+        ([-2 ** 63 - 1], "-9223372036854775809"),
+        ([0, 2 ** 64], "18446744073709551616"),
+        (np.array([1, 2 ** 63], dtype=np.uint64), "9223372036854775808"),
+    ], ids=["negative-fraction", "fraction", "nan", "inf", "float-2^63",
+            "2^63", "below-int64", "2^64", "uint64-2^63"])
+    def test_label_not_an_int64_is_domain_error(self, labels, bad):
+        # A label must be an exact integer in the int64 range; none is
+        # truncated or wrapped on the way in.
+        with pytest.raises(DomainError) as err:
+            Dataset(labels, np.ones(len(labels)), [3.0])
+        assert bad in str(err.value)
+
+    @pytest.mark.parametrize("labels", [
+        [1.0, 0.0, -0.0], np.array([3, 0], dtype=np.uint8),
+        np.array([2, 1], dtype=np.int32), [2 ** 63 - 1, 0],
+        np.array([2 ** 63 - 1], dtype=np.uint64), [2.0 ** 62],
+    ], ids=["integral-floats", "uint8", "int32", "int64-max", "uint64",
+            "float-2^62"])
+    def test_integer_labels_are_int64(self, labels):
+        ds = Dataset(labels, np.ones(len(labels)), [3.0])
+        assert ds.labeled_x.dtype == np.int64
+        assert ds.labeled_x.tolist() == [int(v) for v in labels]
+
     def test_roundtrip_exact(self, tmp_path):
         star = MixtureParams([0.4, 0.6], [-0.5, 1.5])
         ds = sample_dataset(GMM, star, SampleConfig(seed=21, m=50, n=150))
@@ -702,11 +718,11 @@ class TestDatasetAndCsv:
     @pytest.mark.parametrize("m", [1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
     def test_labeled_pairs_bytes_match_reference_writer(self, m, fractional,
                                                         tmp_path):
-        # Integer-valued labeled rows, so the writer joins formatted
-        # distinct (x, y) rows: repeated pairs, the same value under
+        # Integer-valued labeled rows, so the writer gathers the texts of
+        # the distinct values: repeated pairs, the same value under
         # several labels, signed zeros, large labels and exponent-form
         # values.  One fractional value sends all labeled rows back to the
-        # per-row template.
+        # kernel, row by row.
         rng = np.random.default_rng(m)
         x = rng.integers(0, 3, m)
         y = rng.integers(-5, 5, m).astype(float)
@@ -719,8 +735,8 @@ class TestDatasetAndCsv:
         if fractional:
             y[rng.integers(m)] = 0.5
         ds = Dataset(x, y, rng.standard_normal(7))
-        rows = {(a, b.tobytes()) for a, b in zip(x.tolist(), y)}
-        assert formatted_rows(ds) == (m if fractional else len(rows)) + 7
+        values = {b.tobytes() for b in y}
+        assert formatted_rows(ds) == (m if fractional else len(values)) + 7
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         save_dataset_csv(ds, got)
         reference_save_dataset_csv(ds, want)
@@ -730,9 +746,11 @@ class TestDatasetAndCsv:
         kind = ModelKind.expfam(poisson_spec())
         ds = sample_dataset(kind, MixtureParams([0.5, 0.5], [0.5, 2.0]),
                             SampleConfig(seed=0, m=20_000, n=180_000))
-        pairs = np.unique(np.stack([ds.labeled_x, ds.labeled_y]), axis=1)
+        # The distinct labeled values and the distinct unlabeled values:
+        # 20 + 23 at this seed, far below the fork threshold.
+        labeled = np.unique(ds.labeled_y)
         values = np.unique(ds.unlabeled_y)
-        assert formatted_rows(ds) == pairs.shape[1] + values.size < 200
+        assert formatted_rows(ds) == labeled.size + values.size == 43
 
     @given(labeled=st.lists(st.tuples(st.integers(0, 2 ** 63 - 1),
                                       INTEGER_VALUES)),
