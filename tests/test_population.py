@@ -523,3 +523,94 @@ class TestTieRuleCount:
                         k, moments, float(probe.theta[k]), 1e-12,
                         DegenerateDenominator))[k]
                     assert read(k) == alone
+
+
+class TestSym2CriticalFraction:
+    """Started at ``-(theta* + 1)``, sym2 population EM stops at a negative
+    fixed point below a critical labeled fraction gamma_c and reaches
+    theta* above it.
+
+    By symmetry ``M_0(-u) = -M_0(u)``, so from a negative start the
+    iterate ``-u`` moves to ``-((1 - gamma) M_0(u) - gamma theta*)``, and a
+    negative fixed point exists while the gap ``g(gamma) = max_{u>0}
+    [(1 - gamma) M_0(u) - u] - gamma theta*`` is >= 0.  gamma_c is its
+    root.  At the maximizer u* the map has slope 1, ``(1 - gamma) M_0'(u*)
+    = 1``, so (u*, gamma_c) solve ``M_0(u) - u M_0'(u) - (M_0'(u) - 1)
+    theta* = 0`` and ``gamma_c = 1 - 1/M_0'(u*)``: one root in u, with
+    ``M_0`` from one probe batch (:meth:`PopulationStep.at`) and ``M_0'``
+    from :func:`dm0_dtheta_sym2`.
+
+    **delta.**  ``g'(gamma_c) = -s`` with ``s = M_0(u*) + theta*``, and
+    ``g''(gamma_c) = 1 / ((1 - gamma_c)^3 |M_0''(u*)|)``.  The runs are
+    only on the predicted side when the gap ``s delta`` beats the error
+    of each operator value, ``eps = 2 (1 + M_0(u*)) abs_tol`` (each of
+    the four moments of the tied update within ``abs_tol``, their
+    denominator 1): ``delta >> eps / s``.  And the first-order gap must
+    beat the second-order term, which grows with the curvature ``M_0''``:
+    ``delta << 2 s / g''``.  delta is the geometric mean of the two
+    limits, ``sqrt(2 eps (1 - gamma_c)^3 |M_0''(u*)|)``, five orders from
+    each (3.3e-5 at theta* = 1, 4.3e-5 at 2).  ``M_0''`` is a central
+    difference of ``M_0'``.
+
+    **max_iters.**  Near u* the map is ``x -> x + g - c x^2`` in ``x = u -
+    u*``, with ``c = (1 - gamma) |M_0''(u*)| / 2`` and ``|g| = s delta``.
+    Above gamma_c the run passes the slope-1 bottleneck in ``pi /
+    sqrt(|g| c)`` steps; below it settles on the fixed point ``x =
+    sqrt(g / c)``, where the slope is ``1 - 2 sqrt(g c)``, so its steps
+    fall from at most 1 to ``tol`` in ``ln(1 / tol) / (2 sqrt(g c))``.
+    Away from u* the map contracts faster, so the approach and the exit
+    take at most as many steps again: ``max_iters = 2 (pi + ln(1 / tol) /
+    2) / sqrt(g c)``.
+    """
+
+    TOL = 1e-13  # run_population_em's default
+
+    @staticmethod
+    def critical(theta_star, scheme):
+        from scipy.optimize import brentq
+
+        pm = PopulationModel.sym2(theta_star, 0.0, scheme)
+
+        def m0(u):
+            return PopulationStep.at(pm, MixtureParams.symmetric(u)).m0(1)
+
+        def tangency(u):
+            slope = dm0_dtheta_sym2(pm, u)
+            return m0(u) - u * slope - (slope - 1.0) * theta_star
+
+        # At u -> 0 the residual is -theta*^3 (M_0(0) = 0, M_0'(0) = 1 +
+        # theta*^2); at theta* it is 2 theta* (1 - M_0'(theta*)) > 0.
+        u_star = brentq(tangency, 1e-3, theta_star, xtol=1e-13)
+        gamma_c = 1.0 - 1.0 / dm0_dtheta_sym2(pm, u_star)
+        h = 1e-3
+        curvature = (dm0_dtheta_sym2(pm, u_star + h)
+                     - dm0_dtheta_sym2(pm, u_star - h)) / (2.0 * h)
+        return pm, u_star, gamma_c, m0(u_star), curvature
+
+    @pytest.mark.parametrize("theta_star, roadmap", [(1.0, 0.1531),
+                                                    (2.0, 0.3077)])
+    def test_labels_remove_the_negative_fixed_point(self, theta_star,
+                                                    roadmap):
+        scheme = QuadratureScheme()
+        pm, u_star, gamma_c, m0_star, m0_second = self.critical(
+            theta_star, scheme)
+        assert gamma_c == pytest.approx(roadmap, abs=5e-5)
+        assert m0_second < 0.0
+        eps = 2.0 * (1.0 + m0_star) * scheme.abs_tol
+        delta = math.sqrt(2.0 * eps * (1.0 - gamma_c) ** 3 * -m0_second)
+        gap = (m0_star + theta_star) * delta
+        c = (1.0 - gamma_c) * -m0_second / 2.0
+        max_iters = math.ceil(2.0 * (math.pi + math.log(1.0 / self.TOL) / 2.0)
+                              / math.sqrt(gap * c))
+        start = MixtureParams.symmetric(-(theta_star + 1.0))
+
+        below = run_population_em(pm.with_gamma(gamma_c - delta), start,
+                                  max_iters=max_iters, tol=self.TOL)
+        assert below.converged
+        # The stable one of the two negative fixed points, beyond -u*.
+        assert below.final.theta[1] < -u_star
+
+        above = run_population_em(pm.with_gamma(gamma_c + delta), start,
+                                  max_iters=max_iters, tol=self.TOL)
+        assert above.converged
+        assert abs(above.final.theta[1] - theta_star) <= 1e-9
