@@ -419,9 +419,9 @@ _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
 def _layout() -> tuple[np.ndarray, np.ndarray]:
     """The writer's tables, built on first use, read-only: ``tens``, 10^k
     for k in 0..22, each an exact double, and ``keep``, the (24 * 17 * 2,
-    _Y_WIDTH) 0/1 masks of a ``y``.  Row ``(cls * 17 + last) * 2 + negative`` of ``keep`` marks the
-    bytes of a ``y`` of class ``cls`` whose last nonzero digit is digit
-    ``last`` (0-based):
+    _Y_WIDTH) 0/1 masks of a ``y``.  Row ``(cls * 17 + last) * 2 +
+    negative`` of ``keep`` marks the bytes of a ``y`` of class ``cls``
+    whose last nonzero digit is digit ``last`` (0-based):
 
     * the sign when negative;
     * fixed notation: digits 0 to ``max(X, last)``, then, for X >= 0, the
