@@ -543,7 +543,9 @@ def _fill_y(y: np.ndarray, out: np.ndarray) -> None:
 
 
 def _value_texts(values: np.ndarray) -> np.ndarray:
-    """The bytes of ``"%.17g" % v`` for each of ``values``, as ``S<w>``."""
+    """The bytes of ``"%.17g" % v`` for each of ``values``, as ``S<w>``:
+    padded only to the longest text, so the records gathered from them
+    carry few NULs to delete."""
     text = np.empty((values.size, _Y_WIDTH + 1), np.uint8)
     _fill_y(values, text[:, :-1])
     text[:, -1] = ord(" ")

@@ -546,7 +546,7 @@ class TestSampleMemory:
         # exponents, classes and indices).  A value outside (1e-6, 1e17)
         # also holds its '%.16e' text, about one Gaussian draw in a
         # million.  The chunk's label ranks and gathered prefixes (8 + 22)
-        # are freed before the kernel runs.
+        # are made once the kernel's vectors are freed.
         width = len(b"L,%d," % (2 ** 63 - 1)) + ssem.sampling._Y_WIDTH + 1
         assert width == 67
         per_row = 3 * width + ssem.sampling._Y_WIDTH + 16 * 8
