@@ -258,7 +258,8 @@ def cmd_population(cfg: RunConfig, out_dir: str) -> int:
     with _timed(timings, "em"):
         traj = run_population_em(cfg.population_model(), cfg.theta0,
                                  max_iters=cfg.em.max_iters, tol=cfg.em.tol)
-    return _finish_run(cfg, out_dir, traj, start, timings)
+    return _finish_run(cfg, out_dir, traj, start, timings,
+                       final_error=traj.errors[-1])
 
 
 def _checks_of(reports) -> list[dict]:

@@ -11,12 +11,12 @@ labeled part of those statistics does not depend on the iterate and is
 computed once per run.
 
 The E-step builds one :class:`ssem.model.LogitTerms` per pass and walks the
-unlabeled data in fixed-size blocks, in order, calling the responsibility
-kernel :func:`ssem.model.posterior` once per block, so its working set
-stays in cache and its memory is O(K * block).  Each block's
-sums (NumPy pairwise sums and one BLAS dot product per component) are
-accumulated in that fixed block order, so results are bitwise reproducible
-run to run.
+unlabeled data in fixed-size blocks, in order, taking the responsibility
+kernel's shared step :func:`ssem.model._relative_weights` once per block,
+so its working set stays in cache and its memory is O(K * block).  It
+forms no responsibilities: each block's moments are one BLAS product of
+the relative weights with two weight rows, accumulated in that fixed block
+order, so results are bitwise reproducible run to run.
 
 The E-step reads the unlabeled sample only through its empirical
 distribution.  An integer-valued sample (every Poisson one) is therefore
@@ -42,19 +42,21 @@ from .model import (
     MixtureParams,
     ModelKind,
     _QUIET,
-    posterior,
+    _relative_weights,
 )
 
 _EMPTY_DENOMINATOR = 1e-300  # subnormal boundary: below this a component is empty
 
-# Bytes of one E-step block's (K, rows) responsibility array: 16,384 rows
-# at K = 3.  With the block's data and sums the working set is under
-# 1 MiB, inside a 4 MiB L2.  Measured at n = 180,000 on a Xeon with 4 MiB
-# of L2 per core, with the reference-shift kernel (medians of 10
-# alternating rounds, each the best of 5): 192, 384 and 768 KiB blocks take
-# 1.09, 1.04 and 1.11 ms a pass at K = 2 and 1.71, 1.72 and 1.86 ms at
-# K = 3, and no size is fastest in every round.  (The max-shift kernel
-# took 2.1-2.6 ms at K = 3, against 3.7 ms for one (K, n) array.)
+# Bytes of one E-step block's (K, rows) relative-weight buffer: 16,384
+# rows at K = 3.  With the block's data and the (2, rows) weights the
+# working set is under 1 MiB, inside a 4 MiB L2.  Measured at n = 180,000
+# on a 2-CPU Xeon with 4 MiB of L2 per core, with the contraction of the
+# relative weights (3 alternating rounds, each the best of 9 x 20 passes):
+# 192, 384 and 768 KiB blocks take 0.77-0.86, 0.93-0.97 and 1.24-1.28 ms
+# a pass at K = 2 and 1.16-1.20, 1.04-1.06 and 1.05-1.09 ms at K = 3.
+# 384 KiB is kept: fastest at K = 3, and its blocks hold the same rows as
+# before.  (Normalizing q and reducing it took 1.42-1.50 ms at K = 3 and
+# 1.03-1.06 ms at K = 2; the max-shift kernel 2.1-2.6 ms at K = 3.)
 _ESTEP_BLOCK_BYTES = 384 * 1024
 
 
@@ -182,7 +184,7 @@ class Trajectory:
 
 def _block_rows(K: int) -> int:
     """Unlabeled rows per E-step block: one ``(K, rows)`` float64 array of
-    responsibilities fills :data:`_ESTEP_BLOCK_BYTES`."""
+    relative weights fills :data:`_ESTEP_BLOCK_BYTES`."""
     return max(1, _ESTEP_BLOCK_BYTES // (8 * K))
 
 
@@ -222,26 +224,39 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
     :func:`_labeled_statistics` plus, per component, the
     responsibility-weighted sum of t(y) over the unlabeled points and the
     responsibility mass.  ``unlabeled`` is :func:`_unlabeled`; with counts
-    ``c``, distinct value ``v`` adds ``q(v) c t(v)`` and ``q(v) c``.
+    ``c`` (1 for a row), value ``v`` adds ``q(v) c t(v)`` and ``q(v) c``.
     ``theta_t`` is checked and its :class:`LogitTerms` built once; the
-    values are taken in blocks of :func:`_block_rows`, one
-    :func:`posterior` call each, so the ``(K, rows)`` responsibilities
-    stay in cache; each block's sums are added in order.
+    values are taken in blocks of :func:`_block_rows`.  Each block needs
+    no responsibilities: with the relative weights ``a`` and their sum
+    ``s`` of :func:`_relative_weights` and ``r = 1 / s``, ``q = a r``, so
+    its moments are the (K, 2) product ``a @ [r c t, r c].T``, one BLAS
+    call, added in block order.  The weights go into two buffers made once
+    per pass; row 0 of ``a`` holds 1 throughout, and a block that takes the
+    max-shifted ``q`` instead has unit weights ``r = 1``.
     Raises :class:`NumericOverflow` when a logit ``theta_k t(y)`` or a sum
     overflows.
     """
     S, N = labeled[0].copy(), labeled[1].copy()
     (y, counts), rows = unlabeled, _block_rows(theta_t.K)
     terms = LogitTerms.of(kind, theta_t)  # alpha(theta) may overflow too
+    a = np.empty((theta_t.K, min(rows, y.size)))
+    a[0] = 1.0
+    w = np.empty((2, a.shape[1]))
     for lo in range(0, y.size, rows):
-        q, ty = posterior(terms, y[lo:lo + rows])
-        if counts is None:
-            S += q @ ty
-            N += q.sum(axis=1)
+        block = y[lo:lo + rows]
+        wb = w[:, :block.size]
+        r = wb[1]  # s, then r = 1 / s, then r c
+        rel, s, ty = _relative_weights(terms, block, a[:, :block.size], r)
+        if s is None:
+            r.fill(1.0)
         else:
-            c = counts[lo:lo + rows]
-            S += q @ (c * ty)
-            N += q @ c
+            np.reciprocal(r, out=r)
+        if counts is not None:
+            r *= counts[lo:lo + rows]
+        np.multiply(r, ty, out=wb[0])
+        moments = rel @ wb.T
+        S += moments[:, 0]
+        N += moments[:, 1]
     if not (np.all(np.isfinite(S)) and np.all(np.isfinite(N))):
         raise NumericOverflow(
             f"E-step statistics overflow float64 under theta {theta_t.theta}")

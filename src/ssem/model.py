@@ -16,13 +16,15 @@ with ``e_k`` the exponential of component k's logit minus component 0's.
 Where some ``e_k`` overflows (a logit more than about 709 above component
 0's), that call takes a per-point max shift instead, under which no
 positive logit difference is exponentiated.
-:func:`posterior` is the one place they are computed: it maps a
+:func:`_relative_weights` is the one place they start: it maps a
 :class:`LogitTerms`, built once per parameter vector (one per E-step pass
-or population step), and 1-d points to the (K, n) responsibilities and
-``t(y)``.  The sample E-step and the population step both call it, and the
-public per-point reads (:func:`responsibilities`, :func:`responsibility`,
-:func:`component_log_density`, :func:`marginal_log_density`) are shaped
-like ``y``.
+or population step), and 1-d points to the weights ``[1; e]``, their sum
+and ``t(y)``, or to the max-shifted responsibilities.  It has two
+consumers.  :func:`posterior` normalizes the weights into the (K, n)
+responsibilities, for the population step and the public per-point reads
+(:func:`responsibilities`, :func:`responsibility`), which are shaped like
+``y`` as :func:`component_log_density` and :func:`marginal_log_density`
+are.  The sample E-step contracts the weights themselves.
 
 Everything here is a pure function of immutable values and safe to call
 concurrently.
@@ -447,8 +449,9 @@ class LogitTerms(NamedTuple):
     ``log_pi_k - alpha(theta_k)``, and both relative to component 0,
     ``d_theta = theta[1:] - theta[0]`` and ``d_offsets = offsets[1:] -
     offsets[0]``.  Build them with :meth:`of` once per parameter vector
-    and pass them to :func:`posterior` for every point set: one E-step pass
-    or one population step builds one."""
+    and pass them to :func:`_relative_weights` (the E-step) or
+    :func:`posterior` for every point set: one E-step pass or one
+    population step builds one."""
 
     family: ExpFamilySpec
     theta: np.ndarray
@@ -501,42 +504,66 @@ def _max_shifted_posterior(terms: LogitTerms,
     return logits, ty
 
 
+def _relative_weights(terms: LogitTerms, y: np.ndarray, a: np.ndarray,
+                      s: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The step every responsibility starts from, at the 1-d float points
+    ``y`` under ``terms``: the weights of the components relative to
+    component 0, ``a = [1; e_1 .. e_{K-1}]`` with ``e_k = exp(d_theta_k
+    t(y) + d_offsets_k)``, and their sum ``s = 1 + sum_k e_k``, so that
+    ``q = a / s``.  Returns ``(a, s, t(y))``.
+
+    It writes in place: ``e`` into rows 1.. of the (K, n) buffer ``a`` and
+    ``s``, added in component order, into the n-vector ``s``.  Row 0 of
+    ``a`` is the caller's to hold the 1s; :func:`posterior` passes it as
+    ``s`` and the E-step keeps it at 1 for a whole pass.  Where ``s`` is
+    not finite for some point (a logit more than about 709 above component
+    0's, or a NaN), it returns instead the max-shifted ``q`` of
+    :func:`_max_shifted_posterior`, a new array, with ``None`` for ``s``:
+    unit weights.  The first path can overflow, so callers run it with
+    numpy's overflow and invalid warnings off."""
+    ty = np.asarray(terms.family.t(y), dtype=float)
+    e = a[1:]
+    np.multiply.outer(terms.d_theta, ty, out=e)
+    e += terms.d_offsets[:, None]
+    np.exp(e, out=e)
+    if len(e):
+        np.add(e[0], 1.0, out=s)
+    else:
+        s.fill(1.0)
+    for row in e[1:]:  # the order of np.sum(e, axis=0, initial=1.0), faster
+        s += row
+    if not s.max(initial=1.0) < np.inf:  # an inf or a NaN
+        q, ty = _max_shifted_posterior(terms, y)
+        return q, None, ty
+    return a, s, ty
+
+
 def posterior(terms: LogitTerms,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The responsibility kernel: the C-contiguous (K, n) posterior
     probabilities ``q`` at the 1-d float points ``y`` under ``terms``, and
     ``t(y)``.  Each column of ``q`` sums to 1 (to rounding).
 
-    Every responsibility in ssem comes from here: the sample E-step
-    contracts ``q`` with ``t(y)`` and the counts, the population step
-    integrates the rows ``[q, q t(y)]``, and :func:`responsibilities` and
-    :func:`responsibility` read ``q``.  The logits are linear in ``t(y)``
-    (``h(y)`` cancels), so no ``y**2`` is ever formed.
+    Every responsibility in ssem starts from :func:`_relative_weights`.
+    This function normalizes its weights: the population step integrates
+    the rows ``[q, q t(y)]``, and :func:`responsibilities` and
+    :func:`responsibility` read ``q``.  The sample E-step contracts the
+    relative weights themselves, with no ``q``.  The logits are linear in
+    ``t(y)`` (``h(y)`` cancels), so no ``y**2`` is ever formed.
 
-    They are taken relative to component 0: with ``e_k = exp(d_theta_k
-    t(y) + d_offsets_k)`` for k >= 1, ``q_0 = 1 / (1 + sum_k e_k)`` and
-    ``q_k = e_k q_0``, with no per-point max.  An ``e_k`` that underflows
-    loses only what lies below 2^-1022 in ``q_k``, as a max shift would.
-    Where ``1 + sum_k e_k`` is not finite for some point (a logit more than
-    about 709 above component 0's, or a NaN), the whole call takes the
-    per-point max shift of :func:`_max_shifted_posterior` instead, which
-    never exponentiates a positive number.  The first path can overflow,
-    so callers run it with numpy's overflow and invalid warnings off.
+    They are taken relative to component 0: ``q_0 = 1 / (1 + sum_k e_k)``
+    and ``q_k = e_k q_0``, with no per-point max.  An ``e_k`` that
+    underflows loses only what lies below 2^-1022 in ``q_k``, as a max
+    shift would.  Where ``1 + sum_k e_k`` is not finite for some point,
+    the whole call takes the per-point max shift instead, which never
+    exponentiates a positive number.
     """
-    ty = np.asarray(terms.family.t(y), dtype=float)
-    q = np.empty((terms.theta.size, ty.size))
-    e = q[1:]
-    np.multiply.outer(terms.d_theta, ty, out=e)
-    e += terms.d_offsets[:, None]
-    np.exp(e, out=e)
-    q0 = q[0]
-    q0.fill(1.0)
-    for row in e:  # the order of np.sum(e, axis=0, initial=1.0), faster
-        q0 += row
-    if not q0.max(initial=1.0) < np.inf:  # an inf or a NaN
-        return _max_shifted_posterior(terms, y)
-    np.reciprocal(q0, out=q0)
-    e *= q0
+    q = np.empty((terms.theta.size, y.size))
+    q, s, ty = _relative_weights(terms, y, q, q[0])
+    if s is not None:  # row 0 holds s
+        np.reciprocal(s, out=s)
+        q[1:] *= s
     return q, ty
 
 

@@ -849,6 +849,30 @@ class TestPopulationCommand:
         assert s0["iterations"] <= 12
         assert s9["iterations"] < s0["iterations"]
 
+    @staticmethod
+    def _final_error(out):
+        """``final_error`` of the summary in ``out``, after checking that it
+        is the last ``err`` of ``trajectory.csv``, and ``converged``."""
+        summary = strict_json(out / "summary.json")
+        last = (out / "trajectory.csv").read_text().splitlines()[-1]
+        assert summary["final_error"] == float(last.split(",")[-1])
+        return summary["final_error"], summary["converged"]
+
+    def test_final_error_shows_a_spurious_fixed_point(self, tmp_path):
+        # Started at -(theta* + 1) with gamma = 0.1, below gamma_c (0.15 at
+        # theta* = 1, 0.31 at 2), sym2 stops at a negative fixed point.
+        assert main(["population", "--config", str(CONFIGS / "sym2.cfg"),
+                     "--out", str(tmp_path), "--set", "data.gamma=0.1",
+                     "--set", "em.theta0=-2.5"]) == 0
+        error, converged = self._final_error(tmp_path)
+        assert converged and error > 1.5
+
+    def test_final_error_at_the_truth(self, tmp_path):
+        assert main(["population", "--config", str(CONFIGS / "gmm3.cfg"),
+                     "--out", str(tmp_path)]) == 0
+        error, converged = self._final_error(tmp_path)
+        assert converged and error <= 1e-9
+
 
 class TestVerifyCommand:
     def test_thm1_passes(self, tmp_path):

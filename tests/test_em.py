@@ -26,7 +26,6 @@ from ssem.model import (
     exponential_spec,
     gaussian_spec,
     poisson_spec,
-    posterior,
     responsibilities,
 )
 from ssem.sampling import Dataset, SampleConfig, sample_dataset
@@ -324,6 +323,53 @@ def estep(kind, ds, theta):
         kind, theta, em._labeled_statistics(kind, ds, theta.K), em._unlabeled(ds))
 
 
+def assert_matches_exact_sums(S, N, kind, theta, ds):
+    """``(S, N)`` against the responsibility-weighted sums over every row,
+    each a rounded product summed exactly.  The E-step's own sums (BLAS
+    products over blocks) may lose a few units of the absolute sum's last
+    place, and its terms ``e_k (r t)`` round differently from ``q_k t``."""
+    uy = ds.unlabeled_y
+    q = responsibilities(kind, theta, uy)
+    for k in range(theta.K):
+        labeled = ds.labeled_y[ds.labeled_x == k].tolist()
+        for got, terms in ((S[k], labeled + (q[:, k] * uy).tolist()),
+                           (N[k], [1.0] * len(labeled) + q[:, k].tolist())):
+            scale = math.fsum(abs(v) for v in terms)
+            assert abs(got - math.fsum(terms)) <= 16 * np.finfo(float).eps * scale
+
+
+# For each kind, a parameter vector and a value y at which a logit exceeds
+# component 0's by at least 720, so that 1 + sum_k e_k overflows there while
+# t(y) stays moderate.  The Gaussian kinds put component 0 last in the
+# grouped order: an integer table lists negative values, by magnitude,
+# before the others, so the far value -y sits between them and later blocks
+# follow it; Poisson values are non-negative, so the far one comes last.
+FALLBACK_CASES = {
+    "gmm": (GMM, MixtureParams([0.3, 0.4, 0.3], [2.0, 0.5, -2.0]), -200.0),
+    "sym2": (SYM2, MixtureParams.symmetric(-1.3), -300.0),
+    "poisson": (ModelKind.expfam(poisson_spec()),
+                MixtureParams([0.5, 0.5], np.log([2.0, 6.0])), 700.0),
+    "K=1": (GMM, MixtureParams([1.0], [0.5]), -200.0),
+}
+
+
+def fallback_dataset(name, grouped, rng):
+    """Seven labeled points and the unlabeled ones for
+    ``FALLBACK_CASES[name]``, the far value once among them: in block 1 of
+    four for a continuous sample; a grouped one draws 400 integers (the
+    caller shrinks its blocks)."""
+    kind, theta, far = FALLBACK_CASES[name]
+    if not grouped:
+        ly = rng.normal(scale=2.5, size=7)
+        uy = rng.normal(scale=2.5, size=3 * em._block_rows(theta.K) + 11)
+    elif name == "poisson":
+        ly, uy = (rng.poisson(4.0, size).astype(float) for size in (7, 400))
+    else:
+        ly, uy = (rng.integers(-6, 7, size).astype(float) for size in (7, 400))
+    uy[em._block_rows(theta.K) + 5 if not grouped else 0] = far
+    return Dataset(rng.integers(0, theta.K, size=7), ly, uy)
+
+
 class TestBlockedEStep:
     @pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
     @pytest.mark.parametrize("blocks, offset", BLOCK_SIZES)
@@ -332,17 +378,7 @@ class TestBlockedEStep:
         n = blocks * em._block_rows(theta.K) + offset
         ds = block_dataset(name, n, seed=n)
         S, N = estep(kind, ds, theta)
-        q = responsibilities(kind, theta, ds.unlabeled_y)
-        for k in range(theta.K):
-            labeled = ds.labeled_y[ds.labeled_x == k].tolist()
-            for got, terms in (
-                    (S[k], labeled + (q[:, k] * ds.unlabeled_y).tolist()),
-                    (N[k], [1.0] * len(labeled) + q[:, k].tolist())):
-                # Rounded products summed exactly; the E-step's own sums
-                # (BLAS dot, pairwise) may lose a few units of the
-                # absolute sum's last place.
-                scale = math.fsum(abs(v) for v in terms)
-                assert abs(got - math.fsum(terms)) <= 16 * np.finfo(float).eps * scale
+        assert_matches_exact_sums(S, N, kind, theta, ds)
 
     @pytest.mark.parametrize("name", sorted(BLOCK_KINDS))
     @pytest.mark.parametrize("blocks, offset", BLOCK_SIZES[:4])
@@ -351,21 +387,23 @@ class TestBlockedEStep:
         n = blocks * em._block_rows(theta.K) + offset
         ds = block_dataset(name, n, seed=n)
         S, N = estep(kind, ds, theta)
-        # The formula before blocking; t(y) = y for every kind here.  The
-        # integer-valued Poisson sample is grouped: each distinct value v,
-        # with count c, adds q(v) c v and q(v) c.
+        # The contraction on one unblocked array; t(y) = y for every kind
+        # here.  With e_k the relative weights, r = 1 / (1 + sum_k e_k) and
+        # counts c (1 for a row; the integer-valued Poisson sample is
+        # grouped), the moments are [1; e] @ [r c v, r c].T.
         S_ref = np.bincount(ds.labeled_x, weights=ds.labeled_y,
                             minlength=theta.K).astype(float)
         N_ref = np.bincount(ds.labeled_x, minlength=theta.K).astype(float)
-        if n and name == "poisson":
-            v, c = np.unique(ds.unlabeled_y, return_counts=True)
-            q = responsibilities(kind, theta, v).T
-            S_ref += q @ (c * v)
-            N_ref += q @ c.astype(float)
-        elif n:
-            q = responsibilities(kind, theta, ds.unlabeled_y).T
-            S_ref += q @ ds.unlabeled_y
-            N_ref += q.sum(axis=1)
+        if n:
+            v, c = ((np.unique(ds.unlabeled_y, return_counts=True))
+                    if name == "poisson" else (ds.unlabeled_y, 1.0))
+            terms = LogitTerms.of(kind, theta)
+            e = np.exp(np.multiply.outer(terms.d_theta, v)
+                       + terms.d_offsets[:, None])
+            rc = 1.0 / np.sum(e, axis=0, initial=1.0) * c
+            moments = np.vstack([np.ones(v.size), e]) @ np.stack([rc * v, rc]).T
+            S_ref += moments[:, 0]
+            N_ref += moments[:, 1]
         np.testing.assert_array_equal(S, S_ref)
         np.testing.assert_array_equal(N, N_ref)
 
@@ -382,6 +420,27 @@ class TestBlockedEStep:
         assert np.max(S) >= 1e154 * (1.0 - 1e-12)
         assert np.all(np.isfinite(m_step(kind, ds, theta).theta))
 
+    @pytest.mark.parametrize("name, grouped", [
+        ("gmm", False), ("gmm", True), ("sym2", False), ("sym2", True),
+        ("poisson", True), ("K=1", False), ("K=1", True)])
+    def test_overflowing_block_matches_exact_sums(self, name, grouped,
+                                                  monkeypatch):
+        # One block takes the max-shifted responsibilities, and the blocks
+        # after it take the relative weights again from the same buffers.
+        kind, theta, far = FALLBACK_CASES[name]
+        terms = LogitTerms.of(kind, theta)
+        assert theta.K == 1 or max(terms.d_theta * far + terms.d_offsets) >= 720
+        ds = fallback_dataset(name, grouped, np.random.default_rng(7))
+        if grouped:
+            monkeypatch.setattr(em, "_ESTEP_BLOCK_BYTES", 4 * 8 * theta.K)
+            values = em._unlabeled(ds)[0]
+            at = int(np.flatnonzero(values == far)[0])
+            assert 4 <= at < values.size - 4 or name == "poisson"
+        else:
+            assert em._unlabeled(ds)[1] is None
+        S, N = estep(kind, ds, theta)
+        assert_matches_exact_sums(S, N, kind, theta, ds)
+
     def test_label_out_of_range_raises_from_m_step_and_run_em(self):
         theta = BLOCK_KINDS["gmm"][1]
         rows = em._block_rows(theta.K)
@@ -397,17 +456,18 @@ class TestBlockedEStep:
         # labeled statistics once per run.
         calls, rows, labeled_calls = [], [], []
 
-        def counting_posterior(terms, y):
+        def counting_weights(terms, y, *buffers):
             calls.append(1)
             rows.append(np.size(y))
-            return posterior(terms, y)
+            return relative_weights(terms, y, *buffers)
 
         def counting_labeled(*args):
             labeled_calls.append(1)
             return labeled_statistics(*args)
 
+        relative_weights = em._relative_weights
         labeled_statistics = em._labeled_statistics
-        monkeypatch.setattr(em, "posterior", counting_posterior)
+        monkeypatch.setattr(em, "_relative_weights", counting_weights)
         monkeypatch.setattr(em, "_labeled_statistics", counting_labeled)
         kind, theta = BLOCK_KINDS["gmm"]
         B = em._block_rows(theta.K)
@@ -515,19 +575,20 @@ class TestFarTail:
 class TestGroupedEStep:
     def test_integer_sample_passes_distinct_values_per_iteration(self, monkeypatch):
         rows = []
+        relative_weights = em._relative_weights
 
-        def counting_posterior(terms, y):
+        def counting_weights(terms, y, *buffers):
             rows.append(np.size(y))
-            return posterior(terms, y)
+            return relative_weights(terms, y, *buffers)
 
-        monkeypatch.setattr(em, "posterior", counting_posterior)
+        monkeypatch.setattr(em, "_relative_weights", counting_weights)
         kind, theta = BLOCK_KINDS["poisson"]
         ds = block_dataset("poisson", 3 * em._block_rows(theta.K))
         distinct = np.unique(ds.unlabeled_y).size
         traj = run_em(kind, ds, MixtureParams(theta.pi, theta.theta + 0.3),
                       EmConfig(max_iters=6, tol=1e-300))
         assert traj.n_steps == 6
-        assert sum(rows) <= distinct * traj.n_steps
+        assert sum(rows) == distinct * traj.n_steps
         assert distinct < 30
 
     @pytest.mark.parametrize("name", ["gmm", "sym2"])
@@ -540,13 +601,7 @@ class TestGroupedEStep:
         uy[::50] = -0.0
         ds = Dataset([0, 1], [-1.0, 2.0], uy)
         S, N = estep(kind, ds, theta)
-        q = responsibilities(kind, theta, uy)
-        for k in range(theta.K):
-            labeled = ds.labeled_y[ds.labeled_x == k].tolist()
-            for got, terms in ((S[k], labeled + (q[:, k] * uy).tolist()),
-                               (N[k], [1.0] * len(labeled) + q[:, k].tolist())):
-                scale = math.fsum(abs(v) for v in terms)
-                assert abs(got - math.fsum(terms)) <= 16 * np.finfo(float).eps * scale
+        assert_matches_exact_sums(S, N, kind, theta, ds)
         row_by_row = em._carrier_sum(kind, ds, (uy, None))
         assert em._carrier_sum(kind, ds, em._unlabeled(ds)) == pytest.approx(
             row_by_row, rel=1e-14)
