@@ -138,10 +138,11 @@ def gaussian_spec() -> ExpFamilySpec:
 _POISSON_STEP_BAND = 1e-9
 _POISSON_TABLE_MAX_MU = 1e4
 # Draws that ``_poisson_quantile`` maps at a time.  Only the result (8
-# bytes a draw) and the near-a-step flags (1) span every draw; the index,
-# gathers and differences of the step test (up to 32 bytes a draw) live
-# for one block, so a one-component sample keeps to the sampler's
-# ``_sample_bytes_per_row``.
+# bytes a draw) and the near-a-step flags (1) span every draw; the
+# products u * G, the bucket numbers and their flags (at most 8 + 8 + 1
+# bytes a draw), and the search and step test of the draws in flagged
+# buckets, live for one block, so a one-component sample keeps to the
+# sampler's ``_sample_bytes_per_row``.
 _POISSON_BLOCK = 1 << 14
 
 
@@ -156,18 +157,52 @@ def _poisson_rule(u, mu):
     return np.where(pdtr(below, mu) >= u, below, k)
 
 
+def _poisson_buckets(cdf, start):
+    """The bucket index of :func:`_poisson_quantile` for the CDF table
+    ``cdf`` of ``pdtr(start + i, mu)`` (guide tables, Chen & Asau 1974;
+    Devroye 1986, III.2.4): ``(G, table, flagged)``.
+
+    (0, 1) is cut into G = 2^j equal buckets, the least power of two at
+    least 64 times the table, within [2^12, 2^16].  Bucket b holds
+    ``table[b] = start + count(cdf < b / G)``.  It is flagged when a draw in
+    it may have another search result or lie near a step: when a step lies
+    within a relative 1e-8 (ten times ``_POISSON_STEP_BAND``) of it, or
+    when it reaches a table end that counts as a step (the sentinels of
+    :func:`_poisson_quantile`).  A draw in any other bucket therefore has
+    the search result ``table[b]`` and is not near a step.
+    """
+    G = 1 << min(max((64 * cdf.size - 1).bit_length(), 12), 16)
+    scaled = cdf * G  # exact, as is each v * G: G is a power of two
+    # cdf < b / G exactly when floor(cdf * G) < b.
+    below = np.bincount(scaled.astype(np.intp) + 1, minlength=G)[:G]
+    table = np.cumsum(below) + start
+    # 2e-8 G < 1, so the buckets within 1e-8 of a step are at most two: the
+    # ones that hold its two ends.
+    flagged = np.zeros(G, dtype=bool)
+    for rel in (1.0 - 1e-8, 1.0 + 1e-8):
+        flagged[np.minimum(scaled * rel, G - 1).astype(np.intp)] = True
+    flagged[int(scaled[-1]):] = True  # above the last entry
+    if start:  # at or below the first entry
+        flagged[:int(scaled[0]) + 1] = True
+    return G, table, flagged
+
+
 def _poisson_quantile(th, u):
-    """Poisson(exp(th)) draws for uniforms ``u`` in (0, 1): the smallest k
-    with ``pdtr(k, mu) >= u``, as the same floats that
+    """Poisson(exp(th)) draws for uniforms ``u`` in (0, 1), shaped like
+    ``u``: the smallest k with ``pdtr(k, mu) >= u``, as the same floats that
     ``scipy.stats.poisson.ppf(u, exp(th))`` returns.
 
     The rule of :func:`_poisson_rule` at ``min(u)`` and ``max(u)`` brackets
-    the draws; ``searchsorted`` on the CDF tabulated one step beyond that
-    bracket maps them, ``_POISSON_BLOCK`` at a time (inversion by table
-    search, Devroye 1986, III.2).  A draw within ``_POISSON_STEP_BAND`` of
-    a step takes the rule's own answer.  So does every draw when mu is above
-    ``_POISSON_TABLE_MAX_MU``.  Below it, with u in [2^-54, 1 - 2^-53], the
-    table holds at most about 1,750 entries.
+    the draws; the CDF tabulated one step beyond that bracket maps them,
+    ``_POISSON_BLOCK`` at a time (inversion by table search, Devroye 1986,
+    III.2).  A draw takes its entry of the bucket index
+    (:func:`_poisson_buckets`) by its bucket ``floor(u * G)``; only draws
+    in flagged buckets are searched in the table.  That gives each draw the
+    result of a search of the whole table, as ``pdtr`` is non-decreasing in
+    k.  A draw within ``_POISSON_STEP_BAND`` of a step takes the rule's own
+    answer.  So does every draw when mu is above ``_POISSON_TABLE_MAX_MU``.
+    Below it, with u in [2^-54, 1 - 2^-53], the table holds at most about
+    1,750 entries.
     """
     from scipy.special import pdtr
 
@@ -180,22 +215,36 @@ def _poisson_quantile(th, u):
         return _poisson_rule(u, mu)
     start = max(lo - 1.0, 0.0)
     cdf = pdtr(np.arange(start, hi + 2.0), mu)
+    # pdtr flushes its smallest values to 0 (at mu = e^8, those below
+    # 4.3e-312), where pdtrik still places steps: the table starts at its
+    # first positive entry, so a draw at or below it takes the rule.
+    flushed = int(np.searchsorted(cdf, 0.0, side="right"))
+    if flushed == cdf.size:
+        return _poisson_rule(u, mu)
+    start, cdf = start + flushed, cdf[flushed:]
     # The sentinels make a draw outside the table's interior count as near
     # a step: above the last entry, or at or below the first one when that
     # is not pdtr(0).
     steps = np.concatenate(([np.inf if start else -np.inf], cdf, [-np.inf]))
-    k = np.empty_like(u)
-    near = np.empty(u.shape, dtype=bool)
-    for at in range(0, u.size, _POISSON_BLOCK):
-        block = slice(at, at + _POISSON_BLOCK)
-        v = u[block]
+    G, table, flagged = _poisson_buckets(cdf, start)
+    flat = u.reshape(-1)
+    k = np.empty_like(flat)
+    near = np.zeros(flat.shape, dtype=bool)
+    for at in range(0, flat.size, _POISSON_BLOCK):
+        v = flat[at:at + _POISSON_BLOCK]
+        b = (v * G).astype(np.intp)
+        # Every b is in [0, G): "clip" only skips the bounds check.
+        np.take(table, b, out=k[at:at + v.size], mode="clip")
+        f = np.flatnonzero(flagged[b])
+        v = v[f]
+        f += at
         # cdf[idx - 1] < v <= cdf[idx]
         idx = np.searchsorted(cdf, v, side="left")
-        near[block] = (np.minimum(steps[idx + 1] - v, v - steps[idx])
-                       <= _POISSON_STEP_BAND * v)
-        np.add(idx, start, out=k[block])
-    k[near] = _poisson_rule(u[near], mu)
-    return k
+        k[f] = idx + start
+        near[f] = (np.minimum(steps[idx + 1] - v, v - steps[idx])
+                   <= _POISSON_STEP_BAND * v)
+    k[near] = _poisson_rule(flat[near], mu)
+    return k.reshape(u.shape)
 
 
 def poisson_spec() -> ExpFamilySpec:

@@ -276,7 +276,9 @@ def _sample_bytes_per_row(K: int) -> int:
     and draw.  A family's quantile function runs on one component's rows
     at a time, after the uniforms and components are dropped, so it has 17
     bytes a row for its result and temporaries: each built-in one needs at
-    most 16 (the Poisson one maps its draws in blocks for this)."""
+    most 16.  The Poisson one needs 9 (its draws and near-a-step flags),
+    beside arrays of fixed size: one block's temporaries and its bucket
+    index, at most 2^16 buckets of 9 bytes."""
     return 32 + np.min_scalar_type(K - 1).itemsize
 
 

@@ -45,15 +45,17 @@ def reference_save_dataset_csv(dataset, path):
             writer.writerow(["U", "", f"{y:.17g}"])
 
 
-def assert_simulate_writes_pinned_dataset(config, tmp_path):
-    """``ssem simulate --seed 0`` on a benchmark config writes the
+PINNED = json.loads((PERFBENCH / "digests.json").read_text())["sha256"]
+
+
+def assert_simulate_writes_pinned_dataset(config, tmp_path, seed=0):
+    """``ssem simulate --seed <seed>`` on a benchmark config writes the
     ``dataset.csv`` whose digest the benchmark pins."""
-    pinned = json.loads((PERFBENCH / "digests.json").read_text())
     cfg = str(PERFBENCH / "configs" / config)
-    assert main(["simulate", "--config", cfg, "--seed", "0",
+    assert main(["simulate", "--config", cfg, "--seed", str(seed),
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "dataset.csv").read_bytes())
-    assert digest.hexdigest() == pinned["sha256"][f"{config}:0"]
+    assert digest.hexdigest() == PINNED[f"{config}:{seed}"]
 
 
 def assert_bit_identical(a, b):
@@ -164,20 +166,50 @@ def poisson_reference(theta, u):
     return poisson.ppf(u, np.exp(theta)).astype(float)
 
 
-def cdf_step_probes(theta):
-    """Every step ``pdtr(k, mu)`` of the Poisson CDF in (0, 1), its 1-ULP
-    neighbours and its 1e-14 relative offsets, inside (0, 1)."""
+def cdf_steps(theta):
+    """Every step ``pdtr(k, mu)`` of the Poisson CDF in (0, 1), ascending."""
     from scipy.special import pdtr
 
     mu = math.exp(theta)
     steps = pdtr(np.arange(mu + 40.0 * math.sqrt(mu) + 50.0), mu)
-    steps = steps[(steps > 0.0) & (steps < 1.0)]
-    probes = np.concatenate([steps, np.nextafter(steps, 0.0),
-                             np.nextafter(steps, 1.0),
-                             steps * (1.0 - 1e-14), steps * (1.0 + 1e-14)])
+    return steps[(steps > 0.0) & (steps < 1.0)]
+
+
+def inside(probes):
     return probes[(probes > 0.0) & (probes < 1.0)]
 
 
+def cdf_step_probes(theta):
+    """Every step of the Poisson CDF in (0, 1), its 1-ULP neighbours and
+    its 1e-14 relative offsets, inside (0, 1)."""
+    steps = cdf_steps(theta)
+    return inside(np.concatenate([
+        steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+        steps * (1.0 - 1e-14), steps * (1.0 + 1e-14)]))
+
+
+def step_band_probes(steps):
+    """``steps`` times (1 +- 1e-9), (1 +- 1.1e-9) and (1 +- 1e-8): on the
+    edge of the band in which the quantile defers to scipy's rule, just
+    outside it, and at the relative distance within which a step flags a
+    bucket."""
+    rel = np.array([1e-9, 1.1e-9, 1e-8])
+    return inside(np.outer(steps, np.concatenate([1.0 - rel, 1.0 + rel])).ravel())
+
+
+def bucket_edge_probes(steps):
+    """The edges ``b / 2^j`` (j = 12 ... 16) of the buckets that hold each
+    of ``steps`` and of the next bucket up, and their 1-ULP neighbours."""
+    edges = []
+    for j in range(12, 17):
+        b = np.floor(np.ldexp(steps, j))
+        edges += [np.ldexp(b, -j), np.ldexp(b + 1.0, -j)]
+    edges = np.concatenate(edges)
+    return inside(np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)]))
+
+
+EXTREME_UNIFORMS = np.array([2.0 ** -54, 1.0 - 2.0 ** -53])
 # 9.2 sits just below the table's mean cap (log 1e4 ~ 9.21), where pdtr
 # and pdtrik agree least.
 POISSON_THETAS = [-5.0, -4.0, 0.5, 2.0, math.log(50.0), 8.0, 9.2]
@@ -218,16 +250,86 @@ class TestPoissonQuantile:
         # For theta = 8 the probes include subnormal steps.
         self.assert_matches_scipy(theta, cdf_step_probes(theta))
 
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.4, 0.6)])
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_bucket_index(self, theta, low, high, monkeypatch):
+        # Every bucket that is not flagged has one search result over its
+        # whole width, no step within a relative 1e-8 of it, and lies
+        # inside the table's ends.  Draws from the middle of (0, 1) give a
+        # table whose ends leave buckets below and above it.
+        built = []
+        index = ssem.model._poisson_buckets
+
+        def spy(cdf, start):
+            built.append((cdf, start) + index(cdf, start))
+            return built[-1][2:]
+
+        monkeypatch.setattr(ssem.model, "_poisson_buckets", spy)
+        u = np.random.default_rng(7).uniform(low, high, 300_000)
+        self.quantile(theta, np.maximum(u, 2.0 ** -54))
+        [(cdf, start, G, table, flagged)] = built
+        assert G & (G - 1) == 0 and 1 << 12 <= G <= 1 << 16
+        assert G >= 64 * cdf.size or G == 1 << 16
+        assert G < 128 * cdf.size or G == 1 << 12
+        lo, hi = np.arange(G) / G, np.arange(1, G + 1) / G
+        clean = ~flagged
+        assert np.array_equal(table, np.searchsorted(cdf, lo) + start)
+        assert np.array_equal(np.searchsorted(cdf, lo)[clean],
+                              np.searchsorted(cdf, np.nextafter(hi, 0.0))[clean])
+        steps_near = (np.searchsorted(cdf, lo * (1.0 - 1e-8))
+                      != np.searchsorted(cdf, hi * (1.0 + 1e-8), side="right"))
+        assert not np.any(steps_near & clean)
+        assert np.all(hi[clean] <= cdf[-1])
+        assert not start or np.all(lo[clean] > cdf[0])
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_step_band_probes(self, theta):
+        self.assert_matches_scipy(theta, step_band_probes(cdf_steps(theta)))
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_bucket_edge_probes(self, theta):
+        self.assert_matches_scipy(theta, bucket_edge_probes(cdf_steps(theta)))
+
+    @given(theta=st.floats(-6.0, 9.2), p=st.floats(0.0, 1.0),
+           wide=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_any_mean(self, theta, p, wide):
+        # The band and bucket-edge probes of the five steps around p; with
+        # ``wide`` the extreme uniforms too, so the table spans the whole
+        # CDF and has the most buckets.
+        steps = cdf_steps(theta)
+        at = int(np.searchsorted(steps, p))
+        steps = steps[max(at - 2, 0):at + 3]
+        u = np.concatenate([step_band_probes(steps),
+                            bucket_edge_probes(steps),
+                            EXTREME_UNIFORMS if wide else [], [p]])
+        self.assert_matches_scipy(theta, inside(u))
+
     @pytest.mark.parametrize("theta", POISSON_THETAS)
     def test_extreme_uniforms(self, theta):
-        ends = np.array([2.0 ** -54, 1.0 - 2.0 ** -53])
-        self.assert_matches_scipy(theta, ends)
+        self.assert_matches_scipy(theta, EXTREME_UNIFORMS)
         u = np.random.default_rng(3).random(1000)
-        self.assert_matches_scipy(theta, np.concatenate([ends, u]))
+        self.assert_matches_scipy(theta, np.concatenate([EXTREME_UNIFORMS, u]))
+
+    @pytest.mark.parametrize("theta", [8.0, 9.2])
+    def test_uniforms_where_pdtr_flushes_to_zero(self, theta):
+        # pdtr is 0 at the steps pdtrik places for these uniforms: for the
+        # first, at every step the table would hold.
+        self.assert_matches_scipy(theta, np.array([5e-324]))
+        self.assert_matches_scipy(theta, np.array([5e-324, 1e-315, 0.5]))
 
     @pytest.mark.parametrize("theta", POISSON_THETAS)
     def test_empty(self, theta):
         self.assert_matches_scipy(theta, np.empty(0))
+
+    @pytest.mark.parametrize("theta", POISSON_THETAS)
+    def test_uniforms_keep_their_shape(self, theta):
+        # As the Gaussian and exponential quantiles and scipy do, a scalar
+        # uniform gives a 0-d result and a 2-d array a 2-d one.
+        self.assert_matches_scipy(theta, 0.3)
+        self.assert_matches_scipy(theta, np.float64(0.3))
+        u = np.random.default_rng(5).random(600).reshape(20, 30)
+        self.assert_matches_scipy(theta, u)
 
     def test_huge_mean(self):
         # At mu = e^16 scipy's pdtr jumps by 1.2e-7 between k = 8899533 and
@@ -243,6 +345,12 @@ class TestPoissonQuantile:
 
     def test_simulate_writes_pinned_dataset(self, tmp_path):
         assert_simulate_writes_pinned_dataset("poisson2.cfg", tmp_path)
+
+    @pytest.mark.parametrize("seed", sorted(
+        int(key.split(":")[1]) for key in PINNED
+        if key.startswith("poisson2.cfg:") and key != "poisson2.cfg:0"))
+    def test_simulate_writes_pinned_dataset_other_seeds(self, seed, tmp_path):
+        assert_simulate_writes_pinned_dataset("poisson2.cfg", tmp_path, seed)
 
 
 class TestIntegerTable:
@@ -488,15 +596,23 @@ class TestSampleMemory:
     # entries).
     SLACK = 64 * 1024
 
-    @pytest.mark.parametrize("config, overrides", [
-        ("gmm3.cfg", {}),
-        ("poisson2.cfg", {}),
+    @pytest.mark.parametrize("config, overrides, buckets", [
+        ("gmm3.cfg", {}, None),
+        ("poisson2.cfg", {}, 1 << 12),
         # One component: the Poisson quantile maps every row in one call,
         # so its temporaries must fit the design too.
         ("poisson2.cfg", {"model.theta_star": 2.0, "model.pi": 1.0,
-                          "em.theta0": 2.0}),
-    ], ids=["gmm3.cfg", "poisson2.cfg", "poisson1"])
-    def test_tracemalloc_peak_within_design(self, config, overrides):
+                          "em.theta0": 2.0}, 1 << 12),
+        # One component with a CDF table of several hundred entries, and
+        # one of about a thousand, whose bucket index is the largest.
+        ("poisson2.cfg", {"model.theta_star": 8.0, "model.pi": 1.0,
+                          "em.theta0": 8.0}, 1 << 15),
+        ("poisson2.cfg", {"model.theta_star": 9.2, "model.pi": 1.0,
+                          "em.theta0": 9.2}, 1 << 16),
+    ], ids=["gmm3.cfg", "poisson2.cfg", "poisson1", "poisson1-theta8",
+            "poisson1-theta9.2"])
+    def test_tracemalloc_peak_within_design(self, config, overrides, buckets,
+                                            monkeypatch):
         import tracemalloc
 
         from ssem.config import build_run_config, load_config_file
@@ -510,11 +626,31 @@ class TestSampleMemory:
         # uniforms gathered in that order (8), beside the finished labeled
         # labels and values (8 + 8 a labeled row).
         sampling = (16 + 1 + 8 + 8) * n + (8 + 8) * m
+        # The Poisson quantile, on one component's rows, holds beside the
+        # gathered uniforms and their order (8 + 8) its draws and near-step
+        # flags (8 + 1), one block's products u * G, bucket numbers and
+        # flags (8 + 8 + 1 a draw) and the bucket index (8 + 1 a bucket, at
+        # most 2^16 buckets).  At this size that stays below the uniforms'
+        # peak, so the bound is the same.
+        block = ssem.model._POISSON_BLOCK
+        quantile = ((8 + 8 + 8 + 1) * n + (8 + 8) * m + (8 + 8 + 1) * block
+                    + (8 + 1) * (1 << 16))
+        assert quantile <= sampling
         # The row tables hold the dataset (8 a row, 16 a labeled row) and,
         # while grouping, an index and an inverse per row of each part
         # (8 + 8).
         grouping = 8 * n + 16 * m + (8 + 8) * (n + m)
+        built = []
+        index = ssem.model._poisson_buckets
+
+        def spy(cdf, start):
+            out = index(cdf, start)
+            built.append(out[0])
+            return out
+
+        monkeypatch.setattr(ssem.model, "_poisson_buckets", spy)
         sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())  # warm
+        assert max(built, default=None) == buckets
         tracemalloc.start()
         try:
             ds = sample_dataset(cfg.kind, cfg.theta_star, cfg.sample_config())
