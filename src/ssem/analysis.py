@@ -70,6 +70,10 @@ from .population import (
 THEOREM_SLACK = 1e-6
 RATE_SLACK = 1e-8
 RATE_FLOOR = 1e-8  # 100x the default quadrature tolerance
+# How far from 2 the log-log slope of a Taylor residual may lie (thm2).
+SLOPE_WINDOW = 0.3
+# Population-EM iterations of each trajectory of the rescue demonstration.
+RESCUE_MAX_ITERS = 24
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -292,18 +296,18 @@ class Theorem2Report(_Checked):
         return out
 
 
-def verify_theorem2(pm: PopulationModel, epsilons: list[float],
-                    slope_window: float = 0.3) -> Theorem2Report:
+def verify_theorem2(pm: PopulationModel,
+                    epsilons: list[float]) -> Theorem2Report:
     """Check the local contraction-ratio limit for an exponential family.
 
     For probes ``theta* +- eps`` over shrinking ``eps``, |ratio - beta_k|
     must be nonincreasing, and the first-order Taylor residual of the mean
     function at the updated point must scale as eps^2 (log-log slope within
-    ``slope_window`` of 2).  Only the radii of :func:`_usable_radius` are
+    ``SLOPE_WINDOW`` of 2).  Only the radii of :func:`_usable_radius` are
     measured: one inside the fixed-point guard, or whose probe leaves the
     natural domain on either side, is dropped.  When every residual sits at
-    quadrature noise the expansion is exact (linear mean function) and the
-    slope fit is skipped.
+    quadrature noise (all below ``RATE_FLOOR``) the expansion is exact
+    (linear mean function) and the slope fit is skipped.
     """
     if pm.kind.tag != "expfam":
         raise NotExpFam(f"verify_theorem2 requires an expfam kind, got {pm.kind.tag}")
@@ -342,7 +346,7 @@ def verify_theorem2(pm: PopulationModel, epsilons: list[float],
                 slope = float(np.polyfit(np.log(series.epsilons),
                                          np.log(resids), 1)[0])
                 series.taylor_slope = slope
-                series.slope_ok = abs(slope - 2.0) <= slope_window
+                series.slope_ok = abs(slope - 2.0) <= SLOPE_WINDOW
             report.series.append(series)
     return report
 
@@ -537,44 +541,43 @@ def lemma3_checks(tail_grid: list[float]) -> list[dict]:
     return out
 
 
-def _step_ratios(traj: Trajectory, theta_star: MixtureParams,
-                 floor: float) -> tuple[int, list[float]]:
-    """How many iterates have a max-norm error above ``floor``, and the
-    ratio ``err_{t+1} / err_t`` of every step that starts from one.
+def _step_ratios(traj: Trajectory,
+                 theta_star: MixtureParams) -> tuple[int, list[float]]:
+    """How many iterates have a max-norm error above ``RATE_FLOOR``, and
+    the ratio ``err_{t+1} / err_t`` of every step that starts from one.
 
     The errors are ``traj.errors``; they are computed against
     ``theta_star`` only when the run recorded none."""
     errs = np.array(traj.errors or traj.errors_to(theta_star))
     ratios = [float(errs[t + 1] / errs[t])
-              for t in range(len(errs) - 1) if errs[t] > floor]
-    return int(np.count_nonzero(errs > floor)), ratios
+              for t in range(len(errs) - 1) if errs[t] > RATE_FLOOR]
+    return int(np.count_nonzero(errs > RATE_FLOOR)), ratios
 
 
-def empirical_rate(traj: Trajectory, theta_star: MixtureParams,
-                   floor: float = RATE_FLOOR) -> float:
+def empirical_rate(traj: Trajectory, theta_star: MixtureParams) -> float:
     """Worst per-step error contraction ``err_{t+1} / err_t`` along a
-    trajectory, ignoring steps whose starting error sits below ``floor``
-    (noise / quadrature level).
+    trajectory, ignoring steps whose starting error sits at or below
+    ``RATE_FLOOR`` (noise / quadrature level).
 
     The errors are the ones the run recorded in ``traj.errors``, which take
     precedence; ``theta_star`` is used only when the trajectory recorded
     none.  Requires at least three iterates above the floor, otherwise
     raises :class:`TrajectoryTooShort`.
     """
-    above, ratios = _step_ratios(traj, theta_star, floor)
+    above, ratios = _step_ratios(traj, theta_star)
     if above < 3:
         raise TrajectoryTooShort(
-            f"only {above} iterates above the floor {floor:g}")
+            f"only {above} iterates above the floor {RATE_FLOOR:g}")
     return max(ratios)
 
 
-def measurable_step_ratios(traj: Trajectory, theta_star: MixtureParams,
-                           floor: float = RATE_FLOOR) -> list[float]:
-    """Per-step error ratios for steps starting above the floor (may be
+def measurable_step_ratios(traj: Trajectory,
+                           theta_star: MixtureParams) -> list[float]:
+    """Per-step error ratios for steps starting above ``RATE_FLOOR`` (may be
     fewer than the strict three-iterate requirement of
     :func:`empirical_rate`).  As there, recorded ``traj.errors`` take
     precedence over errors against ``theta_star``."""
-    return _step_ratios(traj, theta_star, floor)[1]
+    return _step_ratios(traj, theta_star)[1]
 
 
 @dataclass
@@ -609,8 +612,7 @@ class RescueReport(_Checked):
 
 
 def demonstrate_rescue(pm: PopulationModel,
-                       probe_offsets=None,
-                       max_iters: int = 24) -> RescueReport:
+                       probe_offsets=None) -> RescueReport:
     """Measure kappa for the unlabeled-only operator, solve for the labeled
     fraction ``gamma_min`` at which ``beta(gamma) * kappa = 1``, and emit
     population-EM trajectories bracketing it.
@@ -622,8 +624,9 @@ def demonstrate_rescue(pm: PopulationModel,
     Raises :class:`DomainError` naming the offsets when no probe lies in
     the domain, and :class:`ProbeTooCloseToFixedPoint` when every probe
     that does is skipped.  The two population-EM runs start at the probe
-    that gave kappa and go in lockstep, their iterates' moments one batch
-    per round; the first round reads the probe grid's step.
+    that gave kappa and go in lockstep for at most ``RESCUE_MAX_ITERS``
+    iterations, their iterates' moments one batch per round; the first
+    round reads the probe grid's step.
 
     When kappa < 1 the operator already contracts; the report carries the
     ``no_rescue_needed`` status (this is the observed situation for the
@@ -674,7 +677,7 @@ def demonstrate_rescue(pm: PopulationModel,
         gamma_min=gamma_min, rescue_needed=rescue_needed, status=status,
         gammas=[gamma_lo, gamma_hi])
     trajs = _run_lockstep([pm.with_gamma(gamma) for gamma in report.gammas],
-                          probe_best, max_iters, first=step_best)
+                          probe_best, RESCUE_MAX_ITERS, first=step_best)
     for gamma, traj in zip(report.gammas, trajs):
         key = f"{gamma:.6g}"
         ratios = measurable_step_ratios(traj, pm.theta_star)

@@ -22,14 +22,16 @@ number raises ``ValueError``.
 runs every target that lists the config's kind, and a target named for a
 kind it does not list exits 2 with ``field: "model.kind"``.
 
-Each call builds the argument parser of its one command only;
-:func:`build_parser` is the parser of all of them, and ``main`` parses the
-same namespace as it does.
+Every command is parsed by :func:`build_parser`, one parser of all of
+them, built once a process and reused by every later call.  A usage error
+exits 2; an unrecognized option is reported under the top-level ``usage:
+ssem ...`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -338,43 +340,39 @@ def _emit_error(kind: str, exc: Exception, field: str = "") -> None:
 COMMANDS = ("simulate", "population", "sample", "verify")
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
-    """The arguments of ``command``, declared once for both parsers."""
-    if command == "verify":
-        parser.add_argument("which", choices=[*VERIFIERS, "all"])
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--set", dest="assignments", action="append",
-                        default=[], metavar="KEY=VALUE")
+class _Parser(argparse.ArgumentParser):
+    """Begins every parse with a new ``--set`` list.  Without it, every
+    namespace that has no ``--set`` would hold the one default list of a
+    parser that is built once and reused."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if namespace is None:
+            namespace = argparse.Namespace(assignments=[])
+        return super().parse_known_args(args, namespace)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command: ``ssem <command> ...``."""
-    parser = argparse.ArgumentParser(
+    """The parser of every command, ``ssem <command> ...``, built once a
+    process."""
+    parser = _Parser(
         prog="ssem",
         description="Semi-supervised EM simulator and rate-bound verifier")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_options(sub.add_parser(name), name)
+        command = sub.add_parser(name)
+        if name == "verify":
+            command.add_argument("which", choices=[*VERIFIERS, "all"])
+        command.add_argument("--config", required=True)
+        command.add_argument("--out", default=None)
+        command.add_argument("--seed", type=int, default=None)
+        command.add_argument("--set", dest="assignments", action="append",
+                             default=[], metavar="KEY=VALUE")
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, built for the one command named
-    in ``argv[0]``: a command line runs one command, and the parser of all
-    of them costs most of a millisecond to build.  A missing or unknown
-    command goes to the full parser, which reports it (exit 2)."""
-    if not argv or argv[0] not in COMMANDS:
-        return build_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(prog=f"ssem {argv[0]}")
-    _add_options(parser, argv[0])
-    return parser.parse_args(argv[1:],
-                             namespace=argparse.Namespace(command=argv[0]))
-
-
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         raw = load_config_file(args.config)
         raw = apply_overrides(raw, args.assignments)

@@ -704,25 +704,34 @@ def _closed_form_inverse(spec: ExpFamilySpec, target: float) -> float:
     return float(spec.alpha_prime_inv(np.float64(target)))
 
 
+# The absolute residual at which the Newton inversion of alpha_prime stops,
+# and the iterations it may take.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
+
+
 def invert_alpha_prime(spec: ExpFamilySpec, target: float,
-                       x0: float | None = None,
-                       tol: float = 1e-12, max_iter: int = 200) -> float:
+                       x0: float | None = None) -> float:
     """Solve ``alpha_prime(x) = target`` for x in the natural domain.
 
-    A family with ``alpha_prime_inv`` is inverted in closed form; ``x0``,
-    ``tol`` and ``max_iter`` are then unused.  Raises
-    :class:`MeanOutOfRange` when the result is not finite or not inside
-    the open natural domain.
+    A family with ``alpha_prime_inv`` is inverted in closed form; ``x0`` is
+    then unused.  Raises :class:`MeanOutOfRange` when the result is not
+    finite or not inside the open natural domain.
 
     Otherwise safeguarded Newton: a bracket is grown geometrically from
     ``x0`` using the monotonicity of ``alpha_prime``; Newton steps that
     leave the bracket fall back to bisection.  It stops at an *absolute*
-    residual ``|alpha_prime(x) - target| < tol``, so x is accurate only to
-    about ``tol / alpha_second(x)``: loose where ``alpha_prime`` is flat
-    (a Poisson mean of 1e-14 would come back as log-mean -28 rather than
-    -32), and a target inside ``tol`` of the range's end is not rejected.
-    Raises :class:`MeanOutOfRange` when no bracket exists inside the domain
-    and :class:`NoConvergence` after ``max_iter`` iterations.
+    residual ``|alpha_prime(x) - target| < NEWTON_TOL``, so x is accurate
+    only to about ``NEWTON_TOL / alpha_second(x)``: loose where
+    ``alpha_prime`` is flat (a Poisson mean of 1e-14 would come back as
+    log-mean -28 rather than -32), and a target inside ``NEWTON_TOL`` of
+    the range's end is not rejected.  Where ``alpha_prime`` is steep, no
+    float x may reach that residual (at a Poisson mean of 1e5,
+    ``alpha_prime`` moves by 1.9e-10 from one float x to the next); once
+    the bracket's ends are adjacent floats, the end with the smaller
+    residual is returned.  Raises :class:`MeanOutOfRange`
+    when no bracket exists inside the domain and :class:`NoConvergence`
+    after ``NEWTON_MAX_ITER`` iterations.
     """
     lo_dom, hi_dom = spec.natural_domain
     if not math.isfinite(target):
@@ -748,23 +757,25 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
         else:
             x0 = 0.0
 
-    # Grow a bracket [lo, hi] with residual(lo) <= 0 <= residual(hi).
+    # Grow a bracket [lo, hi] whose residuals are r_lo <= 0 <= r_hi.
     lo = hi = float(x0)
-    r0 = residual(x0)
+    r0 = r_lo = r_hi = residual(x0)
     step = max(1.0, abs(x0))
     for _ in range(200):
-        if residual(lo) <= 0.0:
+        if r_lo <= 0.0:
             break
         lo = 0.5 * (lo + lo_dom) if np.isfinite(lo_dom) else lo - step
+        r_lo = residual(lo)
         step *= 2.0
     else:
         raise MeanOutOfRange(
             f"statistic {target} below the range of alpha_prime for {spec.name!r}")
     step = max(1.0, abs(x0))
     for _ in range(200):
-        if residual(hi) >= 0.0:
+        if r_hi >= 0.0:
             break
         hi = 0.5 * (hi + hi_dom) if np.isfinite(hi_dom) else hi + step
+        r_hi = residual(hi)
         step *= 2.0
     else:
         raise MeanOutOfRange(
@@ -772,13 +783,15 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
 
     x = float(np.clip(x0, lo, hi))
     r = r0 if x == x0 else residual(x)
-    for _ in range(max_iter):
-        if abs(r) < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if abs(r) < NEWTON_TOL:
             return x
         if r > 0.0:
-            hi = x
+            hi, r_hi = x, r
         else:
-            lo = x
+            lo, r_lo = x, r
+        if not lo < 0.5 * (lo + hi) < hi:  # the bracket cannot shrink
+            return lo if abs(r_lo) <= abs(r_hi) else hi
         deriv = float(spec.alpha_second(x))
         x_new = x - r / deriv if deriv > 0.0 else np.nan
         if not np.isfinite(x_new) or not (lo < x_new < hi):
@@ -786,5 +799,5 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
         x = x_new
         r = residual(x)
     raise NoConvergence(
-        f"alpha_prime inversion did not reach |residual| < {tol} "
-        f"in {max_iter} iterations (last residual {r:.3e})")
+        f"alpha_prime inversion did not reach |residual| < {NEWTON_TOL} "
+        f"in {NEWTON_MAX_ITER} iterations (last residual {r:.3e})")

@@ -424,7 +424,7 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
 
 
 def _run_lockstep(pms: list[PopulationModel], theta0: MixtureParams,
-                  max_iters: int = 200, tol: float = 1e-13,
+                  max_iters: int, tol: float = 1e-13,
                   first: PopulationStep | None = None) -> list[Trajectory]:
     """:func:`run_population_em` of each of ``pms``, which share a truth and
     a scheme, from ``theta0`` in lockstep: each round reads the moments at

@@ -657,43 +657,54 @@ def _unparsed(line: str) -> bool:
     return not line or bool(line.encode().translate(None, _ROW_BYTES))
 
 
-def _parse_rows(path, n_lines: int | None) -> np.ndarray:
-    """The data rows of ``path``, after its header line, as ``_ROW``
-    records; ``n_lines`` is their :func:`_line_count`.
+def _parse(source, **kwargs) -> np.ndarray:
+    return np.loadtxt(source, dtype=_ROW, delimiter=",", comments=None,
+                      ndmin=1, encoding="utf-8", **kwargs)
 
-    A blank line, a line with a byte outside ``_ROW_BYTES``, or a line
-    ``np.loadtxt`` cannot parse (a wrong field count or a ``y`` that is no
-    float), raises :class:`ConfigError` naming the first such line.
-    """
-    def parse(source, **kwargs):
-        return np.loadtxt(source, dtype=_ROW, delimiter=",", comments=None,
-                          ndmin=1, encoding="utf-8", **kwargs)
 
-    if n_lines == 0:
-        return np.empty(0, _ROW)
-    # Blank lines and stray bytes are found first (``_line_count``).
-    # max_rows lets np.loadtxt allocate the records once, at their final
-    # size.
-    if n_lines is not None:
-        try:
-            return parse(path, skiprows=1, max_rows=n_lines)
-        except ValueError:
-            pass
+def _label_rule(rows: np.ndarray):
+    """The kind/label rule of ``rows``: a mask of the rows that break it
+    (a kind other than L or U, a label on a U row, an L label that is no
+    int64 decimal), the label of each distinct L-row string (None where
+    bad), and the index of each L row into them."""
+    kind, x = rows["k"], rows["x"]
+    labeled, unlabeled = kind == b"L", kind == b"U"
+    # Labels repeat: parse each distinct string once.
+    uniq, inverse = np.unique(x[labeled], return_inverse=True)
+    values = [int(s) if _LABEL.fullmatch(s) and int(s) in _INT64 else None
+              for s in uniq.tolist()]
+    bad = ~(labeled | unlabeled) | (unlabeled & (x != b""))
+    bad[labeled] |= np.array([v is None for v in values], dtype=bool)[inverse]
+    return bad, values, inverse
+
+
+def _good(lines: list[str]) -> bool:
+    """Whether ``lines`` parse and keep the kind/label rule."""
+    try:
+        return not _label_rule(_parse(lines))[0].any()
+    except ValueError:
+        return False
+
+
+def _first_bad_line(path) -> ConfigError:
+    """The error naming the first row of ``path`` that is blank, holds a
+    byte outside ``_ROW_BYTES``, does not parse (a wrong field count or a
+    ``y`` that is no float) or breaks :func:`_label_rule`; ``path`` must
+    hold one."""
     lines = _body_lines(path)
-    # Bisect for the first bad line: lines[:lo] parse, and the first bad
-    # line is at an index in [lo, hi], the first blank line or line with a
-    # stray byte at the latest.
+    # Bisect: lines[:lo] are good, and the first bad line is at an index in
+    # [lo, hi], the first blank line or line with a stray byte at the
+    # latest.
     lo = 0
     hi = next((i for i, line in enumerate(lines) if _unparsed(line)),
               len(lines))
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        try:
-            parse(lines[lo:mid])
+        if _good(lines[lo:mid]):
             lo = mid
-        except ValueError:
+        else:
             hi = mid - 1
-    raise _bad_line(lo + 2, lines[lo])
+    return _bad_line(lo + 2, lines[lo])
 
 
 def load_dataset_csv(path) -> Dataset:
@@ -705,7 +716,7 @@ def load_dataset_csv(path) -> Dataset:
     out-of-range label, a label on a ``U`` row, a ``y`` that is no float,
     whitespace, a NUL or a non-ASCII character anywhere in the row),
     raises :class:`ConfigError` with ``field="dataset"`` and the 1-based
-    line number.  Negative labels and non-finite ``y`` pass the parse and
+    number of the first such line.  Negative labels and non-finite ``y`` pass the parse and
     are refused by :class:`Dataset` (:class:`DomainError`).
     """
     with open(path, "rb") as fh:
@@ -715,18 +726,20 @@ def load_dataset_csv(path) -> Dataset:
                 f"unexpected dataset header {header.decode(errors='replace')!r}",
                 field="dataset")
         n_lines = _line_count(fh)
-    rows = _parse_rows(path, n_lines)
-
-    kind, x = rows["k"], rows["x"]
-    labeled, unlabeled = kind == b"L", kind == b"U"
-    # Labels repeat: parse each distinct string once.
-    uniq, inverse = np.unique(x[labeled], return_inverse=True)
-    values = [int(s) if _LABEL.fullmatch(s) and int(s) in _INT64 else None
-              for s in uniq.tolist()]
-    bad = ~(labeled | unlabeled) | (unlabeled & (x != b""))
-    bad[labeled] |= np.array([v is None for v in values], dtype=bool)[inverse]
+    if n_lines == 0:
+        rows = np.empty(0, _ROW)
+    elif n_lines is None:  # a blank line or a stray byte (``_line_count``)
+        raise _first_bad_line(path)
+    else:
+        # max_rows lets np.loadtxt allocate the records once, at their
+        # final size.
+        try:
+            rows = _parse(path, skiprows=1, max_rows=n_lines)
+        except ValueError:
+            raise _first_bad_line(path) from None
+    bad, values, inverse = _label_rule(rows)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise _bad_line(i + 2, _body_lines(path)[i])
+        raise _first_bad_line(path)
     labels = np.array(values, dtype=np.int64)[inverse]
-    return Dataset(labels, rows["y"][labeled], rows["y"][unlabeled])
+    labeled = rows["k"] == b"L"  # every other row is a U row
+    return Dataset(labels, rows["y"][labeled], rows["y"][~labeled])

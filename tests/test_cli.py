@@ -521,10 +521,10 @@ class TestStrictJson:
 
 
 class TestArgumentParsing:
-    """``main`` builds the parser of its one command; it must parse what the
-    parser of every command, :func:`build_parser`, parses."""
+    """``main`` parses with :func:`build_parser`, the parser of every
+    command, built once a process."""
 
-    @pytest.mark.parametrize("argv", [
+    ARGVS = [
         ["simulate", "--config", "a.cfg"],
         ["population", "--config", "a.cfg", "--out", "d"],
         ["sample", "--out", "d", "--config", "a.cfg", "--seed", "18446744073709551615"],
@@ -535,9 +535,28 @@ class TestArgumentParsing:
          "--out", "d", "--set", "x=3"],
         ["verify", "lemma3", "--conf", "a.cfg", "--seed", "0"],
         ["population", "--config=a.cfg", "--set=a=b"],
-    ])
-    def test_same_namespace_as_full_parser(self, argv):
-        assert cli._parse_args(argv) == build_parser().parse_args(argv)
+    ]
+
+    # Each fails after some of its options are parsed.
+    USAGE_ERRORS = [
+        ["simulate", "--set", "a=1"],
+        ["verify", "--set", "a=1", "--config", "a.cfg"],
+        ["sample", "--config", "a.cfg", "--seed", "1.5"],
+        ["population", "--config", "a.cfg", "--set", "b=2", "--bogus"],
+    ]
+
+    def test_one_parser_parses_in_sequence(self, capsys):
+        parser = build_parser()
+        assert build_parser() is parser
+        spaces = []
+        for i, argv in enumerate(self.ARGVS):
+            args = parser.parse_args(argv)
+            assert args == build_parser.__wrapped__().parse_args(argv)
+            spaces.append(args)
+            with pytest.raises(SystemExit):
+                parser.parse_args(self.USAGE_ERRORS[i % len(self.USAGE_ERRORS)])
+        capsys.readouterr()
+        assert len({id(args.assignments) for args in spaces}) == len(spaces)
 
     @pytest.mark.parametrize("argv", [
         [],

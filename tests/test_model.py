@@ -382,6 +382,21 @@ class TestInvertAlphaPrime:
         assert invert_alpha_prime(spec, 3.0) == pytest.approx(
             math.log(3.0), abs=1e-12)
 
+    # Where the float spacing of alpha' at the root exceeds Newton's 1e-12,
+    # no x reaches the residual; the closest float is the answer.
+    @pytest.mark.parametrize("make, target", [
+        (poisson_spec, 5e3), (poisson_spec, 1e4), (poisson_spec, 1e5),
+        (poisson_spec, 1e6), (exponential_spec, 1e5)])
+    def test_newton_returns_closest_float_below_resolution(self, make, target):
+        spec = dataclasses.replace(make(), alpha_prime_inv=None)
+        x = invert_alpha_prime(spec, target)
+
+        def miss(at):
+            return abs(float(spec.alpha_prime(at)) - target)
+
+        assert miss(x) <= min(miss(np.nextafter(x, -np.inf)),
+                              miss(np.nextafter(x, np.inf)))
+
     @pytest.mark.parametrize("make", [gaussian_spec, poisson_spec,
                                       exponential_spec])
     def test_builtin_inverse_undoes_mean(self, make):

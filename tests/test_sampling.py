@@ -948,12 +948,17 @@ class TestDatasetAndCsv:
         ("kind,x,y\nU,,0.5\nU,,1\u2028\n", 3),
         ("kind,x,y\nU,,0.5\r\nU,,1\n", 2),
         ("kind,x,y\nL\x00,0,1\n", 2),
+        ("kind,x,y\nL,1.0,0.5\nU,,abc\n", 2),
+        ("kind,x,y\nX,,0.5\nU,,1\n\n", 2),
+        ("kind,x,y\nU,3,0.5\nU,,1,2\n", 2),
     ], ids=["short-row", "blank-line", "trailing-blank-line", "only-blank-line",
             "bad-float", "empty-label", "float-label", "label-overflow",
             "long-label", "extra-column", "label-on-U-row", "unknown-kind",
             "nul-after-label", "tab-before-y", "space-before-y",
             "space-after-y", "line-separator-after-y", "carriage-return",
-            "nul-after-kind"])
+            "nul-after-kind", "float-label-before-bad-float",
+            "unknown-kind-before-blank-line",
+            "label-on-U-row-before-extra-column"])
     def test_malformed_row_is_config_error(self, text, line, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -1,9 +1,11 @@
 """The surface a change that only simplifies the code must keep: the names
-``ssem`` exports, the CLI's commands, verify targets and options (the
-parser ``perfbench/checks.py`` imports), and the config keys each model
-kind reads, which README's config table lists.  A name, command, option
-or key added or lost fails here."""
+``ssem`` exports and the parameters of each callable one, the CLI's
+commands, verify targets and options (the parser ``perfbench/checks.py``
+imports), and the config keys each model kind reads, which README's config
+table lists.  A name, parameter, default, command, option or key added or
+lost fails here."""
 
+import inspect
 import re
 import types
 from pathlib import Path
@@ -33,6 +35,82 @@ EXPORTS = frozenset("""
     run_population_em sample_dataset save_dataset_csv theta_star_from_labels
     verify_theorem1 verify_theorem2
 """.split())
+_SCHEME = ("QuadratureScheme(abs_tol=1e-10, range_sigma=12.0, "
+           "max_subdivisions=65536)")
+# The parameters of each callable export, as a ``def`` line spells them
+# without annotations; None for an error class that takes the arguments of
+# ``Exception``.
+SIGNATURES = {
+    "ConfigError": "(message, field='')",
+    "ContractionReport": "(gamma, theta_star, pi, probes, results=<factory>)",
+    "Dataset": "(labeled_x, labeled_y, unlabeled_y)",
+    "DegenerateDenominator": None,
+    "DomainError": None,
+    "EmConfig": "(max_iters=100, tol=1e-10, record_trajectory=True)",
+    "EmptyComponent": None,
+    "ExpFamilySpec": (
+        "(name, t, log_carrier, alpha, alpha_prime, alpha_second, "
+        "natural_domain=(-inf, inf), support=Support(kind='real', lo=-inf, "
+        "hi=inf), quantile=None, alpha_prime_inv=None)"),
+    "MeanOutOfRange": None,
+    "MixtureParams": "(pi, theta)",
+    "ModelKind": "(tag, spec=None)",
+    "NoConvergence": None,
+    "NotExpFam": None,
+    "NumericOverflow": None,
+    "PopulationModel": f"(kind, theta_star, gamma, scheme={_SCHEME})",
+    "PopulationStep": "(pm, theta, e_q, e_qt)",
+    "ProbeOutsideRegime": None,
+    "ProbeTooCloseToFixedPoint": None,
+    "QuadratureFailure": None,
+    "QuadratureScheme": "(abs_tol=1e-10, range_sigma=12.0, max_subdivisions=65536)",
+    "RateBoundReport": (
+        "(item, theta_star, gamma, bound_value, applicable, measured_kappa, "
+        "passed, extras=<factory>)"),
+    "RescueReport": (
+        "(kind, theta_star, kappa_measured, kappa_component, kappa_probe, "
+        "c_at_kappa, gamma_min, rescue_needed, status, gammas=<factory>, "
+        "trajectory_errors=<factory>, step_ratios=<factory>, "
+        "ratio_bounds=<factory>, ratio_ok=<factory>)"),
+    "SampleConfig": "(seed, m, n, label_allocation='proportional')",
+    "SsemError": None,
+    "Support": "(kind, lo=-inf, hi=inf)",
+    "Trajectory": "(iterates=<factory>, q_values=<factory>, errors=<factory>, "
+                  "converged=False)",
+    "TrajectoryTooShort": None,
+    "beta_theoretical": "(c, pi_k, gamma)",
+    "c_theta": "(pm, theta, k)",
+    "component_log_density": "(kind, k, params, y)",
+    "contraction_ratio": "(pm, theta_probe, k)",
+    "demonstrate_rescue": "(pm, probe_offsets=None)",
+    "dm0_dtheta_sym2": "(pm, theta)",
+    "empirical_rate": "(traj, theta_star)",
+    "expect": "(pm, f)",
+    "exponential_spec": "()",
+    "gaussian_spec": "()",
+    "gaussian_tail_sandwich": "(t)",
+    "invert_alpha_prime": "(spec, target, x0=None)",
+    "load_dataset_csv": "(path)",
+    "m_step_expfam": "(spec, data, theta_t)",
+    "m_step_gmm": "(data, theta_t)",
+    "m_step_sym2": "(data, theta_t)",
+    "marginal_log_density": "(kind, params, y)",
+    "poisson_spec": "()",
+    "pop_m0": "(pm, theta, k)",
+    "pop_m_gamma": "(pm, theta, k)",
+    "q_value": "(kind, data, theta, theta_t)",
+    "rate_bound_item1": f"(theta_star, gamma, scheme={_SCHEME})",
+    "rate_bound_item2": f"(theta_star, gamma, scheme={_SCHEME})",
+    "rate_bound_item3": f"(theta_star, gamma, theta_probe, scheme={_SCHEME})",
+    "responsibility": "(kind, params, y, k)",
+    "run_em": "(kind, data, theta0, cfg, theta_star=None)",
+    "run_population_em": "(pm, theta0, max_iters=200, tol=1e-13)",
+    "sample_dataset": "(kind, theta_star, cfg)",
+    "save_dataset_csv": "(dataset, path)",
+    "theta_star_from_labels": "(pm, k)",
+    "verify_theorem1": "(pm, probe_grid)",
+    "verify_theorem2": "(pm, epsilons)",
+}
 COMMANDS = ("simulate", "population", "sample", "verify")
 # In the order ``verify all`` runs them.
 TARGETS = ["thm1", "thm2", "thm3-1", "thm3-2", "thm3-3", "lemma3", "rescue"]
@@ -52,6 +130,24 @@ def test_package_exports():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public == EXPORTS
+
+
+def parameters(obj) -> str | None:
+    """The parameters of ``obj`` with their defaults and no annotations, or
+    None when it has no signature of its own."""
+    try:
+        sig = inspect.signature(obj)
+    except ValueError:  # an exception class with BaseException's __init__
+        return None
+    return str(sig.replace(
+        parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+        return_annotation=sig.empty))
+
+
+def test_exported_signatures():
+    exported = {name: parameters(getattr(ssem, name)) for name in EXPORTS
+                if callable(getattr(ssem, name))}
+    assert exported == SIGNATURES
 
 
 def test_commands_and_verify_targets():
