@@ -346,9 +346,8 @@ class _Parser(argparse.ArgumentParser):
     parser that is built once and reused."""
 
     def parse_known_args(self, args=None, namespace=None):
-        if namespace is None:
-            namespace = argparse.Namespace(assignments=[])
-        return super().parse_known_args(args, namespace)
+        return super().parse_known_args(
+            args, namespace or argparse.Namespace(assignments=[]))
 
 
 @functools.cache

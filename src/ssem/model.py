@@ -757,25 +757,23 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
         else:
             x0 = 0.0
 
-    # Grow a bracket [lo, hi] whose residuals are r_lo <= 0 <= r_hi.
+    # Grow a bracket [lo, hi] with residual(lo) <= 0 <= residual(hi).
     lo = hi = float(x0)
-    r0 = r_lo = r_hi = residual(x0)
+    r0 = residual(x0)
     step = max(1.0, abs(x0))
     for _ in range(200):
-        if r_lo <= 0.0:
+        if residual(lo) <= 0.0:
             break
         lo = 0.5 * (lo + lo_dom) if np.isfinite(lo_dom) else lo - step
-        r_lo = residual(lo)
         step *= 2.0
     else:
         raise MeanOutOfRange(
             f"statistic {target} below the range of alpha_prime for {spec.name!r}")
     step = max(1.0, abs(x0))
     for _ in range(200):
-        if r_hi >= 0.0:
+        if residual(hi) >= 0.0:
             break
         hi = 0.5 * (hi + hi_dom) if np.isfinite(hi_dom) else hi + step
-        r_hi = residual(hi)
         step *= 2.0
     else:
         raise MeanOutOfRange(
@@ -787,11 +785,11 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
         if abs(r) < NEWTON_TOL:
             return x
         if r > 0.0:
-            hi, r_hi = x, r
+            hi = x
         else:
-            lo, r_lo = x, r
+            lo = x
         if not lo < 0.5 * (lo + hi) < hi:  # the bracket cannot shrink
-            return lo if abs(r_lo) <= abs(r_hi) else hi
+            return min(lo, hi, key=lambda end: abs(residual(end)))
         deriv = float(spec.alpha_second(x))
         x_new = x - r / deriv if deriv > 0.0 else np.nan
         if not np.isfinite(x_new) or not (lo < x_new < hi):

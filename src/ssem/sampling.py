@@ -662,35 +662,35 @@ def _parse(source, **kwargs) -> np.ndarray:
                       ndmin=1, encoding="utf-8", **kwargs)
 
 
-def _label_rule(rows: np.ndarray):
-    """The kind/label rule of ``rows``: a mask of the rows that break it
-    (a kind other than L or U, a label on a U row, an L label that is no
-    int64 decimal), the label of each distinct L-row string (None where
-    bad), and the index of each L row into them."""
+def _labels(rows: np.ndarray) -> np.ndarray:
+    """The int64 labels of the L rows of ``rows``.  Raises ``ValueError``
+    when a row breaks the kind/label rule: a kind other than L or U, a
+    label on a U row, or an L label that is no int64 decimal."""
     kind, x = rows["k"], rows["x"]
-    labeled, unlabeled = kind == b"L", kind == b"U"
+    labeled = kind == b"L"
     # Labels repeat: parse each distinct string once.
     uniq, inverse = np.unique(x[labeled], return_inverse=True)
     values = [int(s) if _LABEL.fullmatch(s) and int(s) in _INT64 else None
               for s in uniq.tolist()]
-    bad = ~(labeled | unlabeled) | (unlabeled & (x != b""))
-    bad[labeled] |= np.array([v is None for v in values], dtype=bool)[inverse]
-    return bad, values, inverse
+    if None in values or not np.all(labeled | ((kind == b"U") & (x == b""))):
+        raise ValueError("a row breaks the kind/label rule")
+    return np.array(values, dtype=np.int64)[inverse]
 
 
 def _good(lines: list[str]) -> bool:
     """Whether ``lines`` parse and keep the kind/label rule."""
     try:
-        return not _label_rule(_parse(lines))[0].any()
+        _labels(_parse(lines))
     except ValueError:
         return False
+    return True
 
 
 def _first_bad_line(path) -> ConfigError:
     """The error naming the first row of ``path`` that is blank, holds a
     byte outside ``_ROW_BYTES``, does not parse (a wrong field count or a
-    ``y`` that is no float) or breaks :func:`_label_rule`; ``path`` must
-    hold one."""
+    ``y`` that is no float) or breaks the kind/label rule of
+    :func:`_labels`; ``path`` must hold one."""
     lines = _body_lines(path)
     # Bisect: lines[:lo] are good, and the first bad line is at an index in
     # [lo, hi], the first blank line or line with a stray byte at the
@@ -716,8 +716,9 @@ def load_dataset_csv(path) -> Dataset:
     out-of-range label, a label on a ``U`` row, a ``y`` that is no float,
     whitespace, a NUL or a non-ASCII character anywhere in the row),
     raises :class:`ConfigError` with ``field="dataset"`` and the 1-based
-    number of the first such line.  Negative labels and non-finite ``y`` pass the parse and
-    are refused by :class:`Dataset` (:class:`DomainError`).
+    number of the first such line.  Negative labels and non-finite ``y``
+    pass the parse and are refused by :class:`Dataset`
+    (:class:`DomainError`).
     """
     with open(path, "rb") as fh:
         header = fh.readline().removesuffix(b"\n")
@@ -726,20 +727,15 @@ def load_dataset_csv(path) -> Dataset:
                 f"unexpected dataset header {header.decode(errors='replace')!r}",
                 field="dataset")
         n_lines = _line_count(fh)
-    if n_lines == 0:
-        rows = np.empty(0, _ROW)
-    elif n_lines is None:  # a blank line or a stray byte (``_line_count``)
+    if n_lines is None:  # a blank line or a stray byte (``_line_count``)
         raise _first_bad_line(path)
-    else:
-        # max_rows lets np.loadtxt allocate the records once, at their
-        # final size.
-        try:
-            rows = _parse(path, skiprows=1, max_rows=n_lines)
-        except ValueError:
-            raise _first_bad_line(path) from None
-    bad, values, inverse = _label_rule(rows)
-    if bad.any():
-        raise _first_bad_line(path)
-    labels = np.array(values, dtype=np.int64)[inverse]
+    # max_rows lets np.loadtxt allocate the records once, at their final
+    # size.
+    try:
+        rows = (_parse(path, skiprows=1, max_rows=n_lines) if n_lines
+                else np.empty(0, _ROW))
+        labels = _labels(rows)
+    except ValueError:
+        raise _first_bad_line(path) from None
     labeled = rows["k"] == b"L"  # every other row is a U row
     return Dataset(labels, rows["y"][labeled], rows["y"][~labeled])
