@@ -382,8 +382,8 @@ class TestInvertAlphaPrime:
         assert invert_alpha_prime(spec, 3.0) == pytest.approx(
             math.log(3.0), abs=1e-12)
 
-    # Where the float spacing of alpha' at the root exceeds Newton's 1e-12,
-    # no x reaches the residual; the closest float is the answer.
+    # Where alpha' moves by more than Newton's 1e-12 from one float x to the
+    # next, no x reaches that residual; the closest float is the answer.
     @pytest.mark.parametrize("make, target", [
         (poisson_spec, 5e3), (poisson_spec, 1e4), (poisson_spec, 1e5),
         (poisson_spec, 1e6), (exponential_spec, 1e5)])
