@@ -18,9 +18,12 @@ calculators cover the symmetric pair: a derivative bound 4/(theta*^2 e^2),
 a sharper two-term tail-split bound for theta* > 2, and a gradient-
 smoothness bound for probes beyond theta* + 1.
 
-All inequality checks are one-sided with a small additive slack: quadrature
-runs at 1e-10 absolute tolerance, leaving ample margin under the 1e-6
-(contraction) and 1e-8 (rate bound) slacks.
+All inequality checks are one-sided with a small additive slack, 1e-6
+(contraction) and 1e-8 (rate bound), against quadrature at 1e-10 absolute
+tolerance.  That margin is not always ample: shifting each population
+integral by +-1e-10 (in two of four sign patterns) flips both sym2 checks
+``rescue/step_ratio_le_beta_kappa`` at theta* = 1.5 from pass to fail, as
+the rescue counts steps whose error is only a few times ``RATE_FLOOR``.
 
 Each rule of the verifiers is written once here:
 
@@ -74,6 +77,9 @@ RATE_FLOOR = 1e-8  # 100x the default quadrature tolerance
 SLOPE_WINDOW = 0.3
 # Population-EM iterations of each trajectory of the rescue demonstration.
 RESCUE_MAX_ITERS = 24
+# The probe offsets theta* + offset of the rescue demonstration and of the
+# config's Theorem-1 grid, when none are given.
+PROBE_OFFSETS = (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -617,7 +623,8 @@ def demonstrate_rescue(pm: PopulationModel,
     fraction ``gamma_min`` at which ``beta(gamma) * kappa = 1``, and emit
     population-EM trajectories bracketing it.
 
-    The probes are ``kind.shift(theta*, offset)``, and their moments one
+    The probes are ``kind.shift(theta*, offset)`` for each of
+    ``probe_offsets`` (default ``PROBE_OFFSETS``), and their moments one
     batch (one vector integral); a probe outside the natural domain
     (:func:`_in_domain`) is skipped, as is a component inside the
     fixed-point guard or whose ``E[q_k]`` underflows the denominator guard.
@@ -633,8 +640,8 @@ def demonstrate_rescue(pm: PopulationModel,
     symmetric pair at every separation) and the trajectories demonstrate the
     labeled speedup instead.
     """
-    offsets = (np.linspace(0.25, 3.0, 8) if probe_offsets is None
-               else np.asarray(probe_offsets, dtype=float))
+    offsets = np.asarray(PROBE_OFFSETS if probe_offsets is None
+                         else probe_offsets, dtype=float)
     probes = [pm.kind.shift(pm.theta_star, off) for off in offsets
               if _in_domain(pm, off)]
     if not probes:

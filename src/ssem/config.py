@@ -347,7 +347,7 @@ def build_run_config(raw: dict) -> RunConfig:
         out_dir=get("output.directory", _text, "."),
         probe_offsets=get("verify.probe_offsets",
                           _grid("finite", math.isfinite),
-                          (0.2, 0.5, 0.8, 1.2, 1.7, 2.3, 3.0, 4.0)),
+                          analysis.PROBE_OFFSETS),
         epsilons=get("verify.epsilons", _radii, (0.2, 0.1, 0.05, 0.025)),
         # The probes theta* + offset of rate_bound_item3, for every theta*.
         item3_probe_offsets=get(

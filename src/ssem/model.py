@@ -411,7 +411,7 @@ class ModelKind:
         """Component parameter whose mean statistic is ``mean``:
         :func:`invert_alpha_prime` of :attr:`family`, started at ``x0``
         when the family has no closed-form inverse."""
-        return invert_alpha_prime(self.family, float(mean), x0=x0)
+        return invert_alpha_prime(self.family, float(mean), x0)
 
     def tie(self, k: int) -> tuple[tuple[int, float], ...]:
         """The components that share component k's free parameter phi, as
@@ -694,50 +694,51 @@ def responsibility(kind: ModelKind, params: MixtureParams, y, k: int):
     return _at_points(lambda pts: posterior(terms, pts)[0][k], y)
 
 
-# np.errstate as a decorator builds no context manager per call: 0.7 rather
-# than 1.1 us a call, and the population updates make thousands of calls.
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _closed_form_inverse(spec: ExpFamilySpec, target: float) -> float:
-    """``alpha_prime_inv(target)`` with numpy's floating-point warnings off:
-    a target outside the range of ``alpha_prime`` comes back as inf or NaN
-    for :func:`invert_alpha_prime` to reject."""
-    return float(spec.alpha_prime_inv(np.float64(target)))
-
-
 # The absolute residual at which the Newton inversion of alpha_prime stops,
 # and the iterations it may take.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 200
 
 
+# numpy's floating-point state of the inversion: a target outside the range
+# of alpha_prime comes back from alpha_prime_inv as inf or NaN, for the
+# check below to reject, and alpha_prime may overflow far out on Newton's
+# bracket walk, giving an infinite residual that ends the bracket; neither
+# is a warning.  np.errstate as a decorator builds no context manager per
+# call: 0.7 rather than 1.1 us a call, and the population updates make
+# thousands of calls.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def invert_alpha_prime(spec: ExpFamilySpec, target: float,
                        x0: float | None = None) -> float:
-    """Solve ``alpha_prime(x) = target`` for x in the natural domain.
+    """Solve ``alpha_prime(x) = target`` for x in the natural domain, with
+    numpy's floating-point warnings off.
 
     A family with ``alpha_prime_inv`` is inverted in closed form; ``x0`` is
     then unused.  Raises :class:`MeanOutOfRange` when the result is not
     finite or not inside the open natural domain.
 
-    Otherwise safeguarded Newton: a bracket is grown geometrically from
-    ``x0`` using the monotonicity of ``alpha_prime``; Newton steps that
-    leave the bracket fall back to bisection.  It stops at an *absolute*
-    residual ``|alpha_prime(x) - target| < NEWTON_TOL``, so x is accurate
-    only to about ``NEWTON_TOL / alpha_second(x)``: loose where
-    ``alpha_prime`` is flat (a Poisson mean of 1e-14 would come back as
-    log-mean -28 rather than -32), and a target inside ``NEWTON_TOL`` of
-    the range's end is not rejected.  Where ``alpha_prime`` is steep, no
-    float x may reach that residual (at a Poisson mean of 1e5,
-    ``alpha_prime`` moves by 1.9e-10 from one float x to the next); once
-    the bracket's ends are adjacent floats, the end with the smaller
-    residual is returned.  Raises :class:`MeanOutOfRange`
-    when no bracket exists inside the domain and :class:`NoConvergence`
-    after ``NEWTON_MAX_ITER`` iterations.
+    Otherwise safeguarded Newton from ``x0`` (a point inside the domain
+    when ``x0`` is None or outside it): a bracket is walked out
+    geometrically on the side where the residual at ``x0`` has the wrong
+    sign (both sides for a NaN), using the monotonicity of
+    ``alpha_prime``; Newton steps that leave the bracket fall back to
+    bisection.  It stops at an *absolute* residual
+    ``|alpha_prime(x) - target| < NEWTON_TOL``, so x is accurate only to
+    about ``NEWTON_TOL / alpha_second(x)``: loose where ``alpha_prime`` is
+    flat (a Poisson mean of 1e-14 would come back as log-mean -28 rather
+    than -32), and a target inside ``NEWTON_TOL`` of the range's end is not
+    rejected.  Where ``alpha_prime`` is steep, no float x may reach that
+    residual (at a Poisson mean of 1e5, ``alpha_prime`` moves by 1.9e-10
+    from one float x to the next); once the bracket's ends are adjacent
+    floats, the end with the smaller residual is returned.  Raises
+    :class:`MeanOutOfRange` when no bracket exists inside the domain and
+    :class:`NoConvergence` after ``NEWTON_MAX_ITER`` iterations.
     """
     lo_dom, hi_dom = spec.natural_domain
     if not math.isfinite(target):
         raise MeanOutOfRange(f"target statistic {target} is not finite")
     if spec.alpha_prime_inv is not None:
-        x = _closed_form_inverse(spec, target)
+        x = float(spec.alpha_prime_inv(np.float64(target)))
         if not (math.isfinite(x) and lo_dom < x < hi_dom):
             raise MeanOutOfRange(
                 f"statistic {target} outside the range of alpha_prime for "
@@ -747,7 +748,7 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
     def residual(x):
         return float(spec.alpha_prime(x)) - target
 
-    if x0 is None or not (lo_dom < x0 < hi_dom) or not np.isfinite(x0):
+    if x0 is None or not lo_dom < x0 < hi_dom:  # NaN and +-inf fail too
         if np.isfinite(lo_dom) and np.isfinite(hi_dom):
             x0 = 0.5 * (lo_dom + hi_dom)
         elif np.isfinite(lo_dom):
@@ -757,30 +758,26 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
         else:
             x0 = 0.0
 
-    # Grow a bracket [lo, hi] with residual(lo) <= 0 <= residual(hi).
-    lo = hi = float(x0)
-    r0 = residual(x0)
-    step = max(1.0, abs(x0))
-    for _ in range(200):
-        if residual(lo) <= 0.0:
-            break
-        lo = 0.5 * (lo + lo_dom) if np.isfinite(lo_dom) else lo - step
-        step *= 2.0
-    else:
-        raise MeanOutOfRange(
-            f"statistic {target} below the range of alpha_prime for {spec.name!r}")
-    step = max(1.0, abs(x0))
-    for _ in range(200):
-        if residual(hi) >= 0.0:
-            break
-        hi = 0.5 * (hi + hi_dom) if np.isfinite(hi_dom) else hi + step
-        step *= 2.0
-    else:
-        raise MeanOutOfRange(
-            f"statistic {target} above the range of alpha_prime for {spec.name!r}")
+    # Walk out a bracket [lo, hi] with residual(lo) <= 0 <= residual(hi):
+    # each end starts at x0 and, while its residual has the wrong sign,
+    # halves its way to a finite end of the domain or else takes a
+    # doubling step, through at most 200 points, x0 among them.
+    r = residual(x0)
+    x = lo = hi = float(x0)
+    for sign, bound, side in ((-1.0, lo_dom, "below"), (1.0, hi_dom, "above")):
+        end, r_end, step = x, r, max(1.0, abs(x0))
+        for _ in range(199):
+            if sign * r_end >= 0.0:
+                break
+            end = (0.5 * (end + bound) if math.isfinite(bound)
+                   else end + sign * step)
+            step *= 2.0
+            r_end = residual(end)
+        if not sign * r_end >= 0.0:
+            raise MeanOutOfRange(f"statistic {target} {side} the range of "
+                                 f"alpha_prime for {spec.name!r}")
+        lo, hi = (end, hi) if sign < 0.0 else (lo, end)
 
-    x = float(np.clip(x0, lo, hi))
-    r = r0 if x == x0 else residual(x)
     for _ in range(NEWTON_MAX_ITER):
         if abs(r) < NEWTON_TOL:
             return x

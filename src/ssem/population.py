@@ -192,16 +192,14 @@ _MAX_SUPPORT_POINTS = 1 << 20
 
 
 class _TruthGrid(NamedTuple):
-    """The truncated range of the truth, its starting quadrature panels
-    (None on an integer support), the truth's :class:`LogitTerms`, built
-    once for every density the integrals read, and the truth's density at
-    ``nodes``: the panels' Kronrod nodes, or every support point of an
-    integer support.  ``nodes`` and ``density`` are read-only.  An integer
-    window of more than ``_MAX_SUPPORT_POINTS`` points raises
+    """The starting quadrature panels over the truncated range of the
+    truth (None on an integer support), the truth's :class:`LogitTerms`,
+    built once for every density the integrals read, and the truth's
+    density at ``nodes``: the panels' Kronrod nodes, or every support point
+    of the integer window.  ``nodes`` and ``density`` are read-only.  An
+    integer window of more than ``_MAX_SUPPORT_POINTS`` points raises
     :class:`DomainError` before any array is built."""
 
-    lo: float
-    hi: float
     panels: quadrature.Panels | None
     terms: LogitTerms
     nodes: np.ndarray
@@ -231,7 +229,7 @@ class _TruthGrid(NamedTuple):
         density = np.exp(_mixture_log_density(terms, nodes))
         nodes.setflags(write=False)
         density.setflags(write=False)
-        return cls(lo, hi, panels, terms, nodes, density)
+        return cls(panels, terms, nodes, density)
 
 
 def expect(pm: PopulationModel,
@@ -254,11 +252,8 @@ def expect(pm: PopulationModel,
                    np.exp(_mixture_log_density(grid.terms, y)))
         return np.asarray(f(y), dtype=float) * density
 
-    value, _ = quadrature.integrate(
-        integrand, grid.lo, grid.hi,
-        abs_tol=pm.scheme.abs_tol,
-        max_subdivisions=pm.scheme.max_subdivisions,
-        initial_panels=grid.panels)
+    value, _ = quadrature.integrate(integrand, grid.panels, pm.scheme.abs_tol,
+                                    pm.scheme.max_subdivisions)
     return value
 
 

@@ -14,9 +14,10 @@ bisected when any output's panel error exceeds its share of the budget, and
 refinement stops only when every output's summed estimate is within
 ``abs_tol``.
 
-The starting split may be made in advance as :class:`Panels`, so a caller
-integrating many functions against one weight can compute the weight at the
-starting nodes once: ``integrate`` hands ``f`` that very node array first.
+The starting split is given as :class:`Panels`, made in advance, so a
+caller integrating many functions against one weight can compute the weight
+at the starting nodes once: ``integrate`` hands ``f`` that very node array
+first.
 
 The final value is accumulated in ascending panel order, so results are
 bit-reproducible for identical inputs regardless of the split history's
@@ -79,8 +80,7 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 class Panels(NamedTuple):
     """A split of ``[a, b]`` into panels ``[lo_i, hi_i]``, in ascending
-    order, and their Kronrod nodes.  :meth:`uniform` is the split
-    ``integrate`` makes from a panel count."""
+    order, and their Kronrod nodes: the starting split of ``integrate``."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -88,7 +88,10 @@ class Panels(NamedTuple):
 
     @classmethod
     def uniform(cls, a: float, b: float, count: int) -> "Panels":
-        """``count`` equal panels over ``[a, b]``."""
+        """``count`` equal panels over ``[a, b]``.  Raises ``ValueError``
+        unless ``a < b``, both finite."""
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"invalid integration interval [{a}, {b}]")
         edges = np.linspace(a, b, count + 1)
         lo, hi = edges[:-1], edges[1:]
         return cls(lo, hi, _kronrod_nodes(lo, hi))
@@ -126,11 +129,12 @@ def _panel_estimates(f: Callable[[np.ndarray], np.ndarray],
     return resk, errors
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              abs_tol: float = 1e-10, max_subdivisions: int = 1 << 16,
-              initial_panels: int | Panels = 8
+def integrate(f: Callable[[np.ndarray], np.ndarray], panels: Panels,
+              abs_tol: float, max_subdivisions: int
               ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
+    """Integrate ``f`` over the span of ``panels`` to absolute tolerance
+    ``abs_tol``, starting from that split: the ``nodes`` array of
+    ``panels`` is the argument of the first call to ``f``.
 
     Returns ``(value, error_estimate)``: two floats for a scalar integrand,
     two ``(M,)`` arrays for one returning shape ``(M, n)``, where every
@@ -138,25 +142,13 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     :class:`QuadratureFailure` if an estimate still exceeds ``abs_tol`` once
     ``max_subdivisions`` panels are in play (or the integrand goes
     non-finite).
-
-    ``initial_panels`` is the starting split: a count of equal panels, or
-    :class:`Panels` spanning ``[a, b]``, whose ``nodes`` array is then the
-    argument of the first call to ``f``.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"invalid integration interval [{a}, {b}]")
     if abs_tol <= 0.0:
         raise ValueError("abs_tol must be positive")
 
-    if isinstance(initial_panels, Panels):
-        start = initial_panels
-        if not (start.lo[0] == a and start.hi[-1] == b):
-            raise ValueError(f"initial panels do not span [{a}, {b}]")
-    else:
-        start = Panels.uniform(a, b, initial_panels)
-    lo, hi = start.lo, start.hi
-    values, errors = _panel_estimates(f, lo, hi, start.nodes)
-    min_width = (b - a) * 1e-15
+    lo, hi = panels.lo, panels.hi
+    values, errors = _panel_estimates(f, lo, hi, panels.nodes)
+    min_width = (hi[-1] - lo[0]) * 1e-15
 
     while True:
         total_error = float(errors.sum(axis=-1).max())
@@ -181,7 +173,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         values = np.concatenate([values[..., ~split], new_values], axis=-1)
         errors = np.concatenate([errors[..., ~split], new_errors], axis=-1)
 
-    if lo.size == start.lo.size:
+    if lo.size == panels.lo.size:
         # No panel was split, so the panels are already in ascending order.
         # Summing the F-ordered copy adds each output's panels one after the
         # other, as the sum over the reordered (F-ordered) copy below does:

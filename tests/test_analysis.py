@@ -24,6 +24,7 @@ from ssem.analysis import (
     verify_theorem1,
     verify_theorem2,
 )
+from ssem.config import build_run_config, parse_config_text
 from ssem.em import Trajectory
 from ssem.errors import (
     DegenerateDenominator,
@@ -423,10 +424,19 @@ class TestDemonstrateRescue:
         assert max(report.kappa_probe) < 0.0
         assert report.step_ratios
 
+    def test_default_grid_is_the_configs(self):
+        # A library rescue reads what `ssem verify rescue` reads on the same
+        # config: both probe the config's default grid.
+        cfg = build_run_config(parse_config_text(
+            "model.kind = sym2\nmodel.theta_star = 1.5\ndata.gamma = 0.1\n"))
+        pm = cfg.population_model()
+        assert repr(demonstrate_rescue(pm)) == repr(
+            demonstrate_rescue(pm, probe_offsets=cfg.probe_offsets))
+
     def test_no_probe_in_the_domain_is_domain_error(self):
-        # Every default offset (0.25 to 3) moves theta* = -0.1 past 0.
+        # Every default offset (0.2 to 4) moves theta* = -0.1 past 0.
         pm = PopulationModel(ModelKind.expfam(exponential_spec()), NEAR_EDGE, 0.1)
-        with pytest.raises(DomainError, match=r"offsets \[0.25, .*3.0\]"):
+        with pytest.raises(DomainError, match=r"offsets \[0.2, .*4.0\]"):
             demonstrate_rescue(pm)
 
     def test_in_domain_probes_inside_the_guard_are_too_close(self):

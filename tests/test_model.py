@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ssem.errors import DomainError, MeanOutOfRange
 from ssem.model import (
     LOG_SQRT_2PI,
+    NEWTON_TOL,
     ExpFamilySpec,
     MixtureParams,
     ModelKind,
@@ -396,6 +398,63 @@ class TestInvertAlphaPrime:
 
         assert miss(x) <= min(miss(np.nextafter(x, -np.inf)),
                               miss(np.nextafter(x, np.inf)))
+
+    def test_newton_overflow_does_not_warn(self):
+        # From x0 = 2 the walk to a Poisson mean of 1e300 passes points
+        # where exp overflows; the inversion steps back from them.
+        spec = dataclasses.replace(poisson_spec(), alpha_prime_inv=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = invert_alpha_prime(spec, 1e300, x0=2.0)
+        assert x == invert_alpha_prime(poisson_spec(), 1e300)
+
+    # (family, target, x0, the side the walk takes from the start: -1 down,
+    # +1 up).  Poisson and Gaussian have the unbounded natural domain, the
+    # exponential family's is bounded above by 0; a start outside the
+    # domain or NaN is replaced by a point inside it.
+    WALKS = [
+        (poisson_spec, 3.0, 0.0, +1), (poisson_spec, 3.0, 5.0, -1),
+        (poisson_spec, 1e-9, None, -1), (gaussian_spec, -1.7, 10.0, -1),
+        (gaussian_spec, -1.7, -10.0, +1), (gaussian_spec, 4.0, math.nan, +1),
+        (exponential_spec, 2.0, -5.0, +1), (exponential_spec, 2.0, -0.1, -1),
+        (exponential_spec, 0.25, 1.0, -1), (exponential_spec, 1e6, -3.0, +1),
+    ]
+
+    @staticmethod
+    def counted(make):
+        """A copy of the family ``make`` makes, without ``alpha_prime_inv``,
+        and the list of the points its ``alpha_prime`` is evaluated at."""
+        spec, seen = make(), []
+
+        def alpha_prime(x):
+            seen.append(float(x))
+            return spec.alpha_prime(x)
+
+        return dataclasses.replace(spec, alpha_prime=alpha_prime,
+                                   alpha_prime_inv=None), seen
+
+    @pytest.mark.parametrize("make, target, x0, side", WALKS)
+    def test_newton_walks_from_one_evaluation_at_the_start(self, make, target,
+                                                           x0, side):
+        spec, seen = self.counted(make)
+        x = invert_alpha_prime(spec, target, x0=x0)
+        start = seen[0]
+        assert seen.count(start) == 1
+        assert np.sign(seen[1] - start) == side
+
+        def miss(at):
+            return abs(float(spec.alpha_prime(at)) - target)
+
+        assert miss(x) < NEWTON_TOL or miss(x) <= min(
+            miss(np.nextafter(x, -np.inf)), miss(np.nextafter(x, np.inf)))
+
+    @pytest.mark.parametrize("make, target, x0", [
+        (poisson_spec, -1.0, 0.0), (poisson_spec, -1.0, None),
+        (exponential_spec, -2.0, -1.0), (exponential_spec, 0.0, 4.0)])
+    def test_newton_target_outside_the_range(self, make, target, x0):
+        spec, _ = self.counted(make)
+        with pytest.raises(MeanOutOfRange, match="below the range"):
+            invert_alpha_prime(spec, target, x0=x0)
 
     @pytest.mark.parametrize("make", [gaussian_spec, poisson_spec,
                                       exponential_spec])
