@@ -124,12 +124,12 @@ def _write_dataset(dataset, out_dir: str, timings: dict) -> dict:
 
 # Values the dataset writer must format (``formatted_rows``) before
 # ``simulate`` hands the write to a child process.  Forking, exiting and
-# reaping the child took 2.5-7.3 ms (median 3.4-3.6 ms) in a 61 MiB process
+# reaping the child took 1.8-3.8 ms (median 1.9-2.0 ms) in a 61 MiB process
 # with BLAS threads started, and the writer's kernel writes a row in
-# 0.30-0.36 us (medians from 16,384 to 200,000 rows, 2-CPU Xeon), so the
-# child pays once it writes more than about 11,000 rows, the median fork
-# over the per-row cost; the threshold is the power of two above that.
-# 16,384 rows take 5.9 ms.  A Poisson sample, whose values are grouped
+# 0.19-0.22 us (medians from 16,384 to 200,000 rows, 2-CPU Xeon), so the
+# child pays once it writes more than about 9,000-11,000 rows, the median
+# fork over the per-row cost; the threshold is the power of two above that.
+# 16,384 rows take 3.4-3.6 ms.  A Poisson sample, whose values are grouped
 # (43 distinct values in its two parts at N = 2e5), stays in process.
 _FORK_WRITE_ROWS = 1 << 14
 

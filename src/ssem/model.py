@@ -42,14 +42,16 @@ from .errors import DomainError, MeanOutOfRange, NoConvergence
 
 LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-# numpy's floating-point state where an overflow is expected and what it
-# leaves is handled: the kernel's reference shift falls back to the max
-# shift, and the E-step, the population integrals and the truth's means
-# refuse non-finite values (NumericOverflow, QuadratureFailure,
-# DomainError, MeanOutOfRange) rather than warn.  Use it as a decorator
-# only: each call then sets its own state, so calls nest and run in any
-# thread, and no context manager is built per call.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
+# numpy's floating-point state where an overflow or a division by zero is
+# expected and what it leaves is handled: the kernel's reference shift
+# falls back to the max shift, and the E-step, the population integrals,
+# the truncation window and the truth's means refuse non-finite values
+# (NumericOverflow, QuadratureFailure, DomainError, MeanOutOfRange) rather
+# than warn; an alpha'' of 1 / theta^2 whose square underflows is such an
+# inf.  Use it as a decorator only: each call then sets its own state, so
+# calls nest and run in any thread, and no context manager is built per
+# call.
+_QUIET = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -787,7 +789,7 @@ def invert_alpha_prime(spec: ExpFamilySpec, target: float,
             lo = x
         if not lo < 0.5 * (lo + hi) < hi:  # the bracket cannot shrink
             return min(lo, hi, key=lambda end: abs(residual(end)))
-        deriv = float(spec.alpha_second(x))
+        deriv = float(spec.alpha_second(np.float64(x)))
         x_new = x - r / deriv if deriv > 0.0 else np.nan
         if not np.isfinite(x_new) or not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)

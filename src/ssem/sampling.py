@@ -42,14 +42,16 @@ labels by the same rule.
 
 Each ``dataset.csv`` row is a prefix, ``U,,`` or ``L,<x>,``, followed by
 the bytes of ``"%.17g" % y``.  The value bytes come from one numpy kernel
-(:func:`_fill_y`) for a chunk of rows.  For 10^-6 < |y| < 10^17 the 17
-digits are the integer nearest the exact product of |y| and an exact
-power of ten (Dekker's error-free product), rounded half to even; every
-other nonzero value (about one Gaussian draw in a million) takes its
-digits from ``'%.16e'``.  The bytes go in a fixed-column byte matrix, a
-keep table marks those the value prints, and the rest are NULs, deleted
-when a chunk's records are written.  The kernel is elementwise numpy
-only, no BLAS and no threads, so it can run in a forked child.
+(:func:`_fill_y`) for a chunk of rows.  It builds fixed notation only,
+which ``%.17g`` uses for 10^-4 <= |y| < 10^17: the 17 digits are the
+integer nearest the exact product of |y| and an exact power of ten
+(Dekker's error-free product), rounded half to even.  The bytes go in a
+fixed-column byte matrix, a keep table marks those the value prints, and
+the rest are NULs, deleted when a chunk's records are written.  Every
+other value, zeros and the exponent-form ones (about four Gaussian draws
+in 100,000), has its row overwritten with ``b"%.17g" % y`` itself.  The
+kernel is elementwise numpy only, no BLAS and no threads, so it can run
+in a forked child.
 """
 
 from __future__ import annotations
@@ -402,55 +404,38 @@ def formatted_rows(dataset: Dataset) -> int:
 
 
 # The bytes of one ``y`` in the writer's byte matrix before it is filled:
-# its sign, the "0.000" that leads a fixed-notation value below 1, 17 digit
-# slots with a "." after each of the first 16, then "e" and slots for the
-# exponent's sign and three digits; and the columns where each part starts.
-_Y_TEMPLATE = b"-0.000" + b"0." * 16 + b"0e" + bytes(4)
-_SIGN, _LEAD, _DIGITS, _EXPONENT, _Y_WIDTH = 0, 1, 6, 39, 44
-# Keep-table classes: a decimal exponent X in [-4, 16], printed in fixed
-# notation, is class X + 4; then exponent notation with two and with three
-# exponent digits, and zero.
-_E2, _E3, _ZERO = 21, 22, 23
-# For 10^-6 < |y| < 10^17 the 17 digits are those of |y| 10^k for one k in
-# 0..22, where 10^k is an exact double.
-_EXACT_RANGE = (1e-6, 1e17)
+# its sign, the "0.000" that leads a fixed-notation value below 1, and 17
+# digit slots with a "." after each of the first 16; and the columns where
+# each part starts.
+_Y_TEMPLATE = b"-0.000" + b"0." * 16 + b"0"
+_SIGN, _LEAD, _DIGITS, _Y_WIDTH = 0, 1, 6, 39
+# ``%.17g`` prints 10^-4 <= |y| < 10^17 in fixed notation, with a decimal
+# exponent in [-4, 16]; its 17 digits are those of |y| 10^k for one k in
+# 0..21, where 10^k is an exact double.
+_FIXED_RANGE = (1e-4, 1e17)
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split into 26-bit halves
 
 
 @cache
 def _layout() -> tuple[np.ndarray, np.ndarray]:
     """The writer's tables, built on first use, read-only: ``tens``, 10^k
-    for k in 0..22, each an exact double, and ``keep``, the (24 * 17 * 2,
-    _Y_WIDTH) 0/1 masks of a ``y``.  Row ``(cls * 17 + last) * 2 +
-    negative`` of ``keep`` marks the bytes of a ``y`` of class ``cls``
-    whose last nonzero digit is digit ``last`` (0-based):
-
-    * the sign when negative;
-    * fixed notation: digits 0 to ``max(X, last)``, then, for X >= 0, the
-      "." after digit X when ``last > X``, and for X < 0 the leading "0."
-      and -X - 1 zeros;
-    * exponent notation: digits 0 to ``last``, the "." after digit 0 when
-      ``last > 0``, "e", the exponent's sign and two or three digits;
-    * zero: the "0" at ``_LEAD``.
+    for k in 0..22, each an exact double, and ``keep``, the (21 * 17 * 2,
+    _Y_WIDTH) 0/1 masks of a ``y`` in ``_FIXED_RANGE``.  Row ``((x + 4) *
+    17 + last) * 2 + negative`` of ``keep`` marks the bytes of a ``y`` of
+    decimal exponent ``x`` whose last nonzero digit is digit ``last``
+    (0-based): the sign when negative, digits 0 to ``max(x, last)``, then,
+    for x >= 0, the "." after digit x when ``last > x``, and for x < 0 the
+    leading "0." and -x - 1 zeros.
     """
-    keep = np.zeros((_ZERO + 1, 17, 2, _Y_WIDTH), np.uint8)
-    for cls in range(_ZERO + 1):
+    keep = np.zeros((21, 17, 2, _Y_WIDTH), np.uint8)
+    for x in range(-4, 17):
         for last in range(17):
-            row = keep[cls, last, 0]
-            if cls == _ZERO:
-                row[_LEAD] = 1
-            elif cls < _E2:
-                x = cls - 4
-                row[_DIGITS:_DIGITS + 2 * max(x, last) + 1:2] = 1
-                if x < 0:
-                    row[_LEAD:_LEAD + 1 - x] = 1
-                elif last > x:
-                    row[_DIGITS + 2 * x + 1] = 1
-            else:
-                row[_DIGITS:_DIGITS + 2 * last + 1:2] = 1
-                row[_DIGITS + 1] = last > 0
-                row[_EXPONENT:_EXPONENT + 2] = 1
-                row[_EXPONENT + (3 if cls == _E2 else 2):] = 1
+            row = keep[x + 4, last, 0]
+            row[_DIGITS:_DIGITS + 2 * max(x, last) + 1:2] = 1
+            if x < 0:
+                row[_LEAD:_LEAD + 1 - x] = 1
+            elif last > x:
+                row[_DIGITS + 2 * x + 1] = 1
     keep[:, :, 1] = keep[:, :, 0]
     keep[:, :, 1, _SIGN] = 1
     layout = (10.0 ** np.arange(23), keep.reshape(-1, _Y_WIDTH))
@@ -474,7 +459,7 @@ def _two_product(a: np.ndarray, b: np.ndarray):
 
 def _exact_digits(a: np.ndarray, tens: np.ndarray):
     """The 17 significant digits ``n`` (an int64 in [10^16, 10^17)) and the
-    decimal exponent ``x`` of each ``a`` in ``_EXACT_RANGE``, rounded half
+    decimal exponent ``x`` of each ``a`` in ``_FIXED_RANGE``, rounded half
     to even as ``%.17g`` rounds them: ``a`` is about ``n 10^(x - 16)``."""
     k = np.clip(16 - np.floor(np.log10(a)), 0, 22).astype(np.intp)
     p, e = _two_product(a, tens[k])
@@ -493,55 +478,30 @@ def _exact_digits(a: np.ndarray, tens: np.ndarray):
     return p.astype(np.int64) + np.rint(e).astype(np.int64), 16 - k
 
 
-def _rare_digits(a: np.ndarray):
-    """The same for any other positive ``a``, read from ``'%.16e'``: a
-    digit, ".", 16 digits, "e", the exponent's sign and two or three
-    digits."""
-    text = ("%.16e " * a.size % tuple(a.tolist())).encode().split()
-    chars = np.array(text, "S23").view(np.uint8).reshape(a.size, 23)
-    chars = chars.astype(np.int64) - ord("0")  # the NUL padding is -48
-    n = chars[:, 0]
-    for col in range(2, 18):
-        n = 10 * n + chars[:, col]
-    x = 10 * chars[:, 20] + chars[:, 21]
-    x = np.where(chars[:, 22] < 0, x, 10 * x + chars[:, 22])
-    return n, np.where(chars[:, 19] == ord("-") - ord("0"), -x, x)
-
-
 def _fill_y(y: np.ndarray, out: np.ndarray) -> None:
     """Make each row of the (rows, _Y_WIDTH) byte matrix ``out`` the bytes
-    of ``"%.17g" % y`` with NULs between them."""
+    of ``"%.17g" % y`` with NULs between them: built in fixed notation for
+    ``y`` in ``_FIXED_RANGE``, and ``b"%.17g" % y`` itself for any other
+    value (zeros and exponent-form values)."""
     tens, keep = _layout()
     out[:] = np.frombuffer(_Y_TEMPLATE, np.uint8)
     a = np.abs(y)
-    # Values outside the exact range, zeros and rare ones, are set aside and
-    # replaced by 1.0, so a chunk that has some holds no more chunk-length
-    # arrays.  A zero keeps only the template's "0"; a rare value's digits
-    # are replaced.
-    outside = np.flatnonzero((a <= _EXACT_RANGE[0]) | (a >= _EXACT_RANGE[1]))
-    rare = a[outside]
+    # Values outside the fixed range are set aside and replaced by 1.0, so a
+    # chunk that has some holds no more chunk-length arrays; their rows are
+    # overwritten at the end.
+    outside = np.flatnonzero((a < _FIXED_RANGE[0]) | (a >= _FIXED_RANGE[1]))
     a[outside] = 1.0
     n, x = _exact_digits(a, tens)
-    i = np.flatnonzero(rare)
-    if i.size:
-        n[outside[i]], x[outside[i]] = _rare_digits(rare[i])
-    cls = x + 4
     for j in range(16, -1, -1):
         q = n // 10
         out[:, _DIGITS + 2 * j] = n - 10 * q + ord("0")
         n = q
-    digits = out[:, _EXPONENT - 1:_DIGITS - 1:-2]  # the 17 digits, last first
+    digits = out[:, _Y_WIDTH - 1:_DIGITS - 1:-2]  # the 17 digits, last first
     last = 16 - np.argmax(digits != ord("0"), axis=1)
-    far = np.flatnonzero((x < -4) | (x > 16))
-    if far.size:
-        x = x[far]
-        size = np.abs(x)
-        cls[far] = np.where(size < 100, _E2, _E3)
-        out[far, _EXPONENT + 1] = np.where(x < 0, ord("-"), ord("+"))
-        for col, place in enumerate((100, 10, 1), _EXPONENT + 2):
-            out[far, col] = size // place % 10 + ord("0")
-    cls[y == 0.0] = _ZERO
-    out *= keep.take((cls * 17 + last) * 2 + np.signbit(y), axis=0)
+    out *= keep.take(((x + 4) * 17 + last) * 2 + np.signbit(y), axis=0)
+    texts = np.array([b"%.17g" % v for v in y[outside].tolist()],
+                     f"S{_Y_WIDTH}")
+    out[outside] = texts.view(np.uint8).reshape(-1, _Y_WIDTH)
 
 
 def _value_texts(values: np.ndarray) -> np.ndarray:

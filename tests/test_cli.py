@@ -415,6 +415,21 @@ class TestOutOfRangeValues:
         assert rc == 3
         assert (err["error"], err["type"]) == ("numeric", error)
 
+    def test_infinite_truncation_width_is_one_json_error(self, tmp_path,
+                                                         capsys):
+        # alpha'' = 1 / theta^2 of an exponential truth at -1e-200 divides
+        # by an underflowed 0; the window's refusal is the only output.
+        cfg = write_cfg(tmp_path, "model.kind = expfam\n"
+                        "model.family = exponential\n"
+                        "model.theta_star = -1e-200, -3\n"
+                        "model.pi = 0.5, 0.5\n")
+        rc = main(["population", "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert (payload["error"], payload["type"]) == ("numeric", "DomainError")
+
     @pytest.mark.parametrize("truth", ["40,2", "700,2"])
     def test_integer_window_beyond_cap_is_domain_error(self, tmp_path, truth):
         # A Poisson log-mean of 40 beside one of 2 makes a window of about

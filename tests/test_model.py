@@ -408,6 +408,13 @@ class TestInvertAlphaPrime:
             x = invert_alpha_prime(spec, 1e300, x0=2.0)
         assert x == invert_alpha_prime(poisson_spec(), 1e300)
 
+    def test_newton_derivative_runs_under_errstate(self):
+        # From x0 = -1e-300, the exponential family's alpha_second squares
+        # x to 0.0; on a Python float 1 / 0.0 raised ZeroDivisionError.
+        spec = dataclasses.replace(exponential_spec(), alpha_prime_inv=None)
+        x = invert_alpha_prime(spec, 1.0, x0=-1e-300)
+        assert abs(float(spec.alpha_prime(x)) - 1.0) < NEWTON_TOL
+
     # (family, target, x0, the side the walk takes from the start: -1 down,
     # +1 up).  Poisson and Gaussian have the unbounded natural domain, the
     # exponential family's is bounded above by 0; a start outside the

@@ -675,16 +675,16 @@ class TestSampleMemory:
 
         # A record of the widest kind, an L row with a 19-digit label: its
         # "L,<x>," prefix, the value's byte matrix row and the newline
-        # (22 + 44 + 1 = 67).  The chunk's records, their bytes copy and
-        # the text left once the NULs are deleted (3 x 67); the keep-table
-        # rows gathered for its y (44); at most 16 vectors of 8 bytes alive
+        # (22 + 39 + 1 = 62).  The chunk's records, their bytes copy and
+        # the text left once the NULs are deleted (3 x 62); the keep-table
+        # rows gathered for its y (39); at most 16 vectors of 8 bytes alive
         # at once (the values, their exact products and halves, digits,
-        # exponents, classes and indices).  A value outside (1e-6, 1e17)
-        # also holds its '%.16e' text, about one Gaussian draw in a
-        # million.  The chunk's label ranks and gathered prefixes (8 + 22)
+        # exponents, keep rows and indices).  A value outside [1e-4, 1e17)
+        # also holds its own '%.17g' bytes, about four Gaussian rows in
+        # 100,000.  The chunk's label ranks and gathered prefixes (8 + 22)
         # are made once the kernel's vectors are freed.
         width = len(b"L,%d," % (2 ** 63 - 1)) + ssem.sampling._Y_WIDTH + 1
-        assert width == 67
+        assert width == 62
         per_row = 3 * width + ssem.sampling._Y_WIDTH + 16 * 8
         bound = per_row * ssem.sampling._CHUNK_ROWS + self.SLACK
         raw = load_config_file(PERFBENCH / "configs" / "gmm3.cfg")
