@@ -512,10 +512,13 @@ def _rate_bound_item3_each(theta_star: float, gamma: float,
 
 
 def tail_sandwich_defined(t: float) -> bool:
-    """Whether :func:`gaussian_tail_sandwich` accepts ``t``: t > 0 with
-    phi(t) a normal float (t <= 37.6).  Beyond, phi(t) is subnormal or 0
-    and the bounds compare rounded-off values."""
-    return t > 0.0 and _phi(t) >= sys.float_info.min
+    """Whether :func:`gaussian_tail_sandwich` accepts ``t``: t**3 and
+    phi(t) normal floats (about 2.82e-103 <= t <= 37.6).  Beyond 37.6,
+    phi(t) is subnormal or 0 and the bounds compare rounded-off values;
+    below 2.82e-103, ``1 / t**3`` divides by zero or leaves a lower bound
+    of -inf.  phi is checked first: it is 0 for huge |t|, where t**3
+    would raise OverflowError."""
+    return _phi(t) >= sys.float_info.min and t ** 3 >= sys.float_info.min
 
 
 def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
@@ -529,8 +532,7 @@ def gaussian_tail_sandwich(t: float) -> tuple[float, float, float]:
     :func:`tail_sandwich_defined` accepts ``t``.
     """
     if not tail_sandwich_defined(t):
-        raise DomainError(f"tail sandwich requires t > 0 with phi(t) a "
-                          f"normal float, got t={t}")
+        raise DomainError(f"tail sandwich needs t**3, phi(t) normal: t={t}")
     density = _phi(t)
     return (1.0 / t - 1.0 / t ** 3) * density, density / t, _upper_tail(t)
 
@@ -589,7 +591,10 @@ def measurable_step_ratios(traj: Trajectory,
 @dataclass
 class RescueReport(_Checked):
     """Multiplicative-rescue demonstration: measured kappa, the labeled
-    fraction that would neutralize it, and trajectories around it."""
+    fraction that would neutralize it, and trajectories around it.
+    ``trajectory_errors`` holds each run's errors up to the round at which
+    the lockstep stopped: once every run still going is at or below
+    ``RATE_FLOOR``, later steps are no longer run."""
 
     kind: str
     theta_star: list[float]
@@ -633,7 +638,11 @@ def demonstrate_rescue(pm: PopulationModel,
     that does is skipped.  The two population-EM runs start at the probe
     that gave kappa and go in lockstep for at most ``RESCUE_MAX_ITERS``
     iterations, their iterates' moments one batch per round; the first
-    round reads the probe grid's step.
+    round reads the probe grid's step.  A step that starts at or below
+    ``RATE_FLOOR`` counts toward no verdict, so once every run still going
+    is at or below the floor, later steps are no longer run: the lockstep
+    stops after that round, both runs at once, so no batch before it
+    changes and the verdicts are those of a lockstep run to the end.
 
     When kappa < 1 the operator already contracts; the report carries the
     ``no_rescue_needed`` status (this is the observed situation for the
@@ -684,7 +693,8 @@ def demonstrate_rescue(pm: PopulationModel,
         gamma_min=gamma_min, rescue_needed=rescue_needed, status=status,
         gammas=[gamma_lo, gamma_hi])
     trajs = _run_lockstep([pm.with_gamma(gamma) for gamma in report.gammas],
-                          probe_best, RESCUE_MAX_ITERS, first=step_best)
+                          probe_best, RESCUE_MAX_ITERS, first=step_best,
+                          floor=RATE_FLOOR)
     for gamma, traj in zip(report.gammas, trajs):
         key = f"{gamma:.6g}"
         ratios = measurable_step_ratios(traj, pm.theta_star)

@@ -358,7 +358,7 @@ def build_run_config(raw: dict) -> RunConfig:
             (1.01, 2.0, 4.0)),
         theta_star_grid=stars,
         tail_grid=get("verify.tail_grid",
-                      _grid("> 0 with phi(t) a normal float (t <= 37.6)",
+                      _grid("2.82e-103 to 37.6 (t**3, phi(t) normal floats)",
                             analysis.tail_sandwich_defined),
                       (1.0, 1.5, 2.0, 3.0, 4.0, 5.0)))
     for key in raw:

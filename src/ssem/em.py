@@ -123,13 +123,16 @@ class Trajectory:
 
     @classmethod
     def _iterate_all(cls, step, starts: list[MixtureParams], max_iters: int,
-                     tol: float, theta_star: MixtureParams | None = None
-                     ) -> list["Trajectory"]:
+                     tol: float, theta_star: MixtureParams | None = None,
+                     floor: float | None = None) -> list["Trajectory"]:
         """:meth:`iterate` for several runs in lockstep, one trajectory per
         start.  Round t calls ``step(runs, thetas)`` once with the indices
         of the runs still going and their iterates, and ``step`` returns
         the ``(next, surrogate)`` pair of each; a run stops on its own
-        tolerance, and all stop after ``max_iters`` rounds."""
+        tolerance, and all stop after ``max_iters`` rounds.  Given a
+        ``floor``, all stop too after the first round in which every run
+        still going has a max-norm error to ``theta_star`` at or below it;
+        no run stops early alone, so no round's batch changes."""
         trajs = [cls(iterates=[theta0]) for theta0 in starts]
         runs = list(range(len(trajs)))
         for t in range(max_iters):
@@ -152,6 +155,9 @@ class Trajectory:
                 else:
                     going.append(i)
             runs = going
+            if floor is not None and all(np.max(np.abs(
+                    trajs[i].final.theta - theta_star.theta)) <= floor for i in runs):
+                break
         if theta_star is not None:
             for traj in trajs:
                 traj.errors = traj.errors_to(theta_star)
@@ -232,7 +238,7 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
     its moments are the (K, 2) product ``a @ [r c t, r c].T``, one BLAS
     call, added in block order.  The weights go into two buffers made once
     per pass; row 0 of ``a`` holds 1 throughout, and a block that takes the
-    max-shifted ``q`` instead has unit weights ``r = 1``.
+    max-shifted ``q`` instead has unit weights ``s = r = 1``.
     Raises :class:`NumericOverflow` when a logit ``theta_k t(y)`` or a sum
     overflows.
     """
@@ -246,11 +252,8 @@ def _sufficient_statistics(kind: ModelKind, theta_t: MixtureParams,
         block = y[lo:lo + rows]
         wb = w[:, :block.size]
         r = wb[1]  # s, then r = 1 / s, then r c
-        rel, s, ty = _relative_weights(terms, block, a[:, :block.size], r)
-        if s is None:
-            r.fill(1.0)
-        else:
-            np.reciprocal(r, out=r)
+        rel, ty = _relative_weights(terms, block, a[:, :block.size], r)
+        np.reciprocal(r, out=r)
         if counts is not None:
             r *= counts[lo:lo + rows]
         np.multiply(r, ty, out=wb[0])

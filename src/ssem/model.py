@@ -14,17 +14,20 @@ parameters (mixture weights included).  They are computed from the logits
 relative to component 0: ``q_0 = 1 / (1 + sum_k e_k)`` and ``q_k = e_k q_0``
 with ``e_k`` the exponential of component k's logit minus component 0's.
 Where some ``e_k`` overflows (a logit more than about 709 above component
-0's), that call takes a per-point max shift instead, under which no
-positive logit difference is exponentiated.
+0's), that parameter vector takes a per-point max shift instead, under
+which no positive logit difference is exponentiated.
 :func:`_relative_weights` is the one place they start: it maps a
-:class:`LogitTerms`, built once per parameter vector (one per E-step pass
-or population step), and 1-d points to the weights ``[1; e]``, their sum
-and ``t(y)``, or to the max-shifted responsibilities.  It has two
-consumers.  :func:`posterior` normalizes the weights into the (K, n)
-responsibilities, for the population step and the public per-point reads
+:class:`LogitTerms`, built once per parameter vector (one per E-step pass)
+or probe batch, and 1-d points to the weights ``[1; e]``, their sum and
+``t(y)``, or to the max-shifted responsibilities.  The terms of
+:meth:`LogitTerms.batch` carry a leading probe axis, and the kernel takes
+the whole batch in one pass.  It has two consumers.  :func:`posterior`
+normalizes the weights into the (K, n) responsibilities, or (P, K, n) for
+a batch of P: for the population integrals, one call per quadrature round
+of a probe batch, and for the public per-point reads
 (:func:`responsibilities`, :func:`responsibility`), which are shaped like
 ``y`` as :func:`component_log_density` and :func:`marginal_log_density`
-are.  The sample E-step contracts the weights themselves.
+are.  The sample E-step contracts the weights themselves, unbatched.
 
 Everything here is a pure function of immutable values and safe to call
 concurrently.
@@ -501,8 +504,12 @@ class LogitTerms(NamedTuple):
     ``d_theta = theta[1:] - theta[0]`` and ``d_offsets = offsets[1:] -
     offsets[0]``.  Build them with :meth:`of` once per parameter vector
     and pass them to :func:`_relative_weights` (the E-step) or
-    :func:`posterior` for every point set: one E-step pass or one
-    population step builds one."""
+    :func:`posterior` for every point set: one E-step pass builds one.
+
+    :meth:`batch` makes the terms of a batch of parameter vectors, once
+    per population integral: each array gains a leading probe axis, and
+    the kernel then takes every member in one pass, each with the bits it
+    gets alone."""
 
     family: ExpFamilySpec
     theta: np.ndarray
@@ -516,105 +523,130 @@ class LogitTerms(NamedTuple):
         """The terms of ``params``, after checking them.  ``log_pi``
         replaces ``log(pi)`` (0 gives the component log densities)."""
         kind.check_params(params)
-        family = kind.family
-        if log_pi is None:
-            log_pi = np.log(params.pi)
-        theta = params.theta
+        return cls._at(kind.family, params.theta,
+                       np.log(params.pi) if log_pi is None else log_pi)
+
+    @classmethod
+    def batch(cls, kind: ModelKind,
+              probes: list[MixtureParams]) -> "LogitTerms":
+        """The terms of ``probes``, parameter vectors of one K, after
+        checking each, as one batch: member p of each array is, bit for
+        bit, that of ``of(kind, probes[p])``."""
+        for params in probes:
+            kind.check_params(params)
+        return cls._at(kind.family, np.array([p.theta for p in probes]),
+                       np.log(np.array([p.pi for p in probes])))
+
+    @classmethod
+    def _at(cls, family: ExpFamilySpec, theta: np.ndarray,
+            log_pi) -> "LogitTerms":
+        """The terms of ``family`` at ``theta`` and ``log_pi``, with or
+        without a leading probe axis."""
         offsets = log_pi - np.asarray(family.alpha(theta), dtype=float)
-        return cls(family, theta, offsets,
-                   theta[1:] - theta[0], offsets[1:] - offsets[0])
+        return cls(family, theta, offsets, theta[..., 1:] - theta[..., :1],
+                   offsets[..., 1:] - offsets[..., :1])
 
     def logits(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (K, n) array ``log_pi_k + theta_k t(y_i) - alpha(theta_k)``
-        and the ``t(y)`` it is built from.  The logits are the component
-        log densities without the carrier ``h(y)``, which every component
-        shares.  ``y`` must already be 1-d float."""
+        """The (..., K, n) array ``log_pi_k + theta_k t(y_i) -
+        alpha(theta_k)`` and the ``t(y)`` it is built from.  The logits are
+        the component log densities without the carrier ``h(y)``, which
+        every component shares.  ``y`` must already be 1-d float."""
         ty = np.asarray(self.family.t(y), dtype=float)
         logits = np.multiply.outer(self.theta, ty)
-        logits += self.offsets[:, None]
+        logits += self.offsets[..., None]
         return logits, ty
 
 
 def _shifted_exp(logits: np.ndarray) -> np.ndarray:
-    """In place on a (K, N) array: subtract each column's max and
+    """In place on a (..., K, n) array: subtract each column's max and
     exponentiate, so every exponent is <= 0.  Returns the column maxima."""
-    top = logits.max(axis=0)
-    logits -= top
+    top = logits.max(axis=-2)
+    logits -= top[..., None, :]
     np.exp(logits, out=logits)
     return top
 
 
-def _max_shifted_posterior(terms: LogitTerms,
-                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`posterior` with each point's logits shifted by their max, so
-    no exponent is positive: the path for points where some logit exceeds
-    component 0's by more than about 709."""
-    logits, ty = terms.logits(y)
+def _max_shifted_posterior(terms: LogitTerms, y: np.ndarray) -> np.ndarray:
+    """The (..., K, n) :func:`posterior` with each point's logits shifted
+    by their max, so no exponent is positive: the path for points where
+    some logit exceeds component 0's by more than about 709."""
+    logits = terms.logits(y)[0]
     _shifted_exp(logits)
-    logits /= logits.sum(axis=0)
-    return logits, ty
+    logits /= logits.sum(axis=-2)[..., None, :]
+    return logits
 
 
 def _relative_weights(terms: LogitTerms, y: np.ndarray, a: np.ndarray,
-                      s: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The step every responsibility starts from, at the 1-d float points
     ``y`` under ``terms``: the weights of the components relative to
     component 0, ``a = [1; e_1 .. e_{K-1}]`` with ``e_k = exp(d_theta_k
     t(y) + d_offsets_k)``, and their sum ``s = 1 + sum_k e_k``, so that
-    ``q = a / s``.  Returns ``(a, s, t(y))``.
+    ``q = a / s``.  Returns ``(a, t(y))``.
 
-    It writes in place: ``e`` into rows 1.. of the (K, n) buffer ``a`` and
-    ``s``, added in component order, into the n-vector ``s``.  Row 0 of
-    ``a`` is the caller's to hold the 1s; :func:`posterior` passes it as
-    ``s`` and the E-step keeps it at 1 for a whole pass.  Where ``s`` is
-    not finite for some point (a logit more than about 709 above component
-    0's, or a NaN), it returns instead the max-shifted ``q`` of
-    :func:`_max_shifted_posterior`, a new array, with ``None`` for ``s``:
-    unit weights.  The first path can overflow, so callers run it with
-    numpy's overflow and invalid warnings off."""
+    It writes in place: ``e`` into rows 1.. of the (..., K, n) buffer
+    ``a`` and ``s``, added in component order, into the (..., n) buffer
+    ``s``; a leading axis is the batch of :meth:`LogitTerms.batch`.  Row 0
+    of ``a`` is the caller's to hold the 1s; the E-step keeps them for a
+    whole pass.  A member whose ``s`` is not finite at some point (a logit
+    more than about 709 above component 0's, or a NaN) takes the max shift
+    on its own: it gets the max-shifted ``q`` of
+    :func:`_max_shifted_posterior` as its weights and ``s = 1``, in a copy
+    of ``a`` that is returned instead, so the caller's row 0 keeps its 1s.
+    The first path can overflow, so callers run it with numpy's overflow
+    and invalid warnings off."""
     ty = np.asarray(terms.family.t(y), dtype=float)
-    e = a[1:]
+    e = a[..., 1:, :]
     np.multiply.outer(terms.d_theta, ty, out=e)
-    e += terms.d_offsets[:, None]
+    e += terms.d_offsets[..., None]
     np.exp(e, out=e)
-    if len(e):
-        np.add(e[0], 1.0, out=s)
-    else:
+    if e.shape[-2]:
+        np.add(e[..., 0, :], 1.0, out=s)
+    else:  # K = 1: no relative weights
         s.fill(1.0)
-    for row in e[1:]:  # the order of np.sum(e, axis=0, initial=1.0), faster
-        s += row
+    for k in range(1, e.shape[-2]):  # np.sum(e, axis=-2, initial=1.0)'s order
+        s += e[..., k, :]
     if not s.max(initial=1.0) < np.inf:  # an inf or a NaN
-        q, ty = _max_shifted_posterior(terms, y)
-        return q, None, ty
-    return a, s, ty
+        # The members at fault; 0-d for one parameter vector, which numpy
+        # indexes as a batch of one.
+        bad = ~(s.max(axis=-1, initial=1.0) < np.inf)
+        a = a.copy()
+        a[bad] = _max_shifted_posterior(
+            terms._make([terms.family] + [part[bad] for part in terms[1:]]), y)
+        s[bad] = 1.0
+    return a, ty
 
 
 def posterior(terms: LogitTerms,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The responsibility kernel: the C-contiguous (K, n) posterior
+    """The responsibility kernel: the C-contiguous (..., K, n) posterior
     probabilities ``q`` at the 1-d float points ``y`` under ``terms``, and
-    ``t(y)``.  Each column of ``q`` sums to 1 (to rounding).
+    ``t(y)``.  Each column of ``q`` sums to 1 (to rounding).  Under the
+    terms of :meth:`LogitTerms.batch` it is one pass over the whole batch,
+    whose member p is, bit for bit, ``posterior`` under that probe's
+    :meth:`LogitTerms.of`.
 
     Every responsibility in ssem starts from :func:`_relative_weights`.
-    This function normalizes its weights: the population step integrates
-    the rows ``[q, q t(y)]``, and :func:`responsibilities` and
-    :func:`responsibility` read ``q``.  The sample E-step contracts the
-    relative weights themselves, with no ``q``.  The logits are linear in
-    ``t(y)`` (``h(y)`` cancels), so no ``y**2`` is ever formed.
+    This function normalizes its weights: the population integrals read
+    the rows of a whole probe batch from one call, and
+    :func:`responsibilities` and :func:`responsibility` read ``q``.  The
+    sample E-step contracts the relative weights themselves, with no
+    ``q``, unbatched.  The logits are linear in ``t(y)`` (``h(y)``
+    cancels), so no ``y**2`` is ever formed.
 
     They are taken relative to component 0: ``q_0 = 1 / (1 + sum_k e_k)``
     and ``q_k = e_k q_0``, with no per-point max.  An ``e_k`` that
     underflows loses only what lies below 2^-1022 in ``q_k``, as a max
-    shift would.  Where ``1 + sum_k e_k`` is not finite for some point,
-    the whole call takes the per-point max shift instead, which never
-    exponentiates a positive number.
+    shift would.  A member where ``1 + sum_k e_k`` is not finite for some
+    point takes the per-point max shift instead, which never exponentiates
+    a positive number.
     """
-    q = np.empty((terms.theta.size, y.size))
-    q, s, ty = _relative_weights(terms, y, q, q[0])
-    if s is not None:  # row 0 holds s
-        np.reciprocal(s, out=s)
-        q[1:] *= s
+    q = np.empty(terms.theta.shape + (y.size,))
+    q[..., 0, :] = 1.0
+    s = np.empty(q.shape[:-2] + y.shape)
+    q, ty = _relative_weights(terms, y, q, s)
+    np.reciprocal(s, out=s)
+    q *= s[..., None, :]
     return q, ty
 
 

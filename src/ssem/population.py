@@ -9,14 +9,18 @@ pi_k * alpha_prime(theta*_k)`, which is `pi_k * theta*_k` for Gaussians).
 Every integral taken here under the truth is a moment of the
 responsibility kernel :func:`ssem.model.posterior` at a probe, and goes
 through one helper, ``_kernel_integral``, which takes a batch of probes
-and integrates their stacked rows in one vector integral.  An operator
+and integrates their stacked rows in one vector integral.  The batch's
+logit terms are one :meth:`ssem.model.LogitTerms.batch`, so each
+integrand call is one kernel pass over all of its probes, each probe's
+rows the bits it would get alone.  An operator
 evaluation needs the 2K moments ``E[q_k]`` and ``E[q_k t(Y)]``.  They do
 not depend on gamma, and :meth:`PopulationStep.at` computes all of them
 with one vector integral of the rows ``[q, q t(y)]``, whose every output
 meets ``scheme.abs_tol`` on its own; ``M_0``, ``M_gamma`` and ``c_k`` at
 that probe are then read from the step.  ``_steps_at`` does the same for a
 probe grid, and ``_run_lockstep`` runs population EM at several labeled
-fractions, one batch per round.  These are the sample E-step's
+fractions, one batch per round, stopping all runs at once when a floor is
+given and every run still going is within it.  These are the sample E-step's
 statistics under the truth in place of the sample: on an integer support
 the sum of :func:`expect` is the grouped E-step with the truth's mass as
 the counts.  The sym2 derivative
@@ -262,11 +266,14 @@ def _kernel_integral(pm: PopulationModel, tag: str, probes: list[MixtureParams],
                      rows: Callable) -> list[np.ndarray]:
     """``E[rows(q, t(Y))]`` under the truth of ``pm`` at each of ``probes``,
     where ``q, t(y)`` is :func:`posterior` at the probe: the one integral
-    behind every population read.  ``rows`` gives the ``(R, n)`` rows of
-    one probe, and each probe's value has shape ``(R,)``.
+    behind every population read.  ``rows`` maps the batch's (P, K, n)
+    ``q`` and the (n,) ``t(y)`` to the (P, R, n) rows of its P probes, and
+    each probe's value has shape ``(R,)``.
 
-    The probes form one batch: their rows are stacked and integrated in one
-    vector integral, whose every row meets ``scheme.abs_tol`` on its own.
+    The probes form one batch: their terms are one
+    :meth:`LogitTerms.batch`, so each integrand call is one kernel pass
+    over every probe, and their rows are integrated in one vector
+    integral, whose every row meets ``scheme.abs_tol`` on its own.
     Refinement is shared, so a value depends on the truth and on its batch,
     and the same probe in another batch may differ in the last bits, within
     the tolerance.  The values are read-only and, inside an
@@ -279,14 +286,13 @@ def _kernel_integral(pm: PopulationModel, tag: str, probes: list[MixtureParams],
         [b for p in probes for b in (p.theta.tobytes(), p.pi.tobytes())])
 
     def integrate():
-        # One LogitTerms per probe: each is checked and its logit offsets
-        # computed once, not once per integrand call.
-        terms = [LogitTerms.of(pm.kind, p) for p in probes]
-        stacked = expect(pm, lambda y: np.concatenate(
-            [rows(*posterior(t, y)) for t in terms]))
+        # The probes are checked and their logit offsets computed once,
+        # not once per integrand call.
+        terms = LogitTerms.batch(pm.kind, probes)
+        stacked = expect(pm, lambda y: rows(*posterior(terms, y)).reshape(
+            -1, y.size))
         stacked.setflags(write=False)
-        size = len(stacked) // len(probes)
-        return [stacked[i * size:(i + 1) * size] for i in range(len(probes))]
+        return list(stacked.reshape(len(probes), -1))
 
     return _remembered(key, integrate)
 
@@ -358,7 +364,7 @@ def _steps_at(pm: PopulationModel,
     """:meth:`PopulationStep.at` each of ``probes``, all from one vector
     integral: one batch of :func:`_kernel_integral`."""
     values = _kernel_integral(pm, "moments", probes,
-                              lambda q, ty: np.concatenate([q, q * ty]))
+                              lambda q, ty: np.concatenate([q, q * ty], -2))
     return [PopulationStep(pm, probe, value[:probe.K], value[probe.K:])
             for probe, value in zip(probes, values)]
 
@@ -403,7 +409,7 @@ def dm0_dtheta_sym2(pm: PopulationModel, theta: float) -> float:
     if theta < 0.0:
         raise DomainError("derivative probe must satisfy theta >= 0")
     row = _kernel_integral(pm, "dm0", [MixtureParams.symmetric(theta)],
-                           lambda q, ty: (4.0 * q[0] * q[1] * ty * ty)[None])
+                           lambda q, ty: 4.0 * q[:, :1] * q[:, 1:] * ty * ty)
     return float(row[0][0])
 
 
@@ -420,12 +426,15 @@ def run_population_em(pm: PopulationModel, theta0: MixtureParams,
 
 def _run_lockstep(pms: list[PopulationModel], theta0: MixtureParams,
                   max_iters: int, tol: float = 1e-13,
-                  first: PopulationStep | None = None) -> list[Trajectory]:
+                  first: PopulationStep | None = None,
+                  floor: float | None = None) -> list[Trajectory]:
     """:func:`run_population_em` of each of ``pms``, which share a truth and
     a scheme, from ``theta0`` in lockstep: each round reads the moments at
     every running iterate from one batch of :func:`_steps_at`.  ``first``,
     the step at ``theta0`` when the caller has it, answers the first round
-    without an integral."""
+    without an integral.  Given a ``floor``, all runs stop after the first
+    round that leaves every run still going within ``floor`` of the truth
+    (:meth:`Trajectory._iterate_all`)."""
     pm = pms[0]
     pm.kind.check_params(theta0)
 
@@ -439,4 +448,4 @@ def _run_lockstep(pms: list[PopulationModel], theta0: MixtureParams,
                 for i, s in zip(runs, at)]
 
     return Trajectory._iterate_all(step, [theta0] * len(pms), max_iters, tol,
-                                   pm.theta_star)
+                                   pm.theta_star, floor)

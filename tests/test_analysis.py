@@ -350,6 +350,19 @@ class TestTailSandwich:
         with pytest.raises(DomainError):
             gaussian_tail_sandwich(39.0)
 
+    @pytest.mark.parametrize("t", [1e-300, 5e-324, 1e-104, 2.8e-103,
+                                   1e200, -1e200])
+    def test_requires_normal_cube(self, t):
+        # t**3 is subnormal or 0: 1 / t**3 divides by zero or is inf.  At
+        # |t| = 1e200, t**3 would overflow; phi(t) = 0 refuses it first.
+        with pytest.raises(DomainError):
+            gaussian_tail_sandwich(t)
+
+    def test_smallest_accepted_t_has_finite_bounds(self):
+        lower, upper, tail = gaussian_tail_sandwich(2.82e-103)
+        assert all(map(math.isfinite, (lower, upper, tail)))
+        assert lower < tail < upper
+
 
 class TestEmpiricalRate:
     def test_population_rate_below_derivative_bound(self):

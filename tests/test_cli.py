@@ -1021,6 +1021,21 @@ class TestVerifyCommand:
                    "--set", "quadrature.abs_tol=1e-3"])
         assert (rc, capsys.readouterr().err) == (0, "")
 
+    @pytest.mark.parametrize("which", ["lemma3", "all"])
+    @pytest.mark.parametrize("t", ["1e-300", "5e-324", "1e-104",
+                                   "1e200", "-1e200"])
+    def test_tiny_tail_grid_value_is_config_error(self, tmp_path, capsys,
+                                                  which, t):
+        # 1 / t**3 is a division by zero (t**3 underflows to 0) or inf (a
+        # lower bound of -inf, which no JSON artifact can hold).  At
+        # |t| = 1e200, t**3 would overflow; phi(t) = 0 refuses it first.
+        rc = main(["verify", which, "--config", str(CONFIGS / "sym2.cfg"),
+                   "--out", str(tmp_path), "--set", f"verify.tail_grid=1,{t}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", "verify.tail_grid")
+        assert list(tmp_path.iterdir()) == []
+
     def test_tail_grid_at_normal_phi_passes(self, tmp_path):
         rc = main(["verify", "lemma3", "--config", str(CONFIGS / "sym2.cfg"),
                    "--out", str(tmp_path), "--set", "verify.tail_grid=1,37.5"])

@@ -200,3 +200,74 @@ def test_max_shift_only_where_the_sum_overflows(name, theta, y, calls):
         q = responsibilities(FAMILIES[name][0], params, y)
     assert max_shift.call_count == calls
     assert_exact(name, params, y, q)
+
+
+def single_probe_posterior(terms, y):
+    """The kernel's arithmetic for one parameter vector, written out: the
+    relative weights ``e_k``, their sum from 1 in component order, ``q_0 =
+    1 / s`` and ``q_k = e_k q_0``; or, where the sum is not finite, each
+    point's logits shifted by their max, exponentiated and divided by
+    their sum."""
+    ty = np.asarray(terms.family.t(y), dtype=float)
+    e = np.exp(np.multiply.outer(terms.d_theta, ty) + terms.d_offsets[:, None])
+    s = np.ones_like(ty)
+    for row in e:
+        s = s + row
+    if not np.isfinite(s).all():
+        logits = np.multiply.outer(terms.theta, ty) + terms.offsets[:, None]
+        w = np.exp(logits - logits.max(axis=0))
+        return w / w.sum(axis=0)
+    r = 1.0 / s
+    return np.concatenate([r[None], e * r])
+
+
+def overflowing(name, K, draw):
+    """A ``name`` mixture whose relative weights overflow: for sym2 at
+    ``|y| >= 18`` (the gap 2 phi y at phi = 20), for the other kinds at
+    every point (equal parameters and a weight ratio of 1e-310 to
+    component 0, a gap above 712)."""
+    if name == "sym2":
+        return MixtureParams.symmetric(20.0)
+    lo, hi = FAMILIES[name][1]
+    rest = (1.0 - 1e-310) / (K - 1)
+    return MixtureParams([1e-310] + [rest] * (K - 1),
+                         [draw(st.floats(lo, hi))] * K)
+
+
+@pytest.mark.parametrize("name", ["gmm", "sym2", "poisson", "exponential"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_batched_kernel_matches_each_member_alone(name, data):
+    # Every member of a batch is the kernel of its parameters alone, bit
+    # for bit.  For K >= 2 one member's weights overflow: it alone takes
+    # the max shift.  K = 1 has no relative weights.
+    kind = FAMILIES[name][0]
+    K = 2 if name == "sym2" else data.draw(st.integers(1, 4))
+    size = data.draw(st.integers(1, 8))
+    members = [draw_params(data.draw, name, K) for _ in range(size)]
+    points = data.draw(st.lists(FAMILIES[name][2], min_size=1, max_size=8))
+    if K > 1:
+        members[data.draw(st.integers(0, size - 1))] = overflowing(
+            name, K, data.draw)
+        if name == "sym2":
+            points.append(40.0)
+    y = np.array(points)
+    y.setflags(write=False)
+    terms = [model.LogitTerms.of(kind, p) for p in members]
+    batch = model.LogitTerms.batch(kind, members)
+    for part, alone in zip(batch[1:], list(zip(*terms))[1:]):
+        assert part.tobytes() == np.array(alone).tobytes()
+    # The kernel's callers run it with overflow warnings off.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with spy_max_shift() as max_shift:
+            q, ty = model.posterior(batch, y)
+        assert max_shift.call_count == (K > 1)
+        if K > 1:
+            assert max_shift.call_args.args[0].theta.shape == (1, K)
+        assert q.shape == (size, K, y.size) and q.flags.c_contiguous
+        for member, alone in zip(q, terms):
+            q_alone, ty_alone = model.posterior(alone, y)
+            assert member.tobytes() == q_alone.tobytes()
+            assert member.tobytes() == single_probe_posterior(
+                alone, y).tobytes()
+            assert ty.tobytes() == ty_alone.tobytes()
